@@ -35,7 +35,9 @@ from .evaluation import (
 )
 from .fusion import (
     SelectionResult,
+    align,
     fuse_maps,
+    fuse_points,
     modify_add,
     modify_delete,
     modify_shift,

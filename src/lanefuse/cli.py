@@ -9,7 +9,6 @@ cleanly. Identical inputs and seeds give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -197,22 +196,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     for p in policies:
         ev.parse_policy(p)
     areas = [load_link_area(f) for f in args.area_files]
-    report = ev.EvaluationReport(policies=[p.lower() for p in policies])
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(args.jobs) as pool:
-            results = list(
-                pool.map(
-                    lambda a: ev.evaluate_area(a, report.policies, cfg.dbscan, cfg.icp),
-                    areas,
-                )
-            )
-        for area, outcome in zip(areas, results):
-            report.rows[area.link_id] = outcome
-    else:
-        for area in areas:
-            report.rows[area.link_id] = ev.evaluate_area(
-                area, report.policies, cfg.dbscan, cfg.icp
-            )
+    report = ev.run_experiment(areas, policies, cfg.dbscan, cfg.icp, jobs=args.jobs)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "evaluation.csv"

@@ -11,6 +11,7 @@ construction.
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,7 +30,9 @@ from .confidence import (
 )
 from .errors import ConfigError, EmptyInputError, InvalidInputError
 from .fusion import (
-    fuse_maps,
+    align,
+    fuse_maps,  # noqa: F401  (the CLI's update command fuses through ev.fuse_maps)
+    fuse_points,
     modify_add,
     modify_delete,
     modify_shift,
@@ -565,13 +568,21 @@ def evaluate_area(
         m.map_id: apply_modifications(m, mods) for m in area.local_maps
     }
     ranked = rank_maps(area)
+    target = prior.lane_points()
+    # Each map a policy chooses is aligned once, the first time it is chosen;
+    # a map no policy chooses is never aligned.
+    aligned: dict[str, np.ndarray] = {}
     outcomes: dict[str, PolicyOutcome] = {}
     for policy in policies:
         chosen = _select_for_policy(ranked, policy)
         if not chosen:
             outcomes[policy] = PolicyOutcome(policy=policy, result=None)
             continue
-        fused = fuse_maps([observed[m] for m in chosen], prior, dparams, iparams)
+        for map_id in chosen:
+            if map_id not in aligned:
+                aligned[map_id] = align(observed[map_id], target, iparams)[0]
+        pooled = np.vstack([target] + [aligned[m] for m in chosen])
+        fused = fuse_points(pooled, prior, dparams)
         outcomes[policy] = PolicyOutcome(
             policy=policy,
             result=ame(fused.lane_lines, truth_map.lane_lines, lateral_only=True),
@@ -584,12 +595,28 @@ def run_experiment(
     policies: Sequence[str],
     dparams: DbscanParams = DbscanParams(),
     iparams: IcpParams = IcpParams(),
+    jobs: int = 1,
 ) -> EvaluationReport:
-    """Evaluate every policy on every area; areas are independent."""
+    """Evaluate every policy on every area; areas are independent.
+
+    With ``jobs > 1`` that many threads evaluate areas concurrently. The
+    report is the same either way, and the first failing area (in input
+    order) raises.
+    """
     policies = [p.strip().lower() for p in policies]
     for p in policies:
         parse_policy(p)
     report = EvaluationReport(policies=list(policies))
-    for area in areas:
-        report.rows[area.link_id] = evaluate_area(area, policies, dparams, iparams)
+    areas = list(areas)
+
+    def evaluate(area: LinkArea) -> dict[str, PolicyOutcome]:
+        return evaluate_area(area, policies, dparams, iparams)
+
+    if jobs > 1:
+        with concurrent.futures.ThreadPoolExecutor(jobs) as pool:
+            results = list(pool.map(evaluate, areas))
+    else:
+        results = [evaluate(area) for area in areas]
+    for area, outcome in zip(areas, results):
+        report.rows[area.link_id] = outcome
     return report

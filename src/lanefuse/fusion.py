@@ -1,10 +1,12 @@
 """Confidence-driven map selection, fusion, and the map-modification tasks.
 
 Local maps are ranked by average image confidence; the fusion set is the
-rank prefix whose averages stay within 10% of the best map. Selected maps
-are ICP-aligned onto the modified map, their lane points pooled with the
-modified map's own points, density-clustered, and each cluster condensed
-back into a polyline.
+rank prefix whose averages stay within 10% of the best map. Fusion is two
+steps: ``align`` ICP-aligns one selected map onto the modified map's points,
+and ``fuse_points`` density-clusters the pooled points (the modified map's
+own plus the aligned ones) and condenses each cluster back into a polyline.
+An aligned map depends only on the map and the modified map, so a caller
+fusing several selections of one area aligns each map once.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import NOISE, DbscanParams, dbscan
+from .clustering import DbscanParams, dbscan
 from .errors import (
     DegenerateGeometryError,
     EmptyFusionError,
@@ -21,8 +23,19 @@ from .errors import (
     InvalidInputError,
     LaneNotFoundError,
 )
-from .mapmodel import LaneLine, LinkArea, LocalMap, Point3, average_confidence
-from .registration import IcpParams, apply_transform, icp_align
+from .mapmodel import (
+    LaneLine,
+    LinkArea,
+    LocalMap,
+    Point3,
+    average_confidence,
+    check_lane_points,
+)
+
+# apply_transform is unused here but stays importable from this module:
+# perfbench/tracing.py wraps the registration entry points where fusion
+# looks them up.
+from .registration import IcpParams, IcpResult, apply_transform, icp_align  # noqa: F401
 
 BAND_FRACTION = 0.1  # band lower bound sits 10% below the best average
 BIN_LENGTH = 1.0  # meters along the cluster axis per emitted polyline point
@@ -187,61 +200,69 @@ def cluster_polyline(points: np.ndarray, bin_length: float = BIN_LENGTH) -> np.n
     """Condense one cluster into a polyline.
 
     Points are projected onto the cluster's principal axis, grouped into
-    fixed-length bins along it, and each bin contributes its 3D centroid,
-    ordered along the axis. Clusters shorter than two bins give fewer than
-    two points and should be discarded by the caller.
+    fixed-length bins along it, and each non-empty bin contributes its 3D
+    centroid, ordered along the axis. Clusters shorter than two bins give
+    fewer than two points and should be discarded by the caller.
     """
     pts = np.asarray(points, dtype=float)
     axis = _principal_axis_xy(pts)
     coords = pts[:, :2] @ axis
     bins = np.floor((coords - coords.min()) / bin_length).astype(int)
-    centroids = [pts[bins == b].mean(axis=0) for b in np.unique(bins)]
-    return np.asarray(centroids)
+    # bincount adds each bin's points in index order, as a masked mean does,
+    # so the centroids are bit-identical to pts[bins == b].mean(axis=0).
+    counts = np.bincount(bins)
+    sums = np.column_stack(
+        [np.bincount(bins, weights=pts[:, k]) for k in range(pts.shape[1])]
+    )
+    filled = counts > 0
+    return sums[filled] / counts[filled, None]
 
 
-def fuse_maps(
-    selected: list[LocalMap],
-    modified: LocalMap,
-    dparams: DbscanParams = DbscanParams(),
-    iparams: IcpParams = IcpParams(),
-) -> LocalMap:
-    """Align the selected maps onto the modified map and fuse the geometry.
+def align(
+    local_map: LocalMap, target: np.ndarray, iparams: IcpParams = IcpParams()
+) -> tuple[np.ndarray, IcpResult | None]:
+    """ICP-align one map onto the target points.
 
-    Every selected map is ICP-aligned to the modified map's points; the
-    aligned points and the modified map's own points are pooled, DBSCAN
-    groups them into lane clusters (noise dropped), and each cluster is
-    condensed to a polyline.
+    Returns the map's lane points moved by the fitted transform, pooled in
+    lane order into one (n, 3) array, and the ICP result. A map with no lane
+    points has nothing to align: its points come back empty and its result
+    is None. Moved lanes must still be valid lanes (finite, no two identical
+    consecutive points); a lane that is not raises as LaneLine would.
     """
-    if not selected:
-        raise EmptyInputError("fusion needs at least one selected map")
-    target = modified.lane_points()
-    pools = [target] if len(target) else []
-    for local_map in selected:
-        source = local_map.lane_points()
-        if len(source) == 0:
-            continue
-        result = icp_align(source, target, iparams)
-        pools.append(apply_transform(result.transform, local_map).lane_points())
-    if not pools:
-        raise EmptyFusionError("no lane points to fuse")
-    pooled = np.vstack(pools)
+    arrays = [lane.points_array() for lane in local_map.lane_lines]
+    if not arrays:
+        return np.empty((0, 3)), None
+    result = icp_align(np.vstack(arrays), target, iparams)
+    moved = [result.transform.apply(pts) for pts in arrays]
+    for lane, pts in zip(local_map.lane_lines, moved):
+        check_lane_points(lane.lane_id, pts)
+    return np.vstack(moved), result
+
+
+def fuse_points(
+    pooled: np.ndarray, modified: LocalMap, dparams: DbscanParams = DbscanParams()
+) -> LocalMap:
+    """Fuse pooled lane points into the lanes of a new map.
+
+    ``pooled`` holds the modified map's own points followed by the aligned
+    points of the selected maps. DBSCAN groups them into lane clusters
+    (noise dropped), and each cluster is condensed to a polyline; clusters
+    spanning fewer than two bins are dropped.
+    """
     if len(pooled) == 0:
         raise EmptyFusionError("no lane points to fuse")
-
     labels = dbscan(pooled, dparams)
     lanes: list[LaneLine] = []
-    index = 0
-    for cluster_id in sorted(set(labels) - {NOISE}):
+    for cluster_id in range(int(labels.max()) + 1):
         polyline = cluster_polyline(pooled[labels == cluster_id])
         if len(polyline) < 2:
             continue
         lanes.append(
             LaneLine(
-                lane_id=f"fused_{index:03d}",
+                lane_id=f"fused_{len(lanes):03d}",
                 points=[Point3(*row) for row in polyline],
             )
         )
-        index += 1
     if not lanes:
         raise EmptyFusionError("clustering left no lane-sized groups")
     return LocalMap(
@@ -250,3 +271,17 @@ def fuse_maps(
         lane_lines=lanes,
         images=[],
     )
+
+
+def fuse_maps(
+    selected: list[LocalMap],
+    modified: LocalMap,
+    dparams: DbscanParams = DbscanParams(),
+    iparams: IcpParams = IcpParams(),
+) -> LocalMap:
+    """Align the selected maps onto the modified map and fuse the geometry."""
+    if not selected:
+        raise EmptyInputError("fusion needs at least one selected map")
+    target = modified.lane_points()
+    aligned = [align(local_map, target, iparams)[0] for local_map in selected]
+    return fuse_points(np.vstack([target, *aligned]), modified, dparams)

@@ -61,6 +61,24 @@ class LaneLine:
         return np.array([[p.x, p.y, p.z] for p in self.points])
 
 
+def check_lane_points(lane_id: str, points: np.ndarray) -> None:
+    """Check an (n, 3) lane array for what Point3 and LaneLine reject.
+
+    Raises their errors, in their order: the first non-finite component in
+    row-major order, then two identical consecutive points. The point count
+    is not checked.
+    """
+    bad = np.flatnonzero(~np.isfinite(points))
+    if len(bad):
+        name = "xyz"[bad[0] % 3]
+        value = float(points.flat[bad[0]])
+        raise InvalidInputError(f"point component {name}={value!r} not finite")
+    if np.any(np.all(points[1:] == points[:-1], axis=1)):
+        raise MapValidationError(
+            f"lane {lane_id!r} has two identical consecutive points"
+        )
+
+
 def lanes_from_arrays(arrays: Iterable[tuple[str, np.ndarray]]) -> list[LaneLine]:
     return [
         LaneLine(lane_id, [Point3(*row) for row in np.asarray(pts)])

@@ -1,6 +1,9 @@
 """Independent reference implementations used to check the real ones."""
 
+from collections import deque
+
 import numpy as np
+from scipy.spatial import cKDTree
 
 from lanefuse.clustering import NOISE
 
@@ -39,6 +42,39 @@ def brute_force_dbscan(points: np.ndarray, eps: float, min_samples: int) -> np.n
             near = [comp[j] for j in range(n) if core[j] and within[i, j]]
             if near:
                 labels[i] = min(near)
+    return labels
+
+
+def scan_dbscan(points: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
+    """Reference DBSCAN as the classic scan: visit points in index order, and
+    grow a cluster from each unvisited core point breadth-first. A border
+    point keeps the first cluster that reaches it."""
+    n = len(points)
+    unvisited = -2
+    labels = np.full(n, unvisited)
+    if n == 0:
+        return labels
+    neighborhoods = cKDTree(points).query_ball_point(points, r=eps)
+    is_core = [len(nb) >= min_samples for nb in neighborhoods]
+    cluster = 0
+    for start in range(n):
+        if labels[start] != unvisited:
+            continue
+        if not is_core[start]:
+            labels[start] = NOISE
+            continue
+        labels[start] = cluster
+        queue = deque(sorted(neighborhoods[start]))
+        while queue:
+            j = queue.popleft()
+            if labels[j] == NOISE:
+                labels[j] = cluster
+            if labels[j] != unvisited:
+                continue
+            labels[j] = cluster
+            if is_core[j]:
+                queue.extend(sorted(neighborhoods[j]))
+        cluster += 1
     return labels
 
 

@@ -1,11 +1,24 @@
-"""DBSCAN against an independent brute-force reference."""
+"""DBSCAN against independent references, and the align-once fusion step
+that feeds it."""
 
 import numpy as np
 import pytest
 
+import lanefuse.fusion
 from lanefuse.clustering import NOISE, DbscanParams, canonical_labels, dbscan
 from lanefuse.errors import InvalidInputError
-from oracles import brute_force_dbscan
+from lanefuse.evaluation import (
+    SynthConfig,
+    ame,
+    apply_modifications,
+    evaluate_area,
+    prior_map,
+    scripted_modifications,
+    synth_generate,
+)
+from lanefuse.fusion import fuse_maps, rank_maps
+from lanefuse.mapmodel import LocalMap
+from oracles import brute_force_dbscan, scan_dbscan
 
 
 def test_two_well_separated_groups():
@@ -46,9 +59,63 @@ def test_matches_brute_force_reference(trial):
     eps = float(rng.uniform(0.2, 1.2))
     min_samples = int(rng.integers(1, 7))
     params = DbscanParams(epsilon=eps, min_samples=min_samples)
-    got = canonical_labels(dbscan(pts, params))
-    want = canonical_labels(brute_force_dbscan(pts, eps, min_samples))
+    # Raw labels, not only the partition: cluster numbers and the cluster a
+    # border point joins must match too.
+    got = dbscan(pts, params).tolist()
+    assert got == brute_force_dbscan(pts, eps, min_samples).tolist()
+    assert got == scan_dbscan(pts, eps, min_samples).tolist()
+
+
+def _on_x_axis(*xs):
+    return np.column_stack([xs, np.zeros(len(xs))])
+
+
+# A and B are clusters of four cores 0.2 m apart; p sits 0.9 m from a core of
+# each but has only 3 points (itself included) within 1 m, so it is a border
+# point of both. q is a border point of B alone.
+_A = (0.0, 0.2, 0.4, 0.6)
+_B = (2.4, 2.6, 2.8, 3.0)
+_P, _Q = 1.5, 3.9
+SHARED_BORDER = DbscanParams(epsilon=1.0, min_samples=4)
+
+EDGE_CASES = {
+    "empty": (np.empty((0, 2)), DbscanParams(epsilon=0.5, min_samples=2)),
+    "min_samples_1": (
+        np.random.default_rng(3).uniform(0, 5, size=(60, 2)),
+        DbscanParams(epsilon=0.5, min_samples=1),
+    ),
+    "all_noise": (
+        np.arange(20.0).reshape(10, 2) * 3.0,
+        DbscanParams(epsilon=0.5, min_samples=2),
+    ),
+    "duplicates": (
+        np.array([[0.0, 0.0]] * 5 + [[5.0, 5.0]] * 2 + [[0.0, 0.5]] * 3 + [[5.0, 5.0]]),
+        DbscanParams(epsilon=0.5, min_samples=3),
+    ),
+    "shared_border_a_first": (_on_x_axis(*_A, _P, *_B), SHARED_BORDER),
+    "shared_border_b_first": (_on_x_axis(*_B, _P, *_A), SHARED_BORDER),
+    "shared_border_first": (_on_x_axis(_P, *_B, *_A), SHARED_BORDER),
+    "border_before_cores": (_on_x_axis(_Q, *_A, _P, *_B), SHARED_BORDER),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_edge_cases_match_references_exactly(case):
+    pts, params = EDGE_CASES[case]
+    got = dbscan(pts, params)
+    want = brute_force_dbscan(pts, params.epsilon, params.min_samples)
+    assert got.dtype == want.dtype
     assert got.tolist() == want.tolist()
+    assert got.tolist() == scan_dbscan(pts, params.epsilon, params.min_samples).tolist()
+
+
+def test_shared_border_joins_cluster_with_lowest_core_index():
+    # B's cores come first, so B is cluster 0 and p joins it.
+    assert dbscan(*EDGE_CASES["shared_border_b_first"]).tolist() == [0] * 5 + [1] * 4
+    # q (index 0) is B's border point, yet A holds the lowest core index:
+    # clusters are numbered by core index, not by any member's index.
+    labels = dbscan(*EDGE_CASES["border_before_cores"]).tolist()
+    assert labels == [1, 0, 0, 0, 0, 0, 1, 1, 1, 1]
 
 
 def test_permutation_invariance_up_to_relabeling():
@@ -83,3 +150,64 @@ def test_param_validation():
         DbscanParams(epsilon=0.0)
     with pytest.raises(InvalidInputError):
         DbscanParams(min_samples=0)
+
+
+# --- align once per area -------------------------------------------------------
+
+
+def _small_area():
+    cfg = SynthConfig(seed=2, link_areas=1, maps_per_area=5, images_per_map=2, lane_length=12.0)
+    return synth_generate(cfg)[0]
+
+
+def _record_icp_sources(monkeypatch) -> list[np.ndarray]:
+    sources = []
+    icp_align = lanefuse.fusion.icp_align
+
+    def counting(source, target, params):
+        sources.append(np.array(source))
+        return icp_align(source, target, params)
+
+    monkeypatch.setattr(lanefuse.fusion, "icp_align", counting)
+    return sources
+
+
+def _aligned_map_ids(area, sources) -> list[str]:
+    mods = scripted_modifications(area.ground_truth)
+    points = {m.map_id: apply_modifications(m, mods).lane_points() for m in area.local_maps}
+    return [
+        next(map_id for map_id, pts in points.items() if np.array_equal(pts, source))
+        for source in sources
+    ]
+
+
+def test_evaluate_area_aligns_each_chosen_map_once(monkeypatch):
+    area = _small_area()
+    sources = _record_icp_sources(monkeypatch)
+    evaluate_area(area, ["baseline", "seq1", "seq3", "seq5", "band"])
+    ids = _aligned_map_ids(area, sources)
+    assert sorted(ids) == sorted(m.map_id for m in area.local_maps)
+
+
+def test_evaluate_area_never_aligns_unchosen_maps(monkeypatch):
+    area = _small_area()
+    sources = _record_icp_sources(monkeypatch)
+    evaluate_area(area, ["seq1", "seq3"])
+    top3 = [map_id for map_id, _ in rank_maps(area)[:3]]
+    assert _aligned_map_ids(area, sources) == top3
+
+
+def test_evaluate_area_matches_fusing_each_policy_from_scratch():
+    area = _small_area()
+    policies = {"baseline": 5, "seq1": 1, "seq3": 3}
+    outcomes = evaluate_area(area, list(policies))
+    mods = scripted_modifications(area.ground_truth)
+    prior = apply_modifications(prior_map(area.ground_truth, area.link_id), mods)
+    truth = apply_modifications(
+        LocalMap("truth", area.link_id, lane_lines=area.ground_truth), mods
+    )
+    observed = {m.map_id: apply_modifications(m, mods) for m in area.local_maps}
+    ranked = [map_id for map_id, _ in rank_maps(area)]
+    for policy, k in policies.items():
+        fused = fuse_maps([observed[m] for m in ranked[:k]], prior)
+        assert outcomes[policy].result == ame(fused.lane_lines, truth.lane_lines)

@@ -318,3 +318,14 @@ def test_report_is_deterministic():
     r1 = run_experiment(areas, ["baseline", "seq1", "band"])
     r2 = run_experiment(synth_generate(cfg), ["baseline", "seq1", "band"])
     assert r1.to_csv_rows() == r2.to_csv_rows()
+    threaded = run_experiment(areas, ["baseline", "seq1", "band"], jobs=2)
+    assert threaded.to_csv_rows() == r1.to_csv_rows()
+
+
+def test_threaded_experiment_raises_first_failing_area():
+    cfg = dataclasses.replace(standard_config(0), link_areas=3, maps_per_area=2)
+    areas = synth_generate(cfg)
+    areas[1] = LinkArea(link_id="bare", local_maps=areas[1].local_maps, ground_truth=None)
+    for jobs in (1, 2):
+        with pytest.raises(EmptyInputError, match="'bare'"):
+            run_experiment(areas, ["seq1"], jobs=jobs)

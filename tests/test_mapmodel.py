@@ -19,6 +19,7 @@ from lanefuse.mapmodel import (
     Point3,
     area_to_dict,
     average_confidence,
+    check_lane_points,
     load_link_area,
     load_local_map,
     save_link_area,
@@ -66,6 +67,28 @@ def test_lane_needs_two_distinct_points():
         LaneLine("l", [Point3(0, 0, 0)])
     with pytest.raises(MapValidationError):
         LaneLine("l", [Point3(0, 0, 0), Point3(0, 0, 0)])
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0.0, 1.0, 2.0], [1.0, float("inf"), float("nan")]],
+        [[0.0, 1.0, float("-inf")], [float("nan"), 1.0, 2.0]],
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [2.0, 0.0, 0.0]],
+        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 1e-12]],
+    ],
+)
+def test_check_lane_points_raises_as_lane_construction_does(rows):
+    def outcome(check):
+        try:
+            check()
+        except (InvalidInputError, MapValidationError) as exc:
+            return type(exc), str(exc)
+        return None
+
+    pts = np.array(rows)
+    expected = outcome(lambda: LaneLine("l", [Point3(*row) for row in pts]))
+    assert outcome(lambda: check_lane_points("l", pts)) == expected
 
 
 def test_duplicate_ids_rejected():
