@@ -195,6 +195,8 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
         raise ConfigError("no policies given")
     for p in policies:
         ev.parse_policy(p)
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     areas = [load_link_area(f) for f in args.area_files]
     report = ev.run_experiment(areas, policies, cfg.dbscan, cfg.icp, jobs=args.jobs)
     out_dir = Path(args.output_dir)

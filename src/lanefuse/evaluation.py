@@ -2,7 +2,13 @@
 
 The error metric is an RMSE over estimated lane points against the nearest
 ground-truth segment; for lane lines only the lateral (perpendicular in the
-xy-plane) component counts. The synthetic generator stands in for real
+xy-plane) component counts. The nearest segment is found with a k-d tree over
+segment midpoints: a point's nearest segment is no farther than its nearest
+midpoint (distance d0), so only segments whose midpoints lie within d0 plus
+the largest half segment length are measured. The search is exact, keeps
+argmin's lowest-index choice among segments at equal 3D distance, and works
+through the points in blocks of bounded size, so memory is linear in the
+number of points and segments. The synthetic generator stands in for real
 crowdsourced drives: ground-truth lanes per link area, local maps that
 observe them under scenario-dependent noise, and image confidences produced
 by the actual scoring stack so confidence and geometric error correlate by
@@ -12,12 +18,14 @@ construction.
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .backends import Scenario, SyntheticScorer, collect_assessment
 from .clustering import DbscanParams
@@ -46,6 +54,10 @@ from .scoring import FACTOR_BY_KEY, FactorKind
 
 CONFIDENCE_THRESHOLD = 7.0  # map-level cutoff for the threshold policy
 
+# Most (point, segment) pairs the AME search measures at once; each pair costs
+# a few hundred bytes of temporaries.
+_PAIR_BUDGET = 1 << 16
+
 
 @dataclass(frozen=True)
 class AmeResult:
@@ -67,24 +79,67 @@ def _segment_arrays(lanes: Sequence[LaneLine]) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack(starts), np.vstack(ends)
 
 
+def _candidate_blocks(
+    points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every segment that can be nearest to each point, in blocks of points.
+
+    A point's nearest segment is no farther than the nearest segment
+    midpoint, at distance d0, and a segment within d0 of the point has its
+    midpoint within d0 + (largest half length); the slack absorbs rounding
+    at the coordinates of a local metric frame. Yields (point index,
+    segment index, candidates per point) for consecutive points, the pairs
+    grouped by point and at most _PAIR_BUDGET of them per block, unless a
+    block is a single point (at most len(seg_a) pairs).
+    """
+    mid = (seg_a + seg_b) * 0.5
+    half = 0.5 * np.linalg.norm(seg_b - seg_a, axis=1).max()
+    tree = cKDTree(mid)
+    d0, _ = tree.query(points)
+    radius = d0 + half + 1e-9 * (1.0 + d0)
+    counts = tree.query_ball_point(points, radius, return_length=True)
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(points):
+        base = ends[start] - counts[start]
+        stop = max(start + 1, int(np.searchsorted(ends, base + _PAIR_BUDGET, "right")))
+        lists = tree.query_ball_point(points[start:stop], radius[start:stop])
+        lens = counts[start:stop]
+        seg = np.fromiter(
+            itertools.chain.from_iterable(lists), dtype=np.intp, count=int(lens.sum())
+        )
+        yield np.repeat(np.arange(start, stop), lens), seg, lens
+        start = stop
+
+
 def _point_errors(
     points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray, lateral_only: bool
 ) -> np.ndarray:
     """Distance from each point to its nearest segment.
 
-    Matching always uses the full 3D distance; with lateral_only the error
-    term is recomputed in the xy-plane against the matched segment.
+    Matching always uses the full 3D distance, and among segments at equal
+    distance the lowest index wins; with lateral_only the error term is
+    recomputed in the xy-plane against the matched segment. Only the
+    candidate pairs of _candidate_blocks are measured, so memory stays
+    linear in the number of points and segments.
     """
     d = seg_b - seg_a  # (m, 3)
     dd = np.einsum("ij,ij->i", d, d)
     dd = np.where(dd < 1e-18, 1.0, dd)
-    rel = points[:, None, :] - seg_a[None, :, :]  # (n, m, 3)
-    t = np.clip(np.einsum("nmj,mj->nm", rel, d) / dd, 0.0, 1.0)
-    proj = seg_a[None, :, :] + t[:, :, None] * d[None, :, :]
-    dist3 = np.linalg.norm(points[:, None, :] - proj, axis=2)
-    nearest = np.argmin(dist3, axis=1)
+    nearest = np.empty(len(points), dtype=np.intp)
+    dist3 = np.empty(len(points))
+    for pt, seg, lens in _candidate_blocks(points, seg_a, seg_b):
+        rel = points[pt] - seg_a[seg]  # (k, 3)
+        t = np.clip(np.einsum("kj,kj->k", rel, d[seg]) / dd[seg], 0.0, 1.0)
+        proj = seg_a[seg] + t[:, None] * d[seg]
+        dist = np.linalg.norm(points[pt] - proj, axis=1)
+        # Sorted by point, then distance, then segment: each point's group
+        # starts with its nearest segment of lowest index, as argmin picks.
+        first = np.lexsort((seg, dist, pt))[np.cumsum(lens) - lens]
+        nearest[pt[first]] = seg[first]
+        dist3[pt[first]] = dist[first]
     if not lateral_only:
-        return dist3[np.arange(len(points)), nearest]
+        return dist3
 
     # Segments may degenerate in the xy projection (vertical climbs); treat
     # those as their start point.
@@ -601,8 +656,10 @@ def run_experiment(
 
     With ``jobs > 1`` that many threads evaluate areas concurrently. The
     report is the same either way, and the first failing area (in input
-    order) raises.
+    order) raises. ``jobs`` below 1 is rejected.
     """
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
     policies = [p.strip().lower() for p in policies]
     for p in policies:
         parse_policy(p)

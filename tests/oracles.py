@@ -78,6 +78,31 @@ def scan_dbscan(points: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
     return labels
 
 
+def dense_point_errors(
+    points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray, lateral_only: bool
+) -> np.ndarray:
+    """Reference nearest-segment errors: every point against every segment
+    in dense (n, m, 3) arrays, nearest by argmin (lowest index on ties)."""
+    d = seg_b - seg_a  # (m, 3)
+    dd = np.einsum("ij,ij->i", d, d)
+    dd = np.where(dd < 1e-18, 1.0, dd)
+    rel = points[:, None, :] - seg_a[None, :, :]  # (n, m, 3)
+    t = np.clip(np.einsum("nmj,mj->nm", rel, d) / dd, 0.0, 1.0)
+    proj = seg_a[None, :, :] + t[:, :, None] * d[None, :, :]
+    dist3 = np.linalg.norm(points[:, None, :] - proj, axis=2)
+    nearest = np.argmin(dist3, axis=1)
+    if not lateral_only:
+        return dist3[np.arange(len(points)), nearest]
+    a2 = seg_a[nearest, :2]
+    d2 = d[nearest, :2]
+    dd2 = np.einsum("ij,ij->i", d2, d2)
+    p2 = points[:, :2]
+    t2 = np.einsum("ij,ij->i", p2 - a2, d2) / np.where(dd2 < 1e-18, 1.0, dd2)
+    t2 = np.where(dd2 < 1e-18, 0.0, np.clip(t2, 0.0, 1.0))
+    proj2 = a2 + t2[:, None] * d2
+    return np.linalg.norm(p2 - proj2, axis=1)
+
+
 def rodrigues(axis: np.ndarray, angle: float) -> np.ndarray:
     """Rotation matrix about an arbitrary axis."""
     axis = np.asarray(axis, dtype=float)

@@ -273,6 +273,15 @@ def test_evaluate_unknown_policy_exits_1(tmp_path):
     assert run(["evaluate", *areas, "--policies", "sequoia", "--output-dir", tmp_path]) == 1
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_evaluate_jobs_below_one_exits_1(tmp_path, capsys, jobs):
+    areas = simulate(tmp_path, maps_per_area=2)
+    out = tmp_path / "eval"
+    assert run(["evaluate", *areas, "--jobs", jobs, "--output-dir", out]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_jobs_parallel_matches_serial(tmp_path):
     areas = simulate(tmp_path, link_areas=3, maps_per_area=3)
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"

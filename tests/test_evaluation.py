@@ -1,12 +1,14 @@
 """AME metric, synthetic generator, and the policy experiment."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import lanefuse.evaluation as ev
 from lanefuse.backends import Scenario
-from lanefuse.errors import ConfigError, EmptyInputError
+from lanefuse.errors import ConfigError, EmptyInputError, InvalidInputError
 from lanefuse.evaluation import (
     AmeResult,
     SynthConfig,
@@ -23,6 +25,7 @@ from lanefuse.evaluation import (
 )
 from lanefuse.mapmodel import LaneLine, LinkArea, LocalMap, Point3, average_confidence, lanes_from_arrays
 from lanefuse.scoring import FactorKind
+from oracles import dense_point_errors
 
 F = FactorKind
 
@@ -112,6 +115,184 @@ def test_ame_empty_inputs():
         ame([straight_lane()], [])
     with pytest.raises(Exception):
         AmeResult(e_ame=-0.1, n_points=1, lateral_only=True)
+
+
+# --- nearest-segment search against the dense oracle -------------------------
+
+
+@pytest.fixture(params=["default", "tiny"])
+def pair_budget(request, monkeypatch):
+    """Run with the shipped pair budget and with one so small that most
+    blocks hold a single point with more candidates than the budget."""
+    if request.param == "tiny":
+        monkeypatch.setattr(ev, "_PAIR_BUDGET", 3)
+
+
+def assert_matches_dense(points, seg_a, seg_b):
+    for lateral_only in (True, False):
+        got = ev._point_errors(points, seg_a, seg_b, lateral_only)
+        want = dense_point_errors(points, seg_a, seg_b, lateral_only)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def segments(*polylines):
+    """(seg_a, seg_b) for polylines given as sequences of xyz rows."""
+    arrays = [np.asarray(p, dtype=float) for p in polylines]
+    return np.vstack([a[:-1] for a in arrays]), np.vstack([a[1:] for a in arrays])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_point_errors_random_polylines_match_dense(seed, pair_budget):
+    rng = np.random.default_rng(seed)
+    polylines = [
+        np.cumsum(rng.normal(0.0, rng.uniform(0.05, 3.0), size=(rng.integers(2, 30), 3)), axis=0)
+        for _ in range(rng.integers(1, 5))
+    ]
+    seg_a, seg_b = segments(*polylines)
+    points = rng.uniform(-10.0, 10.0, size=(rng.integers(1, 200), 3))
+    assert_matches_dense(points, seg_a, seg_b)
+    # Points on the polylines themselves: distance ties at every vertex.
+    assert_matches_dense(np.vstack(polylines), seg_a, seg_b)
+
+
+def test_point_errors_match_dense_on_every_synth_pool(monkeypatch):
+    calls = []
+    search = ev._point_errors
+
+    def recording(points, seg_a, seg_b, lateral_only):
+        calls.append((points, seg_a, seg_b))
+        return search(points, seg_a, seg_b, lateral_only)
+
+    monkeypatch.setattr(ev, "_point_errors", recording)
+    for seed in range(3):
+        run_experiment(
+            synth_generate(standard_config(seed)), ["baseline", "seq1", "seq3", "seq5", "band"]
+        )
+    monkeypatch.undo()
+    assert len(calls) == 3 * 6 * 5
+    for points, seg_a, seg_b in calls:
+        assert_matches_dense(points, seg_a, seg_b)
+
+
+def test_point_errors_at_shared_vertex(pair_budget):
+    seg_a, seg_b = segments([[0, 0, 0], [1, 0, 0], [1, 1, 0], [2, 1, 0.5]])
+    points = np.array([[1, 0, 0], [1.2, -0.2, 0], [0.8, 0.2, 0.1], [1, 1, 0], [1.1, 0.9, 0.0]])
+    assert_matches_dense(points, seg_a, seg_b)
+
+
+@pytest.mark.parametrize("above_first", [True, False])
+def test_point_errors_3d_tie_takes_lowest_index(above_first, pair_budget):
+    # Both segments are exactly 1 m from the origin in 3D; the one above it
+    # has lateral error 0, the one beside it lateral error 1.
+    above = [[-1, 0, 1], [1, 0, 1]]
+    beside = [[-1, 1, 0], [1, 1, 0]]
+    seg_a, seg_b = segments(*((above, beside) if above_first else (beside, above)))
+    origin = np.zeros((1, 3))
+    lateral = ev._point_errors(origin, seg_a, seg_b, lateral_only=True)
+    assert lateral.tolist() == [0.0 if above_first else 1.0]
+    assert ev._point_errors(origin, seg_a, seg_b, lateral_only=False).tolist() == [1.0]
+    assert_matches_dense(origin, seg_a, seg_b)
+
+
+def test_point_errors_degenerate_segments(pair_budget):
+    # A near-zero-length segment, and one that is vertical in the xy-plane.
+    seg_a, seg_b = segments(
+        [[0, 0, 0], [1e-10, 0, 0], [1, 0, 0]],
+        [[3, 0, 0], [3, 0, 2], [4, 0, 2]],
+    )
+    points = np.array(
+        [[0, 0, 0], [-0.5, 0.1, 0], [1e-10, 0, 1], [3.2, 0.1, 1.0], [2.9, -0.3, 2.5], [3, 0, 1]]
+    )
+    assert_matches_dense(points, seg_a, seg_b)
+
+
+def test_point_errors_far_points_make_every_segment_a_candidate(pair_budget):
+    # A 10 m lane seen from over 1 km away: every midpoint is within the
+    # search radius, so each point has all segments as candidates.
+    rng = np.random.default_rng(3)
+    x = np.arange(0.0, 11.0)
+    seg_a, seg_b = segments(
+        np.column_stack([x, np.zeros_like(x), np.zeros_like(x)]),
+        np.column_stack([x, np.full_like(x, 3.5), 0.1 * x]),
+    )
+    points = rng.uniform(-1.0, 1.0, size=(40, 3)) + np.array([5.0, 1500.0, 0.0])
+    assert_matches_dense(points, seg_a, seg_b)
+    assert_matches_dense(-points, seg_a, seg_b)
+
+
+def test_ame_symmetric_matches_dense(pair_budget):
+    rng = np.random.default_rng(8)
+    truth = [straight_lane(), straight_lane("t1", 3.5, step=0.5)]
+    estimated = [
+        LaneLine(l.lane_id, [Point3(p.x, p.y + rng.normal(0, 0.2), p.z) for p in l.points])
+        for l in truth
+    ]
+    for lateral_only in (True, False):
+        result = ame(estimated, truth, lateral_only=lateral_only, symmetric=True)
+        est = np.vstack([l.points_array() for l in estimated])
+        tru = np.vstack([l.points_array() for l in truth])
+        errors = np.concatenate(
+            [
+                dense_point_errors(est, *ev._segment_arrays(truth), lateral_only),
+                dense_point_errors(tru, *ev._segment_arrays(estimated), lateral_only),
+            ]
+        )
+        assert result.n_points == len(errors)
+        assert result.e_ame == float(np.sqrt(np.mean(errors**2)))
+
+
+def km_lanes(y0, length=1000.0, count=4):
+    x = np.linspace(0.0, length, int(round(length / 0.2)) + 1)
+    return lanes_from_arrays(
+        [
+            (f"lane_{i}", np.column_stack([x, np.full_like(x, y0 + 3.5 * i), np.zeros_like(x)]))
+            for i in range(count)
+        ]
+    )
+
+
+# Far below the ~10 GB the dense (n, m, 3) arrays would need for 4 lanes of
+# 1 km (20k points against 20k segments); the dense oracle never runs here.
+AME_MEMORY_BOUND = 64 * 2**20
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ame_long_lanes_in_bounded_memory():
+    truth = km_lanes(0.0)
+    estimated = km_lanes(0.3)
+    result, peak = traced_peak(lambda: ame(estimated, truth))
+    assert result.n_points == 20004
+    assert result.e_ame == pytest.approx(0.3, abs=1e-9)
+    assert peak < AME_MEMORY_BOUND
+
+
+def test_ame_far_points_stay_within_pair_budget(monkeypatch):
+    # A lane 1.1 km away from 1 km truth lanes: each point has ~150
+    # candidate segments, several budgets' worth in all.
+    truth = km_lanes(0.0)
+    estimated = km_lanes(1100.0, length=400.0, count=1)
+    blocks = []
+    candidate_blocks = ev._candidate_blocks
+
+    def counting(*args):
+        for block in candidate_blocks(*args):
+            blocks.append(len(block[1]))
+            yield block
+
+    monkeypatch.setattr(ev, "_candidate_blocks", counting)
+    result, peak = traced_peak(lambda: ame(estimated, truth))
+    assert result.e_ame == pytest.approx(1100.0 - 10.5, abs=1e-9)
+    assert len(blocks) > 2 and max(blocks) <= ev._PAIR_BUDGET
+    assert peak < AME_MEMORY_BOUND
 
 
 # --- generator ---------------------------------------------------------------
@@ -320,6 +501,14 @@ def test_report_is_deterministic():
     assert r1.to_csv_rows() == r2.to_csv_rows()
     threaded = run_experiment(areas, ["baseline", "seq1", "band"], jobs=2)
     assert threaded.to_csv_rows() == r1.to_csv_rows()
+
+
+def test_experiment_rejects_jobs_below_one():
+    cfg = dataclasses.replace(standard_config(0), link_areas=1, maps_per_area=2)
+    areas = synth_generate(cfg)
+    for jobs in (0, -3):
+        with pytest.raises(InvalidInputError, match="jobs"):
+            run_experiment(areas, ["seq1"], jobs=jobs)
 
 
 def test_threaded_experiment_raises_first_failing_area():
