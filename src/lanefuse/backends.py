@@ -12,6 +12,7 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import requests
+from requests.adapters import HTTPAdapter
 
 from .errors import (
     ConfigError,
@@ -315,8 +317,42 @@ class SyntheticScorer:
             self.scenario, self.seed, request.image, request.prompt_id, request.mode
         )
 
+    def score_many(self, requests_: Sequence[ScorerRequest]) -> list[ScorerResponse]:
+        return [self.score(r) for r in requests_]
+
 
 # --- remote scorer ----------------------------------------------------------
+
+
+def check_remote_settings(max_retries: int, timeout: float, max_in_flight: int) -> None:
+    """Reject remote-client settings that cannot work, instead of clamping them."""
+    if max_in_flight < 1:
+        raise ConfigError(f"max_in_flight must be >= 1, got {max_in_flight}")
+    if max_retries < 0:
+        raise ConfigError(f"max_retries must be >= 0, got {max_retries}")
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise ConfigError(f"timeout must be a positive number of seconds, got {timeout}")
+
+
+def _endpoint_session(endpoint: str, pool_size: int) -> requests.Session:
+    """A session bound to one endpoint that reads the environment only once.
+
+    A default session rescans ``os.environ`` for proxies on every request.
+    Here the proxies, CA bundle and netrc credentials for ``endpoint`` are
+    resolved up front and the environment is no longer consulted. The
+    connection pool holds ``pool_size`` connections, so none is discarded
+    with up to that many requests in flight.
+    """
+    session = requests.Session()
+    adapter = HTTPAdapter(pool_maxsize=pool_size)
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    settings = session.merge_environment_settings(endpoint, {}, None, None, None)
+    session.proxies = settings["proxies"]
+    session.verify = settings["verify"]
+    session.auth = requests.utils.get_netrc_auth(endpoint)
+    session.trust_env = False
+    return session
 
 
 class RemoteScorer:
@@ -325,7 +361,7 @@ class RemoteScorer:
     POSTs one JSON body per (image, prompt) and retries transient failures
     (connection errors, timeouts, 5xx) with exponential backoff, at most
     ``max_retries`` times. When ``log_path`` is set every successful exchange
-    is appended to a JSONL replay log, raw body included.
+    is appended to a JSONL replay log, raw body included, in request order.
     """
 
     def __init__(
@@ -346,12 +382,15 @@ class RemoteScorer:
         self.max_retries = int(max_retries)
         self.backoff = float(backoff)
         self.timeout = float(timeout)
-        self.max_in_flight = max(1, int(max_in_flight))
+        self.max_in_flight = int(max_in_flight)
+        check_remote_settings(self.max_retries, self.timeout, self.max_in_flight)
         self.log_path = Path(log_path) if log_path else None
-        self.session = session or requests.Session()
+        self.session = session or _endpoint_session(endpoint, self.max_in_flight)
         self.catalog = catalog
 
-    def score(self, request: ScorerRequest) -> ScorerResponse:
+    def _exchange(self, request: ScorerRequest) -> tuple[ScorerResponse, str]:
+        """POST one request with retries; returns the parsed response and the
+        raw body. Writes nothing, so worker threads can run it."""
         body = {
             "image": request.image,
             "prompt_id": request.prompt_id,
@@ -380,31 +419,59 @@ class RemoteScorer:
                 data = resp.json()
             except ValueError as exc:
                 raise ProtocolError(f"{self.endpoint}: response is not JSON") from exc
-            parsed = parse_response(data, request.mode, source=self.endpoint)
-            if self.log_path is not None:
-                self._log(request, resp.text)
-            return parsed
+            return parse_response(data, request.mode, source=self.endpoint), resp.text
         raise TransportError(
             f"{self.endpoint}: gave up after {self.max_retries + 1} attempts: {last_error}"
         )
 
-    def score_many(self, requests_: Sequence[ScorerRequest]) -> list[ScorerResponse]:
-        """Bounded-concurrency batch; responses come back in request order."""
-        with concurrent.futures.ThreadPoolExecutor(self.max_in_flight) as pool:
-            return list(pool.map(self.score, requests_))
+    def score(self, request: ScorerRequest) -> ScorerResponse:
+        parsed, text = self._exchange(request)
+        self._log([(request, text)])
+        return parsed
 
-    def _log(self, request: ScorerRequest, body_text: str) -> None:
-        record = {
-            "key": request.key(),
-            "request": {
-                "image": request.image,
-                "prompt_id": request.prompt_id,
-                "mode": request.mode,
-            },
-            "body": body_text,
-        }
-        with open(self.log_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record) + "\n")
+    def score_many(self, requests_: Sequence[ScorerRequest]) -> list[ScorerResponse]:
+        """At most ``max_in_flight`` requests at once; responses come back, and
+        log records are written, in request order.
+
+        If a request fails, the records before it are logged, requests not yet
+        started are cancelled and its error is raised.
+        """
+        requests_ = list(requests_)
+        if not requests_:
+            return []
+        # Requests after a failed one are skipped: their answers go unused.
+        first_failed = len(requests_)
+        lock = threading.Lock()
+
+        def exchange(index: int):
+            nonlocal first_failed
+            if index > first_failed:
+                return None  # never read: an earlier request's error is raised
+            try:
+                return self._exchange(requests_[index])
+            except BaseException:
+                with lock:
+                    first_failed = min(first_failed, index)
+                raise
+
+        done: list[tuple[ScorerResponse, str]] = []
+        pool = concurrent.futures.ThreadPoolExecutor(min(self.max_in_flight, len(requests_)))
+        try:
+            futures = [pool.submit(exchange, i) for i in range(len(requests_))]
+            for future in futures:
+                done.append(future.result())
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+            self._log(zip(requests_, (text for _, text in done)))
+        return [parsed for parsed, _ in done]
+
+    def _log(self, exchanges: Iterable[tuple[ScorerRequest, str]]) -> None:
+        if self.log_path is None:
+            return
+        lines = [_log_line(request, body_text) for request, body_text in exchanges]
+        if lines:
+            with open(self.log_path, "a", encoding="utf-8") as fh:
+                fh.writelines(lines)
 
 
 # --- replay scorer ----------------------------------------------------------
@@ -446,24 +513,97 @@ class ReplayScorer:
             raise ProtocolError(f"replay body for {request.key()!r} is not JSON") from exc
         return parse_response(data, request.mode, source=str(self.log_path))
 
+    def score_many(self, requests_: Sequence[ScorerRequest]) -> list[ScorerResponse]:
+        return [self.score(r) for r in requests_]
+
+
+def _log_line(request: ScorerRequest, body_text: str) -> str:
+    """One replay-log record: the request's key and fields plus the raw body."""
+    record = {
+        "key": request.key(),
+        "request": {
+            "image": request.image,
+            "prompt_id": request.prompt_id,
+            "mode": request.mode,
+        },
+        "body": body_text,
+    }
+    return json.dumps(record) + "\n"
+
 
 def write_replay_log(path, entries: Iterable[tuple[ScorerRequest, dict]]) -> None:
     """Write a replay log from (request, response-dict) pairs."""
     with open(path, "w", encoding="utf-8") as fh:
         for request, response in entries:
-            record = {
-                "key": request.key(),
-                "request": {
-                    "image": request.image,
-                    "prompt_id": request.prompt_id,
-                    "mode": request.mode,
-                },
-                "body": json.dumps(response),
-            }
-            fh.write(json.dumps(record) + "\n")
+            fh.write(_log_line(request, json.dumps(response)))
 
 
 # --- assessment via a backend ----------------------------------------------
+
+
+def assessment_requests(
+    image_id: str,
+    factors: Sequence[FactorKind],
+    *,
+    mode: str = "direct",
+    catalog: PromptCatalog = DEFAULT_CATALOG,
+) -> list[ScorerRequest]:
+    """The requests that assess one image: one per factor, in the order given,
+    then the lane-clarity probe. ``factors`` excludes lane visibility, which
+    the probe answers."""
+    requests_ = [
+        ScorerRequest(image=image_id, prompt_id=catalog.factor_binding[f], mode=mode)
+        for f in factors
+    ]
+    requests_.append(
+        ScorerRequest(image=image_id, prompt_id=LANE_CLARITY_PROMPT_ID, mode="clarity")
+    )
+    return requests_
+
+
+def fold_assessment(
+    image_id: str,
+    factors: Sequence[FactorKind],
+    responses: Sequence[ScorerResponse],
+    *,
+    timestamp: float = 0.0,
+) -> ImageAssessment:
+    """Fold the answers to ``assessment_requests`` into an ImageAssessment."""
+    *answers, clarity = responses
+    outputs = {factor: response.payload() for factor, response in zip(factors, answers)}
+    return assess_image(image_id, outputs, clarity.l_clear, timestamp=timestamp, factors=factors)
+
+
+def collect_assessments(
+    backend,
+    images: Sequence[tuple[str, float]],
+    *,
+    factors: Iterable[FactorKind] = DEGRADATION_FACTORS,
+    mode: str = "direct",
+    catalog: PromptCatalog = DEFAULT_CATALOG,
+) -> list[ImageAssessment]:
+    """Assess every ``(image_id, timestamp)`` with one ``score_many`` call.
+
+    Each image costs one request per active factor plus one lane-clarity
+    request; the answers are folded per image, in the order given.
+    """
+    factors = [f for f in factors if f is not FactorKind.LANE_VISIBILITY]
+    batch = [
+        r
+        for image_id, _ in images
+        for r in assessment_requests(image_id, factors, mode=mode, catalog=catalog)
+    ]
+    responses = backend.score_many(batch)
+    per_image = len(factors) + 1
+    return [
+        fold_assessment(
+            image_id,
+            factors,
+            responses[i * per_image : (i + 1) * per_image],
+            timestamp=timestamp,
+        )
+        for i, (image_id, timestamp) in enumerate(images)
+    ]
 
 
 def collect_assessment(
@@ -477,21 +617,6 @@ def collect_assessment(
 ) -> ImageAssessment:
     """Query a backend for every active factor plus lane clarity and fold the
     answers into an ImageAssessment."""
-    outputs = {}
-    for factor in factors:
-        if factor is FactorKind.LANE_VISIBILITY:
-            continue
-        response = backend.score(
-            ScorerRequest(image=image_id, prompt_id=catalog.factor_binding[factor], mode=mode)
-        )
-        outputs[factor] = response.payload()
-    clarity = backend.score(
-        ScorerRequest(image=image_id, prompt_id=LANE_CLARITY_PROMPT_ID, mode="clarity")
-    )
-    return assess_image(
-        image_id,
-        outputs,
-        clarity.l_clear,
-        timestamp=timestamp,
-        factors=[f for f in factors if f is not FactorKind.LANE_VISIBILITY],
-    )
+    return collect_assessments(
+        backend, [(image_id, timestamp)], factors=factors, mode=mode, catalog=catalog
+    )[0]

@@ -64,25 +64,26 @@ def _make_backend(cfg: PipelineConfig, seed: int):
 def cmd_score(args, cfg: PipelineConfig) -> int:
     area = load_link_area(args.map_file)
     backend = _make_backend(cfg, args.seed)
-    total_images = sum(len(m.images) for m in area.local_maps)
-    if total_images == 0:
+    images = [img for m in area.local_maps for img in m.images]
+    if not images:
         raise LanefuseError(f"{args.map_file}: no images to score")
-    scored_maps = []
-    for local_map in area.local_maps:
-        images = []
-        for img in local_map.images:
-            assessment = be.collect_assessment(
-                backend,
-                img.image_id,
-                factors=sorted(
-                    cfg.context.active_factors, key=lambda f: f.value
-                ),
-                timestamp=img.timestamp,
-            )
-            images.append(
-                with_confidence(assessment, cfg.weights, cfg.context, cfg.method)
-            )
-        scored_maps.append(dataclasses.replace(local_map, images=images))
+    assessments = iter(
+        be.collect_assessments(
+            backend,
+            [(img.image_id, img.timestamp) for img in images],
+            factors=sorted(cfg.context.active_factors, key=lambda f: f.value),
+        )
+    )
+    scored_maps = [
+        dataclasses.replace(
+            local_map,
+            images=[
+                with_confidence(next(assessments), cfg.weights, cfg.context, cfg.method)
+                for _ in local_map.images
+            ],
+        )
+        for local_map in area.local_maps
+    ]
     scored = LinkArea(
         link_id=area.link_id, local_maps=scored_maps, ground_truth=area.ground_truth
     )

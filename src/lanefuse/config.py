@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .backends import Scenario
+from .backends import Scenario, check_remote_settings
 from .clustering import DbscanParams
 from .confidence import (
     ALL_FACTORS_CONTEXT,
@@ -156,6 +156,7 @@ def load_pipeline_config(path=None) -> PipelineConfig:
         cfg.max_in_flight = parser.getint(
             "backend", "max_in_flight", fallback=cfg.max_in_flight
         )
+        check_remote_settings(cfg.max_retries, cfg.timeout, cfg.max_in_flight)
 
         cfg.icp = IcpParams(
             max_iterations=parser.getint("icp", "max_iterations", fallback=50),

@@ -1,10 +1,12 @@
 """Backend contract: synthetic determinism, HTTP client behaviour, replay."""
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import logging
+import sys
+import time
 
 import pytest
+import requests
 
 from lanefuse.backends import (
     DEFAULT_CATALOG,
@@ -97,46 +99,6 @@ def test_synthetic_logits_mode_flows_through_softmax():
 # --- remote client -----------------------------------------------------------
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    behaviors = {}  # prompt_id -> callable(body) -> (status, payload)
-    calls = []
-
-    def do_POST(self):
-        n = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(n))
-        type(self).calls.append(body)
-        behavior = self.behaviors.get(body["prompt_id"], _default_behavior)
-        status, payload = behavior(body)
-        data = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-def _default_behavior(body):
-    if body["mode"] == "direct":
-        return 200, {"mode": "direct", "score": 7, "model": "stub"}
-    if body["mode"] == "logits":
-        return 200, {"mode": "logits", "logits": [0.0] * 8 + [50.0] + [0.0] * 2}
-    return 200, {"mode": "clarity", "l_clear": 1.5}
-
-
-@pytest.fixture
-def stub_server():
-    _StubHandler.behaviors = {}
-    _StubHandler.calls = []
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/score", _StubHandler
-    server.shutdown()
-
-
 def test_remote_direct_roundtrip(stub_server):
     url, handler = stub_server
     scorer = RemoteScorer(url, backoff=0.01)
@@ -217,6 +179,175 @@ def test_remote_score_many_in_order(stub_server):
     ]
     out = scorer.score_many(reqs)
     assert [r.score for r in out] == [2, 3, 2]
+
+
+def _image_index(body):
+    return int(body["image"].removeprefix("img"))
+
+
+def test_remote_score_many_logs_in_request_order(tmp_path, stub_server):
+    url, handler = stub_server
+    n = 16
+    answered = []
+
+    def reverse_delay(body):
+        # Earlier requests wait longer, so responses arrive out of order.
+        i = _image_index(body)
+        time.sleep((n - i) * 0.004)
+        answered.append(i)
+        return 200, {"mode": "direct", "score": i % 11}
+
+    handler.behaviors["Q2"] = reverse_delay
+    reqs = [ScorerRequest(image=f"img{i:02d}", prompt_id="Q2") for i in range(n)]
+    logs = {}
+    for in_flight in (4, 1):
+        logs[in_flight] = tmp_path / f"log{in_flight}.jsonl"
+        scorer = RemoteScorer(url, max_in_flight=in_flight, log_path=logs[in_flight])
+        answered.clear()
+        out = scorer.score_many(reqs)
+        assert [r.score for r in out] == [i % 11 for i in range(n)]
+        if in_flight == 4:
+            assert answered != sorted(answered)
+    assert logs[4].read_bytes() == logs[1].read_bytes()
+    keys = [json.loads(line)["key"] for line in logs[4].read_text().splitlines()]
+    assert keys == [r.key() for r in reqs]
+
+
+def test_remote_score_many_failure_logs_prefix_and_cancels_the_rest(tmp_path, stub_server):
+    url, handler = stub_server
+    n, failing, in_flight = 200, 50, 4
+
+    def fail_one(body):
+        if _image_index(body) == failing:
+            return 500, {"error": "down"}
+        return 200, {"mode": "direct", "score": 1}
+
+    handler.behaviors["Q2"] = fail_one
+    reqs = [ScorerRequest(image=f"img{i:03d}", prompt_id="Q2") for i in range(n)]
+    alone = RemoteScorer(url, max_retries=0)
+    with pytest.raises(TransportError) as single:
+        alone.score(reqs[failing])
+    handler.calls = []
+    log = tmp_path / "log.jsonl"
+    scorer = RemoteScorer(url, max_retries=0, max_in_flight=in_flight, log_path=log)
+    with pytest.raises(TransportError) as batch:
+        scorer.score_many(reqs)
+    assert str(batch.value) == str(single.value)
+    keys = [json.loads(line)["key"] for line in log.read_text().splitlines()]
+    assert keys == [r.key() for r in reqs[:failing]]
+    assert failing < len(handler.calls) <= failing + 1 + 2 * in_flight
+
+
+def test_remote_score_many_raises_the_first_failure_in_request_order(tmp_path, stub_server):
+    # Several failures race under more workers than cores and a short switch
+    # interval; the lowest failing index must win every time.
+    url, handler = stub_server
+    failing = {30: 530, 31: 531, 33: 533, 60: 560}
+
+    def fail_some(body):
+        status = failing.get(_image_index(body))
+        if status:
+            return status, {"error": "down"}
+        return 200, {"mode": "direct", "score": 1}
+
+    handler.behaviors["Q2"] = fail_some
+    reqs = [ScorerRequest(image=f"img{i:03d}", prompt_id="Q2") for i in range(100)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(5):
+            log = tmp_path / f"log{trial}.jsonl"
+            scorer = RemoteScorer(url, max_retries=0, max_in_flight=8, log_path=log)
+            with pytest.raises(TransportError, match="server error 530"):
+                scorer.score_many(reqs)
+            keys = [json.loads(line)["key"] for line in log.read_text().splitlines()]
+            assert keys == [r.key() for r in reqs[:30]]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_remote_reaches_max_in_flight_without_discarding_connections(stub_server, caplog):
+    url, handler = stub_server
+
+    def slow(body):
+        time.sleep(0.02)
+        return 200, {"mode": "direct", "score": 0}
+
+    handler.behaviors["Q2"] = slow
+    reqs = [ScorerRequest(image=f"img{i}", prompt_id="Q2") for i in range(48)]
+    caplog.set_level(logging.WARNING, logger="urllib3.connectionpool")
+    RemoteScorer(url, max_in_flight=12).score_many(reqs)
+    assert handler.peak_in_flight == 12
+    assert not [r for r in caplog.records if "Connection pool is full" in r.getMessage()]
+
+
+def test_remote_reads_proxy_environment_only_at_construction(monkeypatch, stub_server):
+    url, handler = stub_server
+    scorer = RemoteScorer(url)
+    scans = []
+
+    def counting(original):
+        def wrapper(*args, **kwargs):
+            scans.append(args)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        requests.sessions, "get_environ_proxies", counting(requests.sessions.get_environ_proxies)
+    )
+    monkeypatch.setattr(
+        requests.utils, "get_environ_proxies", counting(requests.utils.get_environ_proxies)
+    )
+    scorer.score_many([ScorerRequest(image=f"img{i}", prompt_id="Q2") for i in range(8)])
+    assert len(handler.calls) == 8
+    assert scans == []
+
+
+_PROXY_VARS = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
+
+
+def test_remote_uses_proxy_set_before_construction(monkeypatch, stub_server):
+    url, handler = stub_server
+    for name in _PROXY_VARS:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    proxy = url.removesuffix("/score")
+    monkeypatch.setenv("http_proxy", proxy)
+    # Nothing listens on port 9: only the proxy (the stub) can answer.
+    scorer = RemoteScorer("http://127.0.0.1:9/score", max_retries=0, timeout=5.0)
+    monkeypatch.delenv("http_proxy")
+    resp = scorer.score_many([ScorerRequest(image="a.jpg", prompt_id="Q12")])
+    assert resp[0].score == 7
+    assert len(handler.calls) == 1
+
+
+def test_remote_leaves_injected_session_untouched(stub_server):
+    url, _ = stub_server
+    session = requests.Session()
+    adapters = dict(session.adapters)
+    scorer = RemoteScorer(url, max_in_flight=12, session=session)
+    assert scorer.session is session
+    assert session.trust_env is True
+    assert session.proxies == {} and session.auth is None
+    assert session.adapters == adapters
+    assert scorer.score(ScorerRequest(image="a.jpg", prompt_id="Q12")).score == 7
+
+
+@pytest.mark.parametrize(
+    "setting, match",
+    [
+        ({"max_in_flight": 0}, "max_in_flight"),
+        ({"max_in_flight": -2}, "max_in_flight"),
+        ({"max_retries": -1}, "max_retries"),
+        ({"timeout": 0.0}, "timeout"),
+        ({"timeout": -1.0}, "timeout"),
+        ({"timeout": float("nan")}, "timeout"),
+    ],
+)
+def test_remote_rejects_unusable_settings(setting, match):
+    with pytest.raises(ConfigError, match=match):
+        RemoteScorer("http://127.0.0.1:9/score", **setting)
 
 
 # --- replay ------------------------------------------------------------------

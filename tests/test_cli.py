@@ -3,13 +3,21 @@
 import csv
 import json
 import math
+import time
+import zlib
 
 import numpy as np
 import pytest
 
-from lanefuse.backends import FACTOR_PROMPTS, LANE_CLARITY_PROMPT_ID, ScorerRequest, write_replay_log
+from lanefuse.backends import (
+    FACTOR_PROMPTS,
+    LANE_CLARITY_PROMPT_ID,
+    ScorerRequest,
+    synthetic_score,
+    write_replay_log,
+)
 from lanefuse.cli import main
-from lanefuse.evaluation import ame, standard_config, synth_config_to_dict
+from lanefuse.evaluation import SCENARIOS_BY_NAME, ame, standard_config, synth_config_to_dict
 from lanefuse.mapmodel import area_to_dict, load_link_area, load_local_map
 from lanefuse.scoring import FactorKind
 
@@ -176,6 +184,63 @@ def test_score_unreachable_remote_exits_3(tmp_path):
         )
         == 3
     )
+
+
+def _synthetic_answer(scenario_name):
+    """Stub behaviour: the synthetic backend's answer for seed 0, after a
+    delay that varies per request so responses arrive out of order."""
+    scenario = SCENARIOS_BY_NAME[scenario_name]
+
+    def answer(body):
+        key = f"{body['image']}|{body['prompt_id']}".encode()
+        time.sleep((zlib.crc32(key) % 5) * 0.002)
+        resp = synthetic_score(scenario, 0, body["image"], body["prompt_id"], body["mode"])
+        if resp.mode == "clarity":
+            return 200, {"mode": "clarity", "l_clear": resp.l_clear}
+        return 200, {"mode": "direct", "score": resp.score}
+
+    return answer
+
+
+def test_score_remote_outputs_and_log_independent_of_max_in_flight(tmp_path, stub_server):
+    url, handler = stub_server
+    answer = _synthetic_answer("murky")
+    for prompt_id in [*FACTOR_PROMPTS.values(), LANE_CLARITY_PROMPT_ID]:
+        handler.behaviors[prompt_id] = answer
+    areas = simulate(tmp_path, maps_per_area=3)
+    name = areas[0].stem
+    outputs = {}
+    for in_flight in (1, 4):
+        out = tmp_path / f"remote{in_flight}"
+        config = tmp_path / f"remote{in_flight}.ini"
+        config.write_text(
+            f"[backend]\nendpoint = {url}\nmax_in_flight = {in_flight}\n"
+            f"record_log = {out / 'replay.jsonl'}\n"
+        )
+        out.mkdir()
+        assert run(["score", areas[0], "--config", config, "--backend", "remote",
+                    "--output-dir", out]) == 0
+        outputs[in_flight] = [
+            (out / f).read_bytes()
+            for f in (f"{name}_scores.csv", f"{name}_scored.json", "replay.jsonl")
+        ]
+    assert outputs[1] == outputs[4]
+    ref = tmp_path / "synthetic"
+    assert run(["score", areas[0], "--backend", "synthetic", "--scenario", "murky",
+                "--output-dir", ref]) == 0
+    assert outputs[4][0] == (ref / f"{name}_scores.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "setting", ["max_in_flight = 0", "max_retries = -1", "timeout = 0"]
+)
+def test_score_unusable_backend_settings_exit_1(tmp_path, setting, capsys):
+    areas = simulate(tmp_path, maps_per_area=2)
+    config = tmp_path / "bad.ini"
+    config.write_text(f"[backend]\nendpoint = http://127.0.0.1:9/score\n{setting}\n")
+    assert run(["score", areas[0], "--config", config, "--backend", "remote",
+                "--output-dir", tmp_path]) == 1
+    assert setting.split()[0] in capsys.readouterr().err
 
 
 def test_select_band_and_k_cap(tmp_path):

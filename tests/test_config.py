@@ -99,6 +99,10 @@ sigma = 0.3
         "[dbscan]\nepsilon = -1\n",
         "[scenario.bad]\nwhirlwind = 1:2\n",
         "[scenario.bad]\nrain = 3:99\n",
+        "[backend]\nmax_in_flight = 0\n",
+        "[backend]\nmax_retries = -1\n",
+        "[backend]\ntimeout = 0\n",
+        "[backend]\ntimeout = -2.5\n",
     ],
 )
 def test_rejects_bad_values(tmp_path, body):
