@@ -11,20 +11,19 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from . import backends as be
 from . import evaluation as ev
 from .confidence import with_confidence
-from .config import PipelineConfig, load_pipeline_config
+from .config import PipelineConfig, check_k_cap, load_pipeline_config
 from .errors import (
     BackendError,
     ConfigError,
     LanefuseError,
 )
-from .fusion import rank_maps, select_band
+from .fusion import fuse_maps, rank_maps, select_band
 from .mapmodel import (
     LinkArea,
     load_link_area,
@@ -32,6 +31,7 @@ from .mapmodel import (
     save_local_map,
     write_scores_csv,
 )
+from .pipeline import apply_modifications, load_modifications, prior_map
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -102,8 +102,7 @@ def cmd_score(args, cfg: PipelineConfig) -> int:
 def cmd_select(args, cfg: PipelineConfig) -> int:
     area = load_link_area(args.area_file)
     ranked = rank_maps(area)
-    k_cap = args.k_cap if args.k_cap is not None else cfg.k_cap
-    result = select_band(ranked, k_cap=k_cap)
+    result = select_band(ranked, k_cap=cfg.k_cap)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / f"{Path(args.area_file).stem}_selection.csv"
@@ -125,63 +124,19 @@ def cmd_select(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def _load_modifications(path: Path) -> list[ev.Modification]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise LanefuseError(f"modification script {path} does not exist")
-    except json.JSONDecodeError as exc:
-        raise LanefuseError(f"{path}: invalid JSON: {exc.msg}")
-    if not isinstance(raw, list):
-        raise LanefuseError(f"{path}: script must be a JSON list of operations")
-    mods = []
-    for index, entry in enumerate(raw):
-        try:
-            op = entry.get("op")
-            if op == "shift":
-                mods.append(
-                    ev.Modification(
-                        op="shift",
-                        lane_id=entry["lane_id"],
-                        dx=float(entry.get("dx", 0.0)),
-                        dy=float(entry.get("dy", 0.0)),
-                    )
-                )
-            elif op == "delete":
-                mods.append(ev.Modification(op="delete", lane_id=entry["lane_id"]))
-            elif op == "add":
-                mods.append(
-                    ev.Modification(
-                        op="add",
-                        lane_a=entry["lane_a"],
-                        lane_b=entry["lane_b"],
-                        offset=float(entry.get("offset", 0.0)),
-                    )
-                )
-            else:
-                raise LanefuseError(f"{path}: operation {index}: unknown op {op!r}")
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise LanefuseError(f"{path}: operation {index} is malformed: {exc}")
-    return mods
-
-
 def cmd_update(args, cfg: PipelineConfig) -> int:
     area = load_link_area(args.area_file)
     if area.ground_truth is None:
         raise LanefuseError(
             f"{args.area_file}: link area carries no ground truth to modify"
         )
-    mods = _load_modifications(Path(args.script_file))
-    prior = ev.apply_modifications(
-        ev.prior_map(area.ground_truth, area.link_id), mods
-    )
-    observed = [ev.apply_modifications(m, mods) for m in area.local_maps]
+    mods = load_modifications(Path(args.script_file))
+    prior = apply_modifications(prior_map(area.ground_truth, area.link_id), mods)
+    observed = [apply_modifications(m, mods) for m in area.local_maps]
     ranked = rank_maps(area)
-    k_cap = args.k_cap if args.k_cap is not None else cfg.k_cap
-    chosen = set(select_band(ranked, k_cap=k_cap).selected_map_ids)
+    chosen = set(select_band(ranked, k_cap=cfg.k_cap).selected_map_ids)
     selected = [m for m in observed if m.map_id in chosen]
-    fused = ev.fuse_maps(selected, prior, cfg.dbscan, cfg.icp)
+    fused = fuse_maps(selected, prior, cfg.dbscan, cfg.icp)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / f"{Path(args.area_file).stem}_fused.json"
@@ -214,7 +169,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
 
 def cmd_simulate(args, cfg: PipelineConfig) -> int:
     synth_cfg = ev.load_synth_config(args.synth_config)
-    if args.seed_given and args.seed != synth_cfg.seed:
+    if args.seed is not None and args.seed != synth_cfg.seed:
         synth_cfg = dataclasses.replace(synth_cfg, seed=args.seed)
     areas = ev.synth_generate(synth_cfg, cfg.weights, cfg.context)
     out_dir = Path(args.output_dir)
@@ -235,12 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="pipeline INI file")
         p.add_argument("--output-dir", default=".", help="directory for outputs")
-        p.add_argument("--seed", type=int, default=None, help="override the seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel link areas")
 
     p = sub.add_parser("score", help="score every image in a map file")
     common(p)
     p.add_argument("map_file")
+    p.add_argument("--seed", type=int, default=0, help="synthetic scorer seed")
     p.add_argument("--backend", choices=("synthetic", "remote", "replay"))
     p.add_argument("--scenario", help="scenario for the synthetic backend")
     p.add_argument("--replay-log", help="replay log path")
@@ -267,10 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="baseline,seq1,seq3,seq5,band",
         help="comma-separated: baseline, band, seqK, threshold",
     )
+    p.add_argument("--jobs", type=int, default=1, help="parallel link areas")
 
     p = sub.add_parser("simulate", help="generate synthetic link areas")
     common(p)
     p.add_argument("synth_config")
+    p.add_argument("--seed", type=int, default=None, help="override the config's seed")
     return parser
 
 
@@ -285,6 +241,9 @@ def _apply_overrides(args, cfg: PipelineConfig) -> PipelineConfig:
         cfg.endpoint = args.endpoint
     if getattr(args, "method", None):
         cfg.method = args.method
+    if getattr(args, "k_cap", None) is not None:
+        check_k_cap(args.k_cap, "--k-cap")
+        cfg.k_cap = args.k_cap
     if getattr(args, "context", None):
         name = args.context
         if name not in cfg.contexts:
@@ -304,9 +263,6 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.seed_given = args.seed is not None
-    if args.seed is None:
-        args.seed = 0
     try:
         cfg = load_pipeline_config(args.config)
         cfg = _apply_overrides(args, cfg)

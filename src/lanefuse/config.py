@@ -50,7 +50,6 @@ class PipelineConfig:
     icp: IcpParams = field(default_factory=IcpParams)
     dbscan: DbscanParams = field(default_factory=DbscanParams)
     k_cap: int | None = None
-    output_dir: str = "."
     scenarios: dict[str, Scenario] = field(default_factory=lambda: dict(SCENARIOS_BY_NAME))
     contexts: dict[str, ContextProfile] = field(default_factory=lambda: dict(BUILTIN_CONTEXTS))
 
@@ -71,6 +70,12 @@ class PipelineConfig:
                 f"{ENDPOINT_ENV_VAR})"
             )
         return endpoint
+
+
+def check_k_cap(k_cap: int | None, name: str) -> None:
+    """Reject a band cap below 1; ``name`` says where the value came from."""
+    if k_cap is not None and k_cap < 1:
+        raise ConfigError(f"{name} must be >= 1")
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -146,7 +151,6 @@ def load_pipeline_config(path=None) -> PipelineConfig:
         if cfg.backend not in BACKEND_KINDS:
             raise ConfigError(f"unknown backend {cfg.backend!r}")
         cfg.scenario_name = get("pipeline", "scenario", fallback=cfg.scenario_name)
-        cfg.output_dir = get("pipeline", "output_dir", fallback=cfg.output_dir)
 
         cfg.endpoint = get("backend", "endpoint", fallback="")
         cfg.replay_log = get("backend", "replay_log", fallback="")
@@ -171,8 +175,7 @@ def load_pipeline_config(path=None) -> PipelineConfig:
         )
         raw_k = get("selection", "k_cap", fallback="")
         cfg.k_cap = int(raw_k) if raw_k and raw_k.strip() else None
-        if cfg.k_cap is not None and cfg.k_cap < 1:
-            raise ConfigError("selection.k_cap must be >= 1")
+        check_k_cap(cfg.k_cap, "selection.k_cap")
     except (ValueError, InvalidInputError) as exc:
         raise ConfigError(f"{path}: {exc}")
     return cfg

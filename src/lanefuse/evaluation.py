@@ -39,16 +39,13 @@ from .confidence import (
 from .errors import ConfigError, EmptyInputError, InvalidInputError
 from .fusion import (
     align,
-    fuse_maps,  # noqa: F401  (the CLI's update command fuses through ev.fuse_maps)
+    fuse_maps,  # noqa: F401  (kept importable from here for callers and tracing)
     fuse_points,
-    modify_add,
-    modify_delete,
-    modify_shift,
     rank_maps,
-    resample_polyline,
     select_band,
 )
-from .mapmodel import LaneLine, LinkArea, LocalMap, lanes_from_arrays
+from .mapmodel import LaneLine, LinkArea, LocalMap
+from .pipeline import Modification, apply_modifications, prior_map
 from .registration import IcpParams
 from .scoring import FACTOR_BY_KEY, FactorKind
 
@@ -298,17 +295,18 @@ def _truth_lanes(cfg: SynthConfig, area_index: int) -> list[LaneLine]:
     for i in range(cfg.lanes_per_area):
         y = i * cfg.lane_spacing + bend
         pts = np.column_stack([x, y, np.zeros_like(x)])
-        lanes.append((f"lane_{i:02d}", pts))
-    return lanes_from_arrays(lanes)
+        lanes.append(LaneLine(f"lane_{i:02d}", pts))
+    return lanes
 
 
 def _noisy_map_lanes(
     truth: list[LaneLine], sigma: float, rng: np.random.Generator
 ) -> list[LaneLine]:
     # Per-map rigid offset (exercises ICP) plus iid point noise. A zero-noise
-    # scenario yields exact truth copies with no rigid offset either.
+    # scenario yields the truth lanes themselves (their points are read-only)
+    # with no rigid offset either.
     if sigma == 0.0:
-        return [LaneLine(l.lane_id, list(l.points)) for l in truth]
+        return list(truth)
     theta = rng.uniform(-0.015, 0.015)
     shift = rng.uniform(-0.25, 0.25, size=2)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
@@ -320,8 +318,8 @@ def _noisy_map_lanes(
         pts = lane.points_array().copy()
         pts[:, :2] += rng.normal(0.0, sigma, size=(len(pts), 2))
         pts[:, :2] = (pts[:, :2] - center) @ rot.T + center + shift
-        lanes.append((lane.lane_id, pts))
-    return lanes_from_arrays(lanes)
+        lanes.append(LaneLine(lane.lane_id, pts))
+    return lanes
 
 
 def synth_generate(
@@ -437,38 +435,12 @@ def synth_config_to_dict(cfg: SynthConfig) -> dict:
 
 # --- experiment harness -------------------------------------------------------
 
-PRIOR_MAP_SPACING = 2.0  # meters between control points of the prior map
-
 # Fixed per-area modification script so reports are reproducible.
 SHIFT_DX = 0.5
 SHIFT_DY = 0.0
 # Keep the inserted midpoint lane nearly centered: a large offset eats into
 # the clearance that keeps clusters separable under degraded-map noise.
 ADD_OFFSET = 0.05
-
-
-@dataclass(frozen=True)
-class Modification:
-    op: str
-    lane_id: str = ""
-    lane_a: str = ""
-    lane_b: str = ""
-    dx: float = 0.0
-    dy: float = 0.0
-    offset: float = 0.0
-
-
-def apply_modifications(local_map: LocalMap, mods: Sequence[Modification]) -> LocalMap:
-    for mod in mods:
-        if mod.op == "shift":
-            local_map = modify_shift(local_map, mod.lane_id, mod.dx, mod.dy)
-        elif mod.op == "delete":
-            local_map = modify_delete(local_map, mod.lane_id)
-        elif mod.op == "add":
-            local_map = modify_add(local_map, mod.lane_a, mod.lane_b, mod.offset)
-        else:
-            raise ConfigError(f"unknown modification op {mod.op!r}")
-    return local_map
 
 
 def scripted_modifications(truth: Sequence[LaneLine]) -> list[Modification]:
@@ -482,22 +454,6 @@ def scripted_modifications(truth: Sequence[LaneLine]) -> list[Modification]:
         Modification(op="delete", lane_id=ids[1]),
         Modification(op="add", lane_a=ids[2], lane_b=partner, offset=ADD_OFFSET),
     ]
-
-
-def prior_map(truth: Sequence[LaneLine], link_id: str) -> LocalMap:
-    """The prior HD map: exact truth geometry at control-point spacing."""
-    lanes = []
-    for lane in truth:
-        pts = lane.points_array()
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1).sum()
-        count = max(2, int(round(seg / PRIOR_MAP_SPACING)) + 1)
-        lanes.append((lane.lane_id, resample_polyline(pts, count)))
-    return LocalMap(
-        map_id=f"{link_id}_prior",
-        link_area_id=link_id,
-        lane_lines=lanes_from_arrays(lanes),
-        images=[],
-    )
 
 
 def parse_policy(name: str) -> tuple[str, int | None]:

@@ -23,14 +23,7 @@ from .errors import (
     InvalidInputError,
     LaneNotFoundError,
 )
-from .mapmodel import (
-    LaneLine,
-    LinkArea,
-    LocalMap,
-    Point3,
-    average_confidence,
-    check_lane_points,
-)
+from .mapmodel import LaneLine, LinkArea, LocalMap, average_confidence, check_lane_points
 
 # apply_transform is unused here but stays importable from this module:
 # perfbench/tracing.py wraps the registration entry points where fusion
@@ -100,15 +93,13 @@ def _require_lane(local_map: LocalMap, lane_id: str) -> LaneLine:
 
 
 def modify_shift(local_map: LocalMap, lane_id: str, dx: float, dy: float) -> LocalMap:
-    """Replace the named lane with a copy offset by (dx, dy, 0)."""
-    _require_lane(local_map, lane_id)
-    lanes = []
-    for lane in local_map.lane_lines:
-        if lane.lane_id == lane_id:
-            pts = [Point3(p.x + dx, p.y + dy, p.z) for p in lane.points]
-            lanes.append(LaneLine(lane_id=lane.lane_id, points=pts))
-        else:
-            lanes.append(lane)
+    """Replace the named lane with a copy offset by (dx, dy); z is untouched."""
+    lane = _require_lane(local_map, lane_id)
+    pts = lane.points.copy()
+    pts[:, 0] += dx
+    pts[:, 1] += dy
+    shifted = LaneLine(lane_id=lane_id, points=pts)
+    lanes = [shifted if l is lane else l for l in local_map.lane_lines]
     return replace(local_map, lane_lines=lanes)
 
 
@@ -178,7 +169,7 @@ def modify_add(
         mid = mid.copy()
         mid[:, :2] += offset * normals
     lane_id = _unique_lane_id(local_map, f"add_{lane_a}_{lane_b}")
-    new_lane = LaneLine(lane_id=lane_id, points=[Point3(*row) for row in mid])
+    new_lane = LaneLine(lane_id=lane_id, points=mid)
     return replace(local_map, lane_lines=local_map.lane_lines + [new_lane])
 
 
@@ -257,12 +248,7 @@ def fuse_points(
         polyline = cluster_polyline(pooled[labels == cluster_id])
         if len(polyline) < 2:
             continue
-        lanes.append(
-            LaneLine(
-                lane_id=f"fused_{len(lanes):03d}",
-                points=[Point3(*row) for row in polyline],
-            )
-        )
+        lanes.append(LaneLine(lane_id=f"fused_{len(lanes):03d}", points=polyline))
     if not lanes:
         raise EmptyFusionError("clustering left no lane-sized groups")
     return LocalMap(

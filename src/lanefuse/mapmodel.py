@@ -3,8 +3,11 @@
 A link area is one road segment: its local maps (lane polylines plus the
 image records each map was reconstructed from) and, when available, the
 surveyed ground-truth lanes. Coordinates live in a local Cartesian frame in
-meters. The JSON writer keeps full float precision so save/load round-trips
-are bit-exact.
+meters. A lane's geometry is one read-only (n, 3) float64 array, validated
+when the lane is built, so every stage works on whole arrays and maps and
+threads can share a lane's points. ``Point3`` is input sugar: a lane may be
+built from a list of them. The JSON writer keeps full float precision so
+save/load round-trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +27,8 @@ from .scoring import DEGRADATION_FACTORS, FACTOR_BY_KEY, FactorKind, ImageAssess
 
 @dataclass(frozen=True)
 class Point3:
+    """One checked point; a list of them is accepted wherever lane points are."""
+
     x: float
     y: float
     z: float = 0.0
@@ -35,55 +40,59 @@ class Point3:
                 raise InvalidInputError(f"point component {name}={v!r} not finite")
             object.__setattr__(self, name, v)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
-@dataclass
-class LaneLine:
-    """An ordered 3D polyline with a stable identifier."""
-
-    lane_id: str
-    points: list[Point3]
-
-    def __post_init__(self):
-        if len(self.points) < 2:
-            raise MapValidationError(
-                f"lane {self.lane_id!r} needs >= 2 points, got {len(self.points)}"
-            )
-        for a, b in zip(self.points, self.points[1:]):
-            if a == b:
-                raise MapValidationError(
-                    f"lane {self.lane_id!r} has two identical consecutive points"
-                )
-
-    def points_array(self) -> np.ndarray:
-        return np.array([[p.x, p.y, p.z] for p in self.points])
+    def __array__(self, dtype=None, copy=None):
+        return np.array([self.x, self.y, self.z], dtype=dtype)
 
 
 def check_lane_points(lane_id: str, points: np.ndarray) -> None:
-    """Check an (n, 3) lane array for what Point3 and LaneLine reject.
+    """Check an (n, 3) lane array; the one validator of lane geometry.
 
-    Raises their errors, in their order: the first non-finite component in
-    row-major order, then two identical consecutive points. The point count
-    is not checked.
+    Raises, in this order: InvalidInputError for the first non-finite
+    component in row-major order, then MapValidationError for fewer than two
+    points or for two identical consecutive points.
     """
     bad = np.flatnonzero(~np.isfinite(points))
     if len(bad):
         name = "xyz"[bad[0] % 3]
         value = float(points.flat[bad[0]])
         raise InvalidInputError(f"point component {name}={value!r} not finite")
+    if len(points) < 2:
+        raise MapValidationError(
+            f"lane {lane_id!r} needs >= 2 points, got {len(points)}"
+        )
     if np.any(np.all(points[1:] == points[:-1], axis=1)):
         raise MapValidationError(
             f"lane {lane_id!r} has two identical consecutive points"
         )
 
 
-def lanes_from_arrays(arrays: Iterable[tuple[str, np.ndarray]]) -> list[LaneLine]:
-    return [
-        LaneLine(lane_id, [Point3(*row) for row in np.asarray(pts)])
-        for lane_id, pts in arrays
-    ]
+@dataclass
+class LaneLine:
+    """An ordered 3D polyline with a stable identifier.
+
+    ``points`` is a read-only (n, 3) float64 copy of the caller's array, rows
+    of three numbers, or Point3 objects.
+    """
+
+    lane_id: str
+    points: np.ndarray
+
+    def __post_init__(self):
+        pts = np.array(self.points, dtype=float)
+        if pts.size and (pts.ndim != 2 or pts.shape[1] != 3):
+            raise InvalidInputError(f"lane {self.lane_id!r} points have shape {pts.shape}")
+        pts = pts.reshape(-1, 3)
+        check_lane_points(self.lane_id, pts)
+        pts.setflags(write=False)
+        self.points = pts
+
+    def __eq__(self, other):
+        if not isinstance(other, LaneLine):
+            return NotImplemented
+        return self.lane_id == other.lane_id and np.array_equal(self.points, other.points)
+
+    def points_array(self) -> np.ndarray:
+        return self.points
 
 
 @dataclass
@@ -165,7 +174,7 @@ def average_confidence(local_map: LocalMap) -> float:
 
 
 def _lane_to_dict(lane: LaneLine) -> dict:
-    return {"lane_id": lane.lane_id, "points": [[p.x, p.y, p.z] for p in lane.points]}
+    return {"lane_id": lane.lane_id, "points": lane.points.tolist()}
 
 
 def _image_to_dict(img: ImageAssessment) -> dict:
@@ -232,20 +241,23 @@ def _lane_from_dict(ctx: _Ctx, data: dict) -> LaneLine:
     raw_points = _need(ctx, data, "points")
     if not isinstance(raw_points, list):
         ctx.fail("'points' must be a list")
-    points = []
-    for i, row in enumerate(raw_points):
-        if not isinstance(row, (list, tuple)) or len(row) != 3:
-            ctx.fail(f"point {i} of lane {lane_id!r} must be [x, y, z]")
-        try:
-            points.append(Point3(*row))
-        except InvalidInputError as exc:
-            ctx.invalid(f"point {i} of lane {lane_id!r}: {exc}")
-        except (TypeError, ValueError):
-            ctx.fail(f"point {i} of lane {lane_id!r} has non-numeric parts")
     try:
-        return LaneLine(lane_id=lane_id, points=points)
+        return LaneLine(lane_id=lane_id, points=np.array(raw_points, dtype=float))
     except MapValidationError as exc:
         ctx.invalid(str(exc))
+    except (TypeError, ValueError, InvalidInputError):
+        # Not finite numbers in rows of three (a null reads as NaN above):
+        # raise the first bad row's error, reading its parts as Point3 does.
+        for i, row in enumerate(raw_points):
+            if not isinstance(row, (list, tuple)) or len(row) != 3:
+                ctx.fail(f"point {i} of lane {lane_id!r} must be [x, y, z]")
+            try:
+                Point3(*row)
+            except InvalidInputError as exc:
+                ctx.invalid(f"point {i} of lane {lane_id!r}: {exc}")
+            except (TypeError, ValueError):
+                ctx.fail(f"point {i} of lane {lane_id!r} has non-numeric parts")
+        raise
 
 
 def _image_from_dict(ctx: _Ctx, data: dict) -> ImageAssessment:
@@ -324,16 +336,18 @@ def save_link_area(area: LinkArea, path) -> None:
     _dump_json(area_to_dict(area), path)
 
 
-def load_link_area(path) -> LinkArea:
-    path = Path(path)
+def _load_json(path: Path):
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise MapParseError(f"{path}: no such file")
     except json.JSONDecodeError as exc:
         raise MapParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    return area_from_dict(data, source=str(path))
+
+
+def load_link_area(path) -> LinkArea:
+    return area_from_dict(_load_json(Path(path)), source=str(path))
 
 
 def save_local_map(local_map: LocalMap, path) -> None:
@@ -342,15 +356,7 @@ def save_local_map(local_map: LocalMap, path) -> None:
 
 
 def load_local_map(path) -> LocalMap:
-    path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise MapParseError(f"{path}: no such file")
-    except json.JSONDecodeError as exc:
-        raise MapParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    return _map_from_dict(_Ctx(str(path)), data, require_images=False)
+    return _map_from_dict(_Ctx(str(path)), _load_json(Path(path)), require_images=False)
 
 
 # --- scores CSV ------------------------------------------------------------

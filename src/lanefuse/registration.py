@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import DegenerateGeometryError, InvalidInputError
-from .mapmodel import LaneLine, LocalMap, Point3
+from .mapmodel import LaneLine, LocalMap
 
 ORTHONORMAL_TOL = 1e-9
 
@@ -168,10 +168,8 @@ def icp_align(
 
 def apply_transform(transform: RigidTransform, local_map: LocalMap) -> LocalMap:
     """Map every lane point through the transform; ids and images unchanged."""
-    lanes = []
-    for lane in local_map.lane_lines:
-        moved = transform.apply(lane.points_array())
-        lanes.append(
-            LaneLine(lane_id=lane.lane_id, points=[Point3(*row) for row in moved])
-        )
+    lanes = [
+        LaneLine(lane.lane_id, transform.apply(lane.points_array()))
+        for lane in local_map.lane_lines
+    ]
     return replace(local_map, lane_lines=lanes)

@@ -21,7 +21,7 @@ from lanefuse.evaluation import (
     synth_generate,
 )
 from lanefuse.fusion import modify_add, modify_delete, modify_shift, rank_maps, select_band
-from lanefuse.mapmodel import LaneLine, LinkArea, LocalMap, Point3, lanes_from_arrays
+from lanefuse.mapmodel import LaneLine, LinkArea, LocalMap, Point3
 from lanefuse.registration import IcpParams, icp_align
 from lanefuse.scoring import (
     FactorKind,
@@ -145,7 +145,7 @@ def test_criterion_5_dbscan_oracle():
 def straight_lane(lane_id="t0", y=0.0, length=10.0, step=1.0):
     x = np.arange(0.0, length + step, step)
     pts = np.column_stack([x, np.full_like(x, y), np.zeros_like(x)])
-    return lanes_from_arrays([(lane_id, pts)])[0]
+    return LaneLine(lane_id, pts)
 
 
 @criterion(6, "mapping error fixtures")
@@ -194,8 +194,8 @@ def test_criterion_8_modification_matrix():
             x = np.sort(rng.uniform(0.0, 50.0, size=n_pts))
             x += np.arange(n_pts) * 1e-6  # keep consecutive points distinct
             y = i * rng.uniform(3.0, 6.0) + rng.normal(0.0, 0.1, size=n_pts)
-            lanes.append((f"lane_{i}", np.column_stack([x, y, np.zeros_like(x)])))
-        prior = LocalMap("m", "a", lane_lines=lanes_from_arrays(lanes))
+            lanes.append(LaneLine(f"lane_{i}", np.column_stack([x, y, np.zeros_like(x)])))
+        prior = LocalMap("m", "a", lane_lines=lanes)
         lane_ids = [l.lane_id for l in prior.lane_lines]
         target = lane_ids[int(rng.integers(0, n_lanes))]
 

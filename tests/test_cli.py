@@ -310,6 +310,32 @@ def test_update_shift_delete_add_semantics(tmp_path):
     assert all(abs(y - truth_ys[0]) > 0.2 for y in fused_ys)
 
 
+@pytest.mark.parametrize("command", ["select", "update"])
+def test_k_cap_below_one_exits_1(tmp_path, capsys, command):
+    areas = simulate(tmp_path, maps_per_area=2)
+    script = tmp_path / "noop.json"
+    script.write_text("[]")
+    args = [areas[0], script] if command == "update" else [areas[0]]
+    out = tmp_path / "out"
+    assert run([command, *args, "--k-cap", 0, "--output-dir", out]) == 1
+    assert "--k-cap must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("select", "--jobs"), ("select", "--seed"), ("update", "--jobs"), ("evaluate", "--seed")],
+)
+def test_flags_only_on_the_commands_that_read_them(tmp_path, command, flag):
+    areas = simulate(tmp_path, maps_per_area=2)
+    script = tmp_path / "noop.json"
+    script.write_text("[]")
+    args = [areas[0], script] if command == "update" else [areas[0]]
+    with pytest.raises(SystemExit) as info:
+        run([command, *args, flag, 3, "--output-dir", tmp_path / "out"])
+    assert info.value.code == 2
+
+
 def test_update_unknown_lane_exits_2(tmp_path):
     areas = simulate(tmp_path, maps_per_area=2)
     script = tmp_path / "bad.json"

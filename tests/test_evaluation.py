@@ -23,7 +23,7 @@ from lanefuse.evaluation import (
     synth_config_to_dict,
     synth_generate,
 )
-from lanefuse.mapmodel import LaneLine, LinkArea, LocalMap, Point3, average_confidence, lanes_from_arrays
+from lanefuse.mapmodel import LaneLine, LinkArea, LocalMap, Point3, average_confidence
 from lanefuse.scoring import FactorKind
 from oracles import dense_point_errors
 
@@ -33,7 +33,7 @@ F = FactorKind
 def straight_lane(lane_id="t0", y=0.0, length=10.0, step=1.0, z=0.0):
     x = np.arange(0.0, length + step, step)
     pts = np.column_stack([x, np.full_like(x, y), np.full_like(x, z)])
-    return lanes_from_arrays([(lane_id, pts)])[0]
+    return LaneLine(lane_id, pts)
 
 
 def test_ame_identity_is_zero():
@@ -65,10 +65,7 @@ def test_ame_lateral_ignores_longitudinal_slide():
     # same line shifted along x: laterally still zero
     estimated = [straight_lane("e", length=9.0)]
     shifted = [
-        LaneLine(
-            "e",
-            [Point3(p.x + 0.4, p.y, p.z) for p in estimated[0].points],
-        )
+        LaneLine("e", estimated[0].points + [0.4, 0.0, 0.0])
     ]
     assert ame(shifted, truth).e_ame == pytest.approx(0.0, abs=1e-12)
 
@@ -87,11 +84,11 @@ def test_ame_translation_invariance_and_scaling():
     estimated = [straight_lane("e0", y=offs), straight_lane("e1", y=4.0 + offs)]
     base = ame(estimated, truth).e_ame
     moved_truth = [
-        LaneLine(l.lane_id, [Point3(p.x + 7.0, p.y - 3.0, p.z) for p in l.points])
+        LaneLine(l.lane_id, l.points + [7.0, -3.0, 0.0])
         for l in truth
     ]
     moved_est = [
-        LaneLine(l.lane_id, [Point3(p.x + 7.0, p.y - 3.0, p.z) for p in l.points])
+        LaneLine(l.lane_id, l.points + [7.0, -3.0, 0.0])
         for l in estimated
     ]
     assert ame(moved_est, moved_truth).e_ame == pytest.approx(base, abs=1e-9)
@@ -225,7 +222,7 @@ def test_ame_symmetric_matches_dense(pair_budget):
     rng = np.random.default_rng(8)
     truth = [straight_lane(), straight_lane("t1", 3.5, step=0.5)]
     estimated = [
-        LaneLine(l.lane_id, [Point3(p.x, p.y + rng.normal(0, 0.2), p.z) for p in l.points])
+        LaneLine(l.lane_id, l.points + [0.0, 1.0, 0.0] * rng.normal(0, 0.2, (len(l.points), 1)))
         for l in truth
     ]
     for lateral_only in (True, False):
@@ -244,12 +241,10 @@ def test_ame_symmetric_matches_dense(pair_budget):
 
 def km_lanes(y0, length=1000.0, count=4):
     x = np.linspace(0.0, length, int(round(length / 0.2)) + 1)
-    return lanes_from_arrays(
-        [
-            (f"lane_{i}", np.column_stack([x, np.full_like(x, y0 + 3.5 * i), np.zeros_like(x)]))
-            for i in range(count)
-        ]
-    )
+    return [
+        LaneLine(f"lane_{i}", np.column_stack([x, np.full_like(x, y0 + 3.5 * i), np.zeros_like(x)]))
+        for i in range(count)
+    ]
 
 
 # Far below the ~10 GB the dense (n, m, 3) arrays would need for 4 lanes of
@@ -394,6 +389,14 @@ def test_scripted_modifications_cover_all_three_ops():
 def test_scripted_modifications_need_three_lanes():
     with pytest.raises(EmptyInputError):
         scripted_modifications([straight_lane("a"), straight_lane("b", 3.5)])
+
+
+def test_update_path_names_stay_importable_from_evaluation():
+    from lanefuse import pipeline
+
+    assert ev.Modification is pipeline.Modification
+    assert ev.apply_modifications is pipeline.apply_modifications
+    assert ev.prior_map is pipeline.prior_map
 
 
 def test_prior_map_is_sparser_than_truth():

@@ -20,7 +20,7 @@ from lanefuse.fusion import (
     resample_polyline,
     select_band,
 )
-from lanefuse.mapmodel import LaneLine, LinkArea, LocalMap, Point3, lanes_from_arrays
+from lanefuse.mapmodel import LaneLine, LinkArea, LocalMap, Point3
 from lanefuse.registration import IcpParams
 from lanefuse.scoring import ImageAssessment
 
@@ -99,8 +99,8 @@ def straight_map(map_id="m", n_lanes=2, spacing=3.5, length=20.0, step=0.25, lin
     lanes = []
     for i in range(n_lanes):
         pts = np.column_stack([x, np.full_like(x, i * spacing), np.zeros_like(x)])
-        lanes.append((f"lane_{i:02d}", pts))
-    return LocalMap(map_id=map_id, link_area_id=link, lane_lines=lanes_from_arrays(lanes))
+        lanes.append(LaneLine(f"lane_{i:02d}", pts))
+    return LocalMap(map_id=map_id, link_area_id=link, lane_lines=lanes)
 
 
 def test_modify_shift():
@@ -117,6 +117,13 @@ def test_modify_shift():
     assert np.allclose(back.lane("lane_00").points_array(), orig)
     with pytest.raises(LaneNotFoundError):
         modify_shift(m, "ghost", 1.0, 0.0)
+
+
+def test_modify_shift_keeps_negative_zero_z():
+    m = LocalMap("m", "a", lane_lines=[LaneLine("l", [[0.0, 0.0, -0.0], [1.0, 0.0, -0.0]])])
+    shifted = modify_shift(m, "l", 0.5, 0.25).lane("l").points
+    assert shifted.tolist() == [[0.5, 0.25, 0.0], [1.5, 0.25, 0.0]]
+    assert np.signbit(shifted[:, 2]).all()
 
 
 def test_modify_delete():
@@ -155,12 +162,10 @@ def test_modify_add_resamples_mismatched_point_counts():
     m = LocalMap(
         "m",
         "link",
-        lane_lines=lanes_from_arrays(
-            [
-                ("a", np.column_stack([x_a, np.zeros_like(x_a), np.zeros_like(x_a)])),
-                ("b", np.column_stack([x_b, np.full_like(x_b, 3.0), np.zeros_like(x_b)])),
-            ]
-        ),
+        lane_lines=[
+            LaneLine("a", np.column_stack([x_a, np.zeros_like(x_a), np.zeros_like(x_a)])),
+            LaneLine("b", np.column_stack([x_b, np.full_like(x_b, 3.0), np.zeros_like(x_b)])),
+        ],
     )
     out = modify_add(m, "a", "b", offset=0.0)
     added = [l for l in out.lane_lines if l.lane_id.startswith("add_")][0]

@@ -2,9 +2,13 @@
 
 import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lanefuse.errors import (
     EmptyInputError,
@@ -76,6 +80,9 @@ def test_lane_needs_two_distinct_points():
         [[0.0, 1.0, float("-inf")], [float("nan"), 1.0, 2.0]],
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [2.0, 0.0, 0.0]],
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 1e-12]],
+        [[0.0, 1.0, 2.0]],
+        [],
+        [[0.0, float("nan"), 2.0]],
     ],
 )
 def test_check_lane_points_raises_as_lane_construction_does(rows):
@@ -89,6 +96,26 @@ def test_check_lane_points_raises_as_lane_construction_does(rows):
     pts = np.array(rows)
     expected = outcome(lambda: LaneLine("l", [Point3(*row) for row in pts]))
     assert outcome(lambda: check_lane_points("l", pts)) == expected
+    assert outcome(lambda: LaneLine("l", pts)) == expected
+
+
+def test_lane_points_are_a_read_only_copy():
+    src = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    lane = LaneLine("l", src)
+    assert lane.points.dtype == np.float64 and lane.points.shape == (2, 3)
+    assert not lane.points.flags.writeable
+    assert not np.shares_memory(lane.points, src)
+    src[0, 0] = 5.0
+    assert lane.points[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        lane.points[0, 0] = 1.0
+    assert lane.points_array() is lane.points
+    assert LaneLine("l", [Point3(0.0, 0.0), Point3(1.0, -0.0)]) == LaneLine("l", [[0, 0, 0], [1, 0, 0]])
+
+
+def test_lane_rejects_points_not_in_rows_of_three():
+    with pytest.raises(InvalidInputError, match="shape"):
+        LaneLine("l", [[0.0, 0.0], [1.0, 0.0]])
 
 
 def test_duplicate_ids_rejected():
@@ -159,6 +186,105 @@ def test_roundtrip_preserves_coordinates_bit_exactly(tmp_path):
     path2 = tmp_path / "rt2.json"
     save_link_area(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+# Any finite double, with the values where a text round trip could slip
+# weighted in: signed zeros, subnormals and the ends of the range.
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1e308, -1e308]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(finite, finite, finite), min_size=2, max_size=8).filter(
+        lambda rows: all(a != b for a, b in zip(rows, rows[1:]))
+    )
+)
+def test_save_load_save_is_bit_exact(rows):
+    area = LinkArea(
+        "rt",
+        local_maps=[LocalMap("m0", "rt", lane_lines=[LaneLine("l", rows)], images=[image()])],
+        ground_truth=[LaneLine("g", rows)],
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "a.json"), Path(tmp, "b.json")
+        save_link_area(area, first)
+        loaded = load_link_area(first)
+        save_link_area(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+    want = np.array(rows, dtype=float).view(np.uint64)
+    assert np.array_equal(loaded.local_maps[0].lane_lines[0].points.view(np.uint64), want)
+    assert np.array_equal(loaded.ground_truth[0].points.view(np.uint64), want)
+
+
+NAN = float("nan")
+
+
+# (points of lane l0 of map m0, error type, message after the file path).
+@pytest.mark.parametrize(
+    "points,error,message",
+    [
+        (
+            [[0.0, 0.0, 0.0], [1.0, "a", 0.0]],
+            MapParseError,
+            "at map[m0]: point 1 of lane 'l0' has non-numeric parts",
+        ),
+        (
+            [[0.0, 0.0, 0.0], [1.0, 0.0]],
+            MapParseError,
+            "at map[m0]: point 1 of lane 'l0' must be [x, y, z]",
+        ),
+        (
+            [[0.0, 0.0, 0.0], [1.0, NAN, 0.0]],
+            MapValidationError,
+            "at map[m0]: point 1 of lane 'l0': point component y=nan not finite",
+        ),
+        (
+            [[0.0, 0.0, 0.0]],
+            MapValidationError,
+            "at map[m0]: lane 'l0' needs >= 2 points, got 1",
+        ),
+        (
+            [[0.0, None, 0.0], [1.0, 0.0, 0.0]],
+            MapParseError,
+            "at map[m0]: point 0 of lane 'l0' has non-numeric parts",
+        ),
+        (
+            [[0.0, 0.0, float("inf")], [1.0, "a", 0.0]],
+            MapValidationError,
+            "at map[m0]: point 0 of lane 'l0': point component z=inf not finite",
+        ),
+        (
+            [["a", NAN, 0.0], [1.0, 0.0, 0.0]],
+            MapParseError,
+            "at map[m0]: point 0 of lane 'l0' has non-numeric parts",
+        ),
+        (
+            [[NAN, 0.0, 0.0], [1.0, 0.0]],
+            MapValidationError,
+            "at map[m0]: point 0 of lane 'l0': point component x=nan not finite",
+        ),
+    ],
+)
+def test_load_errors_name_the_point(tmp_path, points, error, message):
+    doc = area_to_dict(area())
+    doc["local_maps"][0]["lane_lines"][0]["points"] = points
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error) as info:
+        load_link_area(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_load_reads_numeral_strings_as_float_does(tmp_path):
+    doc = area_to_dict(area())
+    doc["local_maps"][0]["lane_lines"][0]["points"] = [["0.5", "1", 2], [True, 0, 10**30]]
+    path = tmp_path / "numerals.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_link_area(path).local_maps[0].lane_lines[0].points
+    assert loaded.tolist() == [[0.5, 1.0, 2.0], [1.0, 0.0, 1e30]]
 
 
 def test_load_rejects_one_point_lane(tmp_path):
