@@ -21,9 +21,9 @@ from .confidence import (
     apply_context,
     dpcs,
     gcs,
-    load_profiles,
     with_confidence,
 )
+from .config import load_profiles
 from .evaluation import (
     AmeResult,
     EvaluationReport,

@@ -254,8 +254,8 @@ class Scenario:
                     f"scenario {self.name!r}: bad range {lo}..{hi} for {factor.key}"
                 )
             ranges[factor] = (lo, hi)
-        if self.noise_sigma < 0.0:
-            raise InvalidInputError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise InvalidInputError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         object.__setattr__(self, "factor_ranges", ranges)
 
     def range_for(self, factor: FactorKind) -> tuple[int, int]:

@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import backends as be
 from . import evaluation as ev
-from .confidence import with_confidence
-from .config import PipelineConfig, check_k_cap, load_pipeline_config
+from .confidence import CONFIDENCE_METHODS, with_confidence
+from .config import BACKEND_KINDS, PipelineConfig, check_k_cap, load_pipeline_config
 from .errors import (
     BackendError,
     ConfigError,
@@ -195,11 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("map_file")
     p.add_argument("--seed", type=int, default=0, help="synthetic scorer seed")
-    p.add_argument("--backend", choices=("synthetic", "remote", "replay"))
+    p.add_argument("--backend", choices=BACKEND_KINDS)
     p.add_argument("--scenario", help="scenario for the synthetic backend")
     p.add_argument("--replay-log", help="replay log path")
     p.add_argument("--endpoint", help="remote scorer URL")
-    p.add_argument("--method", choices=("dpcs", "gcs"))
+    p.add_argument("--method", choices=CONFIDENCE_METHODS)
     p.add_argument("--context", help="context profile name")
 
     p = sub.add_parser("select", help="rank maps and pick the confidence band")
@@ -245,10 +245,7 @@ def _apply_overrides(args, cfg: PipelineConfig) -> PipelineConfig:
         check_k_cap(args.k_cap, "--k-cap")
         cfg.k_cap = args.k_cap
     if getattr(args, "context", None):
-        name = args.context
-        if name not in cfg.contexts:
-            raise ConfigError(f"context profile {name!r} not defined")
-        cfg.context = cfg.contexts[name]
+        cfg.use_context(args.context)
     return cfg
 
 

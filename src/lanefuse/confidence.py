@@ -8,12 +8,11 @@ formula everywhere. Inactive factors (per context) contribute nothing.
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .errors import ConfigError, InvalidInputError
-from .scoring import DEGRADATION_FACTORS, FACTOR_BY_KEY, FactorKind, ImageAssessment
+from .scoring import DEGRADATION_FACTORS, FactorKind, ImageAssessment
 
 
 @dataclass(frozen=True)
@@ -193,6 +192,9 @@ def apply_context(context: ContextProfile, assessment: ImageAssessment) -> Image
     return replace(assessment, factor_scores=scores)
 
 
+CONFIDENCE_METHODS = ("dpcs", "gcs")  # the methods with_confidence accepts
+
+
 def with_confidence(
     assessment: ImageAssessment,
     weights: WeightProfile = DEFAULT_WEIGHTS,
@@ -207,52 +209,3 @@ def with_confidence(
     else:
         raise ConfigError(f"unknown confidence method {method!r}")
     return replace(assessment, confidence=value)
-
-
-def _parse_factor(name: str) -> FactorKind:
-    factor = FACTOR_BY_KEY.get(name.strip())
-    if factor is None:
-        raise ConfigError(f"unknown factor name {name.strip()!r}")
-    return factor
-
-
-def load_profiles(path) -> tuple[dict[str, WeightProfile], dict[str, ContextProfile]]:
-    """Read weight and context profiles from a key-value config file.
-
-    Schema: each ``[weights.NAME]`` section maps factor names to weights and
-    holds ``lane_weight``; each ``[context.NAME]`` section lists the active
-    factors in a comma-separated ``factors`` key (or ``all``).
-    """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read profile file {path}")
-    weight_profiles: dict[str, WeightProfile] = {}
-    context_profiles: dict[str, ContextProfile] = dict(BUILTIN_CONTEXTS)
-    for section in parser.sections():
-        if section.startswith("weights.") or section == "weights":
-            name = section.partition(".")[2] or "default"
-            items = dict(parser.items(section))
-            try:
-                lane_weight = float(items.pop("lane_weight", "1.0"))
-                factor_weights = {
-                    _parse_factor(k): float(v) for k, v in items.items()
-                }
-                weight_profiles[name] = WeightProfile(
-                    profile_name=name,
-                    lane_weight=lane_weight,
-                    factor_weights=factor_weights,
-                )
-            except (ValueError, InvalidInputError) as exc:
-                raise ConfigError(f"bad weight profile [{section}]: {exc}") from exc
-        elif section.startswith("context.") or section == "context":
-            name = section.partition(".")[2] or "default"
-            raw = parser.get(section, "factors", fallback="all").strip()
-            if raw == "all":
-                active = frozenset(DEGRADATION_FACTORS)
-            else:
-                active = frozenset(
-                    _parse_factor(tok) for tok in raw.split(",") if tok.strip()
-                )
-            context_profiles[name] = ContextProfile(active_factors=active, description=name)
-    return weight_profiles, context_profiles

@@ -5,29 +5,29 @@ Sections: ``[pipeline]`` picks profiles/backend/method, ``[icp]``,
 ``[backend]`` configures the scorer client, ``[weights.NAME]`` /
 ``[context.NAME]`` define profiles, and ``[scenario.NAME]`` declares
 synthetic-scorer scenarios (factor ranges as ``lo:hi`` plus ``sigma``).
+Unknown sections and keys are rejected; values are literal (no ``%``).
 """
 
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 
 from .backends import Scenario, check_remote_settings
 from .clustering import DbscanParams
 from .confidence import (
     ALL_FACTORS_CONTEXT,
     BUILTIN_CONTEXTS,
+    CONFIDENCE_METHODS,
     DEFAULT_WEIGHTS,
     ContextProfile,
     WeightProfile,
-    load_profiles,
 )
 from .errors import ConfigError, InvalidInputError
-from .evaluation import SCENARIOS_BY_NAME
+from .evaluation import SCENARIOS_BY_NAME, scenario_from_mapping
 from .registration import IcpParams
-from .scoring import FACTOR_BY_KEY
+from .scoring import DEGRADATION_FACTORS, FACTOR_BY_KEY, FactorKind
 
 ENDPOINT_ENV_VAR = "LANEFUSE_ENDPOINT"
 
@@ -62,6 +62,12 @@ class PipelineConfig:
             )
         return scenario
 
+    def use_context(self, name: str) -> None:
+        """Make the named context profile, built in or from the INI, current."""
+        if name not in self.contexts:
+            raise ConfigError(f"context profile {name!r} not defined")
+        self.context = self.contexts[name]
+
     def resolve_endpoint(self) -> str:
         endpoint = self.endpoint or os.environ.get(ENDPOINT_ENV_VAR, "")
         if not endpoint:
@@ -78,38 +84,107 @@ def check_k_cap(k_cap: int | None, name: str) -> None:
         raise ConfigError(f"{name} must be >= 1")
 
 
-def _parse_range(text: str) -> tuple[int, int]:
+def _one_of(choices: tuple[str, ...]):
+    def parse(text: str) -> str:
+        value = text.lower()
+        if value not in choices:
+            raise ValueError(f"not one of {', '.join(choices)}")
+        return value
+
+    return parse
+
+
+def _factor_set(text: str) -> frozenset[FactorKind]:
+    if text == "all":
+        return frozenset(DEGRADATION_FACTORS)
+    return frozenset(FACTOR_BY_KEY[key.strip()] for key in text.split(",") if key.strip())
+
+
+def _range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
-    if not sep:
-        value = int(lo)
-        return value, value
-    return int(lo), int(hi)
+    return (int(lo), int(hi)) if sep else (int(lo), int(lo))
 
 
-def _parse_scenarios(parser: configparser.ConfigParser) -> dict[str, Scenario]:
-    scenarios = dict(SCENARIOS_BY_NAME)
-    for section in parser.sections():
-        if not section.startswith("scenario."):
-            continue
-        name = section.partition(".")[2]
-        ranges = {}
-        sigma = 0.0
-        for key, value in parser.items(section):
-            if key == "sigma":
-                sigma = float(value)
-                continue
-            factor = FACTOR_BY_KEY.get(key)
-            if factor is None:
-                raise ConfigError(f"[{section}]: unknown factor {key!r}")
+# Every section and key a pipeline INI may hold, each key with the parser of
+# its value. A name ending in "." stands for the sections "PREFIX.NAME".
+# [DEFAULT] would copy its keys into every section, so it must stay empty.
+_KEYS = {
+    configparser.DEFAULTSECT: {},
+    "pipeline": {
+        "weights": str, "context": str, "scenario": str,
+        "method": _one_of(CONFIDENCE_METHODS), "backend": _one_of(BACKEND_KINDS),
+    },
+    "backend": {
+        "endpoint": str, "replay_log": str, "record_log": str,
+        "max_retries": int, "timeout": float, "max_in_flight": int,
+    },
+    "icp": {"max_iterations": int, "convergence_tol": float, "max_correspondence_dist": float},
+    "dbscan": {"epsilon": float, "min_samples": int},
+    "selection": {"k_cap": lambda text: int(text) if text else None},
+    "weights.": {"lane_weight": float, **{f.key: float for f in DEGRADATION_FACTORS}},
+    "context.": {"factors": _factor_set},
+    "scenario.": {"sigma": float, **{key: _range for key in FACTOR_BY_KEY}},
+}
+
+
+def _read(path) -> dict[str, dict[str, object]]:
+    """Parse the INI file once; every value typed by ``_KEYS``."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file {path} does not exist")
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise ConfigError(f"{path}: {exc}")
+    sections: dict[str, dict[str, object]] = {}
+    for section, items in parser.items():
+        kind, dot, name = section.partition(".")
+        keys = _KEYS.get(kind + dot) if name or not dot else None
+        if keys is None:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        values = sections[section] = {}
+        for key, text in items.items():
+            if key not in keys:
+                raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
             try:
-                ranges[factor] = _parse_range(value)
-            except ValueError:
-                raise ConfigError(f"[{section}]: bad range {value!r} for {key}")
-        try:
-            scenarios[name] = Scenario(name=name, factor_ranges=ranges, noise_sigma=sigma)
-        except InvalidInputError as exc:
-            raise ConfigError(f"[{section}]: {exc}")
-    return scenarios
+                values[key] = keys[key](text)
+            except KeyError as exc:
+                raise ConfigError(f"{path}: [{section}] {key}: unknown factor {exc}")
+            except ValueError as exc:
+                raise ConfigError(f"{path}: [{section}] {key}: bad value {text!r} ({exc})")
+    return sections
+
+
+def _profiles(sections, path):
+    """Weight, context and scenario profiles from the PREFIX.NAME sections."""
+    weights: dict[str, WeightProfile] = {}
+    contexts = dict(BUILTIN_CONTEXTS)
+    scenarios = dict(SCENARIOS_BY_NAME)
+    for section, items in sections.items():
+        kind, _, name = section.partition(".")
+        values = dict(items)
+        if kind == "weights":
+            lane_weight = values.pop("lane_weight", 1.0)
+            try:
+                weights[name] = WeightProfile(
+                    name, lane_weight, {FACTOR_BY_KEY[k]: w for k, w in values.items()}
+                )
+            except InvalidInputError as exc:
+                raise ConfigError(f"{path}: bad weight profile [{section}]: {exc}")
+        elif kind == "context":
+            factors = values.get("factors", frozenset(DEGRADATION_FACTORS))
+            contexts[name] = ContextProfile(active_factors=factors, description=name)
+        elif kind == "scenario":
+            sigma = values.pop("sigma", 0.0)
+            scenarios[name] = scenario_from_mapping(name, values, sigma, f"{path}: [{section}]")
+    return weights, contexts, scenarios
+
+
+def load_profiles(path) -> tuple[dict[str, WeightProfile], dict[str, ContextProfile]]:
+    """The ``[weights.NAME]`` and ``[context.NAME]`` profiles of a pipeline INI
+    file, the built-in context profiles included."""
+    return _profiles(_read(path), path)[:2]
 
 
 def load_pipeline_config(path=None) -> PipelineConfig:
@@ -117,65 +192,28 @@ def load_pipeline_config(path=None) -> PipelineConfig:
     cfg = PipelineConfig()
     if path is None:
         return cfg
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    parser = configparser.ConfigParser()
+    sections = _read(path)
+    weight_profiles, cfg.contexts, cfg.scenarios = _profiles(sections, path)
+    pipeline = sections.get("pipeline", {})
+    weights_name = pipeline.get("weights", "default")
+    if weights_name in weight_profiles:
+        cfg.weights = weight_profiles[weights_name]
+    elif weights_name != "default":
+        raise ConfigError(f"weight profile {weights_name!r} not defined")
+    cfg.use_context(pipeline.get("context", "all"))
     try:
-        parser.read(path)
-    except configparser.Error as exc:
+        cfg = replace(
+            cfg,
+            method=pipeline.get("method", cfg.method),
+            backend=pipeline.get("backend", cfg.backend),
+            scenario_name=pipeline.get("scenario", cfg.scenario_name),
+            **sections.get("backend", {}),
+            **sections.get("selection", {}),
+            icp=IcpParams(**sections.get("icp", {})),
+            dbscan=DbscanParams(**sections.get("dbscan", {})),
+        )
+    except InvalidInputError as exc:
         raise ConfigError(f"{path}: {exc}")
-
-    weight_profiles, context_profiles = load_profiles(path)
-    cfg.scenarios = _parse_scenarios(parser)
-
-    def get(section, option, fallback=None):
-        return parser.get(section, option, fallback=fallback)
-
-    try:
-        weights_name = get("pipeline", "weights", fallback="default")
-        if weights_name in weight_profiles:
-            cfg.weights = weight_profiles[weights_name]
-        elif weights_name != "default":
-            raise ConfigError(f"weight profile {weights_name!r} not defined")
-        cfg.contexts = dict(BUILTIN_CONTEXTS)
-        cfg.contexts.update(context_profiles)
-        context_name = get("pipeline", "context", fallback="all")
-        if context_name not in cfg.contexts:
-            raise ConfigError(f"context profile {context_name!r} not defined")
-        cfg.context = cfg.contexts[context_name]
-        cfg.method = get("pipeline", "method", fallback="dpcs").strip().lower()
-        if cfg.method not in ("dpcs", "gcs"):
-            raise ConfigError(f"unknown confidence method {cfg.method!r}")
-        cfg.backend = get("pipeline", "backend", fallback="synthetic").strip().lower()
-        if cfg.backend not in BACKEND_KINDS:
-            raise ConfigError(f"unknown backend {cfg.backend!r}")
-        cfg.scenario_name = get("pipeline", "scenario", fallback=cfg.scenario_name)
-
-        cfg.endpoint = get("backend", "endpoint", fallback="")
-        cfg.replay_log = get("backend", "replay_log", fallback="")
-        cfg.record_log = get("backend", "record_log", fallback="")
-        cfg.max_retries = parser.getint("backend", "max_retries", fallback=cfg.max_retries)
-        cfg.timeout = parser.getfloat("backend", "timeout", fallback=cfg.timeout)
-        cfg.max_in_flight = parser.getint(
-            "backend", "max_in_flight", fallback=cfg.max_in_flight
-        )
-        check_remote_settings(cfg.max_retries, cfg.timeout, cfg.max_in_flight)
-
-        cfg.icp = IcpParams(
-            max_iterations=parser.getint("icp", "max_iterations", fallback=50),
-            convergence_tol=parser.getfloat("icp", "convergence_tol", fallback=1e-6),
-            max_correspondence_dist=parser.getfloat(
-                "icp", "max_correspondence_dist", fallback=2.0
-            ),
-        )
-        cfg.dbscan = DbscanParams(
-            epsilon=parser.getfloat("dbscan", "epsilon", fallback=0.5),
-            min_samples=parser.getint("dbscan", "min_samples", fallback=4),
-        )
-        raw_k = get("selection", "k_cap", fallback="")
-        cfg.k_cap = int(raw_k) if raw_k and raw_k.strip() else None
-        check_k_cap(cfg.k_cap, "selection.k_cap")
-    except (ValueError, InvalidInputError) as exc:
-        raise ConfigError(f"{path}: {exc}")
+    check_remote_settings(cfg.max_retries, cfg.timeout, cfg.max_in_flight)
+    check_k_cap(cfg.k_cap, "selection.k_cap")
     return cfg

@@ -22,7 +22,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -251,6 +251,18 @@ STANDARD_SCENARIOS: tuple[Scenario, ...] = (
 SCENARIOS_BY_NAME: dict[str, Scenario] = {s.name: s for s in STANDARD_SCENARIOS}
 
 
+def scenario_from_mapping(name: str, ranges: Mapping, sigma: float, where: str) -> Scenario:
+    """A Scenario from {factor key: (lo, hi)} and a noise sigma, for the INI and
+    the JSON config alike; a bad value is a ConfigError prefixed by ``where``."""
+    try:
+        factor_ranges = {FACTOR_BY_KEY[key]: r for key, r in ranges.items()}
+        return Scenario(name=name, factor_ranges=factor_ranges, noise_sigma=float(sigma))
+    except KeyError as exc:
+        raise ConfigError(f"{where}: unknown factor {exc}")
+    except (TypeError, ValueError, InvalidInputError) as exc:
+        raise ConfigError(f"{where}: {exc}")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Layout and difficulty of the generated benchmark."""
@@ -364,8 +376,18 @@ def synth_generate(
     return areas
 
 
+_SYNTH_INT_KEYS = ("seed", "link_areas", "maps_per_area", "lanes_per_area", "images_per_map")
+_SYNTH_FLOAT_KEYS = ("lane_spacing", "lane_length", "point_spacing")
+
+
+def _reject_unknown_keys(data: dict, known: Iterable[str], where: str) -> None:
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+
+
 def load_synth_config(path) -> SynthConfig:
-    """Parse a synth-config JSON document."""
+    """Parse a synth-config JSON document; unknown keys are rejected."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -373,38 +395,24 @@ def load_synth_config(path) -> SynthConfig:
         raise ConfigError(f"synth config {path} does not exist")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc.msg}")
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: the top level must be a JSON object")
+    _reject_unknown_keys(data, (*_SYNTH_INT_KEYS, *_SYNTH_FLOAT_KEYS, "scenarios"), path)
+    raw_scenarios = data.get("scenarios", [])
+    if not isinstance(raw_scenarios, list):
+        raise ConfigError(f"{path}: scenarios must be a list")
     scenarios: list[Scenario] = []
-    for raw in data.get("scenarios", []):
-        try:
-            ranges = {
-                FACTOR_BY_KEY[name]: (int(lo), int(hi))
-                for name, (lo, hi) in raw.get("factors", {}).items()
-            }
-            scenarios.append(
-                Scenario(
-                    name=str(raw.get("name", f"scenario_{len(scenarios)}")),
-                    factor_ranges=ranges,
-                    noise_sigma=float(raw.get("sigma", 0.0)),
-                )
-            )
-        except KeyError as exc:
-            raise ConfigError(f"{path}: unknown factor {exc}")
-        except (TypeError, ValueError, InvalidInputError) as exc:
-            raise ConfigError(f"{path}: bad scenario: {exc}")
+    for i, raw in enumerate(raw_scenarios):
+        where = f"{path}: scenarios[{i}]"
+        if not isinstance(raw, dict) or not isinstance(raw.get("factors", {}), dict):
+            raise ConfigError(f"{where}: must be an object whose factors are an object")
+        _reject_unknown_keys(raw, ("name", "sigma", "factors"), where)
+        name = str(raw.get("name", f"scenario_{i}"))
+        factors, sigma = raw.get("factors", {}), raw.get("sigma", 0.0)
+        scenarios.append(scenario_from_mapping(name, factors, sigma, where))
     try:
-        kwargs = {}
-        for key in (
-            "seed",
-            "link_areas",
-            "maps_per_area",
-            "lanes_per_area",
-            "images_per_map",
-        ):
-            if key in data:
-                kwargs[key] = int(data[key])
-        for key in ("lane_spacing", "lane_length", "point_spacing"):
-            if key in data:
-                kwargs[key] = float(data[key])
+        kwargs = {key: int(data[key]) for key in _SYNTH_INT_KEYS if key in data}
+        kwargs.update({key: float(data[key]) for key in _SYNTH_FLOAT_KEYS if key in data})
         if scenarios:
             kwargs["degradation_scenarios"] = tuple(scenarios)
         return SynthConfig(**kwargs)

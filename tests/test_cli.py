@@ -405,6 +405,47 @@ def test_simulate_missing_config_exits_1(tmp_path):
     assert run(["simulate", tmp_path / "ghost.json", "--output-dir", tmp_path]) == 1
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1, 2],
+        {"scenarios": [5]},
+        {"scenarios": [{"name": "x", "factors": [["rain", 1, 2]]}]},
+        {"link_area": 2},
+        {"scenarios": [{"name": "x", "sigmaa": 0.1}]},
+    ],
+)
+def test_simulate_malformed_synth_config_exits_1(tmp_path, doc, capsys):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps(doc))
+    assert run(["simulate", path, "--output-dir", tmp_path / "out"]) == 1
+    assert "synth.json" in capsys.readouterr().err
+
+
+def test_select_config_typo_exits_1(tmp_path, capsys):
+    areas = simulate(tmp_path, maps_per_area=2)
+    config = tmp_path / "typo.ini"
+    config.write_text("[selecton]\nk_cap = 2\n\n[pipeline]\nbackendd = remote\n")
+    assert run(["select", areas[0], "--config", config, "--output-dir", tmp_path]) == 1
+    assert "selecton" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["ini", "json"])
+def test_non_finite_sigma_exits_1(tmp_path, form):
+    if form == "ini":
+        areas = simulate(tmp_path, maps_per_area=2)
+        config = tmp_path / "nan.ini"
+        config.write_text("[scenario.bad]\nsigma = nan\n")
+        args = ["select", areas[0], "--config", config]
+    else:
+        doc = synth_config_to_dict(standard_config(0))
+        doc["scenarios"][0]["sigma"] = math.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        args = ["simulate", path]
+    assert run([*args, "--output-dir", tmp_path / "out"]) == 1
+
+
 def test_update_area_without_truth_exits_2(tmp_path):
     areas = simulate(tmp_path, maps_per_area=2)
     area = load_link_area(areas[0])

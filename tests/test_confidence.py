@@ -13,10 +13,10 @@ from lanefuse.confidence import (
     dpcs,
     dpcs_detail,
     gcs,
-    load_profiles,
     weighted_deduction,
     with_confidence,
 )
+from lanefuse.config import load_profiles
 from lanefuse.errors import ConfigError, InvalidInputError
 from lanefuse.scoring import DEGRADATION_FACTORS, FactorKind, ImageAssessment
 

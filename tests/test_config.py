@@ -1,7 +1,11 @@
 """Pipeline INI parsing and backend endpoint resolution."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+from lanefuse.confidence import ALL_FACTORS_CONTEXT, CLEAR_DAY_CONTEXT, DEFAULT_WEIGHTS
 from lanefuse.config import ENDPOINT_ENV_VAR, PipelineConfig, load_pipeline_config
 from lanefuse.errors import ConfigError
 from lanefuse.scoring import FactorKind
@@ -27,7 +31,6 @@ context = storm
 method = gcs
 backend = replay
 scenario = dusty
-output_dir = out
 
 [backend]
 replay_log = runs/log.jsonl
@@ -103,6 +106,13 @@ sigma = 0.3
         "[backend]\nmax_retries = -1\n",
         "[backend]\ntimeout = 0\n",
         "[backend]\ntimeout = -2.5\n",
+        "[selecton]\nk_cap = 2\n",
+        "[pipeline]\nbackendd = remote\n",
+        "[pipeline]\noutput_dir = out\n",
+        "[DEFAULT]\nk_cap = 2\n",
+        "[context.x]\nfactorz = rain\n",
+        "[context]\nfactors = rain\n",
+        "[scenario.bad]\nsigma = inf\n",
     ],
 )
 def test_rejects_bad_values(tmp_path, body):
@@ -110,6 +120,38 @@ def test_rejects_bad_values(tmp_path, body):
     path.write_text(body)
     with pytest.raises(ConfigError):
         load_pipeline_config(path)
+
+
+def test_unknown_key_error_names_section_and_key(tmp_path):
+    path = tmp_path / "typo.ini"
+    path.write_text("[pipeline]\nbackendd = remote\n")
+    with pytest.raises(ConfigError, match=r"'backendd' in \[pipeline\]"):
+        load_pipeline_config(path)
+
+
+def test_values_are_literal(tmp_path):
+    path = tmp_path / "pct.ini"
+    path.write_text("[backend]\nendpoint = http://h/a%20b\nrecord_log = runs/%(x)s.jsonl\n")
+    cfg = load_pipeline_config(path)
+    assert cfg.endpoint == "http://h/a%20b"
+    assert cfg.record_log == "runs/%(x)s.jsonl"
+
+
+def test_readme_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    cfg = load_pipeline_config(path)
+    assert cfg.weights == DEFAULT_WEIGHTS
+    assert cfg.context == ALL_FACTORS_CONTEXT
+    assert cfg.contexts["clear-day"] == CLEAR_DAY_CONTEXT
+    assert (cfg.method, cfg.backend, cfg.scenario_name) == ("dpcs", "synthetic", "clean")
+    assert cfg.endpoint == "http://scorer.internal/score"
+    assert cfg.record_log == ""
+    assert (cfg.max_retries, cfg.timeout, cfg.max_in_flight) == (3, 10.0, 4)
+    assert cfg.k_cap is None
+    assert cfg.scenarios["dusty"].range_for(FactorKind.SANDSTORM) == (4, 8)
 
 
 def test_missing_file_is_config_error(tmp_path):
