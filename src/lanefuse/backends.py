@@ -374,7 +374,6 @@ class RemoteScorer:
         max_in_flight: int = 4,
         log_path=None,
         session: requests.Session | None = None,
-        catalog: PromptCatalog = DEFAULT_CATALOG,
     ):
         if not endpoint:
             raise ConfigError("remote backend needs an endpoint URL")
@@ -386,7 +385,6 @@ class RemoteScorer:
         check_remote_settings(self.max_retries, self.timeout, self.max_in_flight)
         self.log_path = Path(log_path) if log_path else None
         self.session = session or _endpoint_session(endpoint, self.max_in_flight)
-        self.catalog = catalog
 
     def _exchange(self, request: ScorerRequest) -> tuple[ScorerResponse, str]:
         """POST one request with retries; returns the parsed response and the
@@ -394,7 +392,7 @@ class RemoteScorer:
         body = {
             "image": request.image,
             "prompt_id": request.prompt_id,
-            "prompt": self.catalog.prompt_text(request.prompt_id),
+            "prompt": DEFAULT_CATALOG.prompt_text(request.prompt_id),
             "mode": request.mode,
         }
         last_error: Exception | None = None
@@ -546,13 +544,12 @@ def assessment_requests(
     factors: Sequence[FactorKind],
     *,
     mode: str = "direct",
-    catalog: PromptCatalog = DEFAULT_CATALOG,
 ) -> list[ScorerRequest]:
     """The requests that assess one image: one per factor, in the order given,
     then the lane-clarity probe. ``factors`` excludes lane visibility, which
     the probe answers."""
     requests_ = [
-        ScorerRequest(image=image_id, prompt_id=catalog.factor_binding[f], mode=mode)
+        ScorerRequest(image=image_id, prompt_id=DEFAULT_CATALOG.factor_binding[f], mode=mode)
         for f in factors
     ]
     requests_.append(
@@ -580,7 +577,6 @@ def collect_assessments(
     *,
     factors: Iterable[FactorKind] = DEGRADATION_FACTORS,
     mode: str = "direct",
-    catalog: PromptCatalog = DEFAULT_CATALOG,
 ) -> list[ImageAssessment]:
     """Assess every ``(image_id, timestamp)`` with one ``score_many`` call.
 
@@ -591,7 +587,7 @@ def collect_assessments(
     batch = [
         r
         for image_id, _ in images
-        for r in assessment_requests(image_id, factors, mode=mode, catalog=catalog)
+        for r in assessment_requests(image_id, factors, mode=mode)
     ]
     responses = backend.score_many(batch)
     per_image = len(factors) + 1
@@ -613,10 +609,7 @@ def collect_assessment(
     factors: Iterable[FactorKind] = DEGRADATION_FACTORS,
     mode: str = "direct",
     timestamp: float = 0.0,
-    catalog: PromptCatalog = DEFAULT_CATALOG,
 ) -> ImageAssessment:
     """Query a backend for every active factor plus lane clarity and fold the
     answers into an ImageAssessment."""
-    return collect_assessments(
-        backend, [(image_id, timestamp)], factors=factors, mode=mode, catalog=catalog
-    )[0]
+    return collect_assessments(backend, [(image_id, timestamp)], factors=factors, mode=mode)[0]

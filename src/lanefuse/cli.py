@@ -23,26 +23,21 @@ from .errors import (
     ConfigError,
     LanefuseError,
 )
-from .fusion import fuse_maps, rank_maps, select_band
+from .fusion import rank_maps, select_band
 from .mapmodel import (
     LinkArea,
+    atomic_writer,
     load_link_area,
     save_link_area,
     save_local_map,
     write_scores_csv,
 )
-from .pipeline import apply_modifications, load_modifications, prior_map
+from .pipeline import load_modifications, update
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INPUT = 2
 EXIT_BACKEND = 3
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
 
 
 def _make_backend(cfg: PipelineConfig, seed: int):
@@ -106,8 +101,7 @@ def cmd_select(args, cfg: PipelineConfig) -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / f"{Path(args.area_file).stem}_selection.csv"
-    tmp = out.with_name(out.name + ".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
+    with atomic_writer(out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", "map_id", "avg_confidence", "selected"])
         selected = set(result.selected_map_ids)
@@ -119,24 +113,17 @@ def cmd_select(args, cfg: PipelineConfig) -> int:
         writer.writerow(["c_best", f"{result.c_best:.6f}"])
         writer.writerow(["lower_bound", f"{result.lower_bound:.6f}"])
         writer.writerow(["selected_count", len(result.selected_map_ids)])
-    tmp.replace(out)
     print(f"wrote {out}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_update(args, cfg: PipelineConfig) -> int:
     area = load_link_area(args.area_file)
-    if area.ground_truth is None:
-        raise LanefuseError(
-            f"{args.area_file}: link area carries no ground truth to modify"
-        )
     mods = load_modifications(Path(args.script_file))
-    prior = apply_modifications(prior_map(area.ground_truth, area.link_id), mods)
-    observed = [apply_modifications(m, mods) for m in area.local_maps]
-    ranked = rank_maps(area)
-    chosen = set(select_band(ranked, k_cap=cfg.k_cap).selected_map_ids)
-    selected = [m for m in observed if m.map_id in chosen]
-    fused = fuse_maps(selected, prior, cfg.dbscan, cfg.icp)
+    chosen = set(select_band(rank_maps(area), k_cap=cfg.k_cap).selected_map_ids)
+    # The band is pooled in area-file order; evaluate pools in rank order.
+    band = [m.map_id for m in area.local_maps if m.map_id in chosen]
+    (fused,) = update(area, mods, [band], cfg.dbscan, cfg.icp)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out = out_dir / f"{Path(args.area_file).stem}_fused.json"
@@ -158,11 +145,10 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "evaluation.csv"
-    tmp = csv_path.with_name(csv_path.name + ".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
+    with atomic_writer(csv_path, newline="") as fh:
         csv.writer(fh).writerows(report.to_csv_rows())
-    tmp.replace(csv_path)
-    _atomic_write_text(out_dir / "evaluation.txt", report.format_table())
+    with atomic_writer(out_dir / "evaluation.txt") as fh:
+        fh.write(report.format_table())
     print(f"wrote {csv_path} and {out_dir / 'evaluation.txt'}", file=sys.stderr)
     return EXIT_OK
 

@@ -16,6 +16,7 @@ therefore deterministic for a given point ordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,8 @@ class DbscanParams:
     min_samples: int = 4
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise InvalidInputError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise InvalidInputError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if self.min_samples < 1:
             raise InvalidInputError("min_samples must be >= 1")
 

@@ -8,6 +8,7 @@ formula everywhere. Inactive factors (per context) contribute nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -24,8 +25,10 @@ class WeightProfile:
     factor_weights: Mapping[FactorKind, float]
 
     def __post_init__(self):
-        if self.lane_weight <= 0.0:
-            raise InvalidInputError("lane_weight must be positive")
+        if not (math.isfinite(self.lane_weight) and self.lane_weight > 0.0):
+            raise InvalidInputError(
+                f"lane_weight must be positive and finite, got {self.lane_weight!r}"
+            )
         weights = dict(self.factor_weights)
         missing = [f.key for f in DEGRADATION_FACTORS if f not in weights]
         if missing:
@@ -33,8 +36,8 @@ class WeightProfile:
         extra = [f.key for f in weights if f not in DEGRADATION_FACTORS]
         if extra:
             raise InvalidInputError(f"unexpected factor weights: {', '.join(extra)}")
-        if any(w < 0.0 for w in weights.values()):
-            raise InvalidInputError("factor weights must be >= 0")
+        if not all(math.isfinite(w) and w >= 0.0 for w in weights.values()):
+            raise InvalidInputError("factor weights must be finite and >= 0")
         object.__setattr__(self, "factor_weights", weights)
 
 

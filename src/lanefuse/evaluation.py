@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -37,15 +36,10 @@ from .confidence import (
     with_confidence,
 )
 from .errors import ConfigError, EmptyInputError, InvalidInputError
-from .fusion import (
-    align,
-    fuse_maps,  # noqa: F401  (kept importable from here for callers and tracing)
-    fuse_points,
-    rank_maps,
-    select_band,
-)
-from .mapmodel import LaneLine, LinkArea, LocalMap
-from .pipeline import Modification, apply_modifications, prior_map
+# fuse_maps and prior_map stay importable here for callers and perfbench/tracing.py.
+from .fusion import fuse_maps, rank_maps, select_band  # noqa: F401
+from .mapmodel import LaneLine, LinkArea, LocalMap, load_json
+from .pipeline import Modification, apply_modifications, prior_map, update  # noqa: F401
 from .registration import IcpParams
 from .scoring import FACTOR_BY_KEY, FactorKind
 
@@ -283,8 +277,9 @@ class SynthConfig:
         for name in ("link_areas", "maps_per_area", "lanes_per_area", "images_per_map"):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"{name} must be >= 1")
-        if self.lane_spacing <= 0 or self.lane_length <= 0 or self.point_spacing <= 0:
-            raise InvalidInputError("spacings and lengths must be positive")
+        lengths = (self.lane_spacing, self.lane_length, self.point_spacing)
+        if not all(math.isfinite(v) and v > 0 for v in lengths):
+            raise InvalidInputError("spacings and lengths must be positive and finite")
         if not self.degradation_scenarios:
             raise InvalidInputError("need at least one scenario")
         object.__setattr__(
@@ -388,13 +383,7 @@ def _reject_unknown_keys(data: dict, known: Iterable[str], where: str) -> None:
 
 def load_synth_config(path) -> SynthConfig:
     """Parse a synth-config JSON document; unknown keys are rejected."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"synth config {path} does not exist")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc.msg}")
+    data = load_json(path, ConfigError)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: the top level must be a JSON object")
     _reject_unknown_keys(data, (*_SYNTH_INT_KEYS, *_SYNTH_FLOAT_KEYS, "scenarios"), path)
@@ -569,44 +558,18 @@ def evaluate_area(
     dparams: DbscanParams = DbscanParams(),
     iparams: IcpParams = IcpParams(),
 ) -> dict[str, PolicyOutcome]:
-    """Run the scripted modification set and every policy on one area."""
+    """Run the scripted modification set and every policy on one area; each
+    policy's maps are pooled in rank order."""
     if area.ground_truth is None:
         raise EmptyInputError(f"area {area.link_id!r} has no ground truth")
     mods = scripted_modifications(area.ground_truth)
-    prior = apply_modifications(prior_map(area.ground_truth, area.link_id), mods)
-    truth_map = apply_modifications(
-        LocalMap(
-            map_id="truth",
-            link_area_id=area.link_id,
-            lane_lines=area.ground_truth,
-            images=[],
-        ),
-        mods,
-    )
-    observed = {
-        m.map_id: apply_modifications(m, mods) for m in area.local_maps
-    }
+    truth = apply_modifications(LocalMap("truth", area.link_id, area.ground_truth), mods)
     ranked = rank_maps(area)
-    target = prior.lane_points()
-    # Each map a policy chooses is aligned once, the first time it is chosen;
-    # a map no policy chooses is never aligned.
-    aligned: dict[str, np.ndarray] = {}
-    outcomes: dict[str, PolicyOutcome] = {}
-    for policy in policies:
-        chosen = _select_for_policy(ranked, policy)
-        if not chosen:
-            outcomes[policy] = PolicyOutcome(policy=policy, result=None)
-            continue
-        for map_id in chosen:
-            if map_id not in aligned:
-                aligned[map_id] = align(observed[map_id], target, iparams)[0]
-        pooled = np.vstack([target] + [aligned[m] for m in chosen])
-        fused = fuse_points(pooled, prior, dparams)
-        outcomes[policy] = PolicyOutcome(
-            policy=policy,
-            result=ame(fused.lane_lines, truth_map.lane_lines, lateral_only=True),
-        )
-    return outcomes
+    fused = update(area, mods, [_select_for_policy(ranked, p) for p in policies], dparams, iparams)
+    return {
+        policy: PolicyOutcome(policy, None if f is None else ame(f.lane_lines, truth.lane_lines))
+        for policy, f in zip(policies, fused)
+    }
 
 
 def run_experiment(

@@ -4,14 +4,17 @@ Local maps are ranked by average image confidence; the fusion set is the
 rank prefix whose averages stay within 10% of the best map. Fusion is two
 steps: ``align`` ICP-aligns one selected map onto the modified map's points,
 and ``fuse_points`` density-clusters the pooled points (the modified map's
-own plus the aligned ones) and condenses each cluster back into a polyline.
-An aligned map depends only on the map and the modified map, so a caller
-fusing several selections of one area aligns each map once.
+own plus the aligned ones, in the order chosen) and condenses each cluster
+back into a polyline. ``fuse_selections`` is the one loop over those steps.
+An aligned map depends only on the map and the modified map, so it fuses
+several selections of one area aligning each map once; ``fuse_maps`` is
+that loop for a single selection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -259,6 +262,29 @@ def fuse_points(
     )
 
 
+def fuse_selections(
+    maps: Mapping[Hashable, LocalMap],
+    selections: Sequence[Sequence[Hashable]],
+    modified: LocalMap,
+    dparams: DbscanParams = DbscanParams(),
+    iparams: IcpParams = IcpParams(),
+) -> list[LocalMap | None]:
+    """Fuse each selection (keys of ``maps`` in pooling order) onto the
+    modified map, whose own points are pooled first. Each map is aligned
+    once, the first time a selection holds it; an empty selection gives None.
+    """
+    target = modified.lane_points()
+    aligned: dict[Hashable, np.ndarray] = {}
+    fused: list[LocalMap | None] = []
+    for chosen in selections:
+        for key in chosen:
+            if key not in aligned:
+                aligned[key] = align(maps[key], target, iparams)[0]
+        pooled = [target, *(aligned[key] for key in chosen)]
+        fused.append(fuse_points(np.vstack(pooled), modified, dparams) if chosen else None)
+    return fused
+
+
 def fuse_maps(
     selected: list[LocalMap],
     modified: LocalMap,
@@ -268,6 +294,5 @@ def fuse_maps(
     """Align the selected maps onto the modified map and fuse the geometry."""
     if not selected:
         raise EmptyInputError("fusion needs at least one selected map")
-    target = modified.lane_points()
-    aligned = [align(local_map, target, iparams)[0] for local_map in selected]
-    return fuse_points(np.vstack([target, *aligned]), modified, dparams)
+    maps = dict(enumerate(selected))
+    return fuse_selections(maps, [list(maps)], modified, dparams, iparams)[0]

@@ -12,16 +12,23 @@ save/load round-trips are bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
-from .errors import EmptyInputError, InvalidInputError, MapParseError, MapValidationError
+from .errors import (
+    EmptyInputError,
+    InvalidInputError,
+    LanefuseError,
+    MapParseError,
+    MapValidationError,
+)
 from .scoring import DEGRADATION_FACTORS, FACTOR_BY_KEY, FactorKind, ImageAssessment
 
 
@@ -323,31 +330,47 @@ def area_from_dict(data: dict, *, source: str = "<dict>") -> LinkArea:
         ctx.invalid(str(exc))
 
 
-def _dump_json(payload: dict, path) -> None:
+@contextlib.contextmanager
+def atomic_writer(path, newline: str | None = None) -> Iterator[TextIO]:
+    """A UTF-8 text file that appears at ``path`` only once fully written.
+
+    The text goes to ``<name>.tmp`` beside ``path``, which is renamed over
+    ``path`` when the block ends without an error. ``newline`` is passed to
+    ``open`` (csv writers want ``""``).
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+        yield fh
+    tmp.replace(path)
+
+
+def _dump_json(payload: dict, path) -> None:
+    with atomic_writer(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    tmp.replace(path)
 
 
 def save_link_area(area: LinkArea, path) -> None:
     _dump_json(area_to_dict(area), path)
 
 
-def _load_json(path: Path):
+def load_json(path, error: type[LanefuseError] = MapParseError):
+    """Parse a UTF-8 JSON file; a missing, unreadable or malformed file
+    (a directory, bytes that are not UTF-8, bad syntax) raises ``error``."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
-        raise MapParseError(f"{path}: no such file")
+        raise error(f"{path}: no such file")
     except json.JSONDecodeError as exc:
-        raise MapParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+        raise error(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"{path}: cannot read: {exc}")
 
 
 def load_link_area(path) -> LinkArea:
-    return area_from_dict(_load_json(Path(path)), source=str(path))
+    return area_from_dict(load_json(path), source=str(path))
 
 
 def save_local_map(local_map: LocalMap, path) -> None:
@@ -356,7 +379,7 @@ def save_local_map(local_map: LocalMap, path) -> None:
 
 
 def load_local_map(path) -> LocalMap:
-    return _map_from_dict(_Ctx(str(path)), _load_json(Path(path)), require_images=False)
+    return _map_from_dict(_Ctx(str(path)), load_json(path), require_images=False)
 
 
 # --- scores CSV ------------------------------------------------------------
@@ -370,9 +393,7 @@ SCORES_CSV_COLUMNS = (
 
 def write_scores_csv(images: Sequence[ImageAssessment], path) -> None:
     """Export image scores, one row per image, floats at 6 decimals."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
+    with atomic_writer(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SCORES_CSV_COLUMNS)
         for img in images:
@@ -382,4 +403,3 @@ def write_scores_csv(images: Sequence[ImageAssessment], path) -> None:
             row.append("" if img.lane_confidence is None else f"{img.lane_confidence:.6f}")
             row.append("" if img.confidence is None else f"{img.confidence:.6f}")
             writer.writerow(row)
-    tmp.replace(path)

@@ -3,20 +3,26 @@
 A modification script is a JSON list of ``shift``, ``delete`` and ``add``
 operations. ``load_modifications`` parses one, ``apply_modifications``
 applies it to a map, and ``prior_map`` builds the prior map an update edits.
+``update`` is the one update step behind both callers. It applies a script
+to the prior map and to every local map, then fuses each selection of maps
+onto the modified prior, pooled in the order given: the ``update`` command
+pools its band maps in area-file order, ``evaluate`` each policy's maps in
+rank order.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, LanefuseError
-from .fusion import modify_add, modify_delete, modify_shift, resample_polyline
-from .mapmodel import LaneLine, LocalMap
+from .clustering import DbscanParams
+from .errors import ConfigError, EmptyInputError, LanefuseError
+from .fusion import fuse_selections, modify_add, modify_delete, modify_shift, resample_polyline
+from .mapmodel import LaneLine, LinkArea, LocalMap, load_json
+from .registration import IcpParams
 
 PRIOR_MAP_SPACING = 2.0  # meters between control points of the prior map
 
@@ -43,13 +49,7 @@ _OPS = {
 
 def load_modifications(path: Path) -> list[Modification]:
     """Parse a modification script; any fault raises LanefuseError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise LanefuseError(f"modification script {path} does not exist")
-    except json.JSONDecodeError as exc:
-        raise LanefuseError(f"{path}: invalid JSON: {exc.msg}")
+    raw = load_json(path, LanefuseError)
     if not isinstance(raw, list):
         raise LanefuseError(f"{path}: script must be a JSON list of operations")
     mods = []
@@ -91,3 +91,23 @@ def prior_map(truth: Sequence[LaneLine], link_id: str) -> LocalMap:
         lane_lines=lanes,
         images=[],
     )
+
+
+def update(
+    area: LinkArea,
+    mods: Sequence[Modification],
+    selections: Sequence[Sequence[str]],
+    dparams: DbscanParams = DbscanParams(),
+    iparams: IcpParams = IcpParams(),
+) -> list[LocalMap | None]:
+    """Apply ``mods`` to the area's prior map and to every local map, then
+    fuse each selection (map ids in pooling order) onto the modified prior.
+
+    Each map is aligned once, the first time a selection holds it; an empty
+    selection gives None (see ``fusion.fuse_selections``).
+    """
+    if area.ground_truth is None:
+        raise EmptyInputError(f"link area {area.link_id!r} carries no ground truth to modify")
+    prior = apply_modifications(prior_map(area.ground_truth, area.link_id), mods)
+    observed = {m.map_id: apply_modifications(m, mods) for m in area.local_maps}
+    return fuse_selections(observed, selections, prior, dparams, iparams)

@@ -8,6 +8,7 @@ with re-estimation until the RMS residual stops improving.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,10 +63,10 @@ class IcpParams:
     def __post_init__(self):
         if self.max_iterations <= 0:
             raise InvalidInputError("max_iterations must be positive")
-        if self.convergence_tol <= 0.0:
-            raise InvalidInputError("convergence_tol must be positive")
-        if self.max_correspondence_dist <= 0.0:
-            raise InvalidInputError("max_correspondence_dist must be positive")
+        for name in ("convergence_tol", "max_correspondence_dist"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass

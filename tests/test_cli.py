@@ -19,9 +19,10 @@ from lanefuse.backends import (
 from lanefuse.cli import main
 from lanefuse.evaluation import SCENARIOS_BY_NAME, ame, standard_config, synth_config_to_dict
 from lanefuse.mapmodel import area_to_dict, load_link_area, load_local_map
-from lanefuse.scoring import FactorKind
+from lanefuse.scoring import DEGRADATION_FACTORS, FactorKind
 
 F = FactorKind
+ALL_WEIGHTS = "".join(f"{f.key} = 0.2\n" for f in DEGRADATION_FACTORS)
 
 
 def run(args):
@@ -495,3 +496,45 @@ def test_select_reported_average_row_keeps_three(tmp_path):
     assert sum(1 for r in rows if len(r) == 4 and r[3] == "yes") == 3
     bound = [r for r in rows if r and r[0] == "lower_bound"][0]
     assert float(bound[1]) == pytest.approx(7.47, abs=1e-6)
+
+
+@pytest.mark.parametrize("bad", ["directory", "not_utf8"])
+@pytest.mark.parametrize("command,code", [("select", 2), ("update", 2), ("simulate", 1)])
+def test_unreadable_json_input_exits_with_its_readers_code(tmp_path, capsys, bad, command, code):
+    areas = simulate(tmp_path, maps_per_area=2)
+    path = tmp_path / "bad.json"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe[]")
+    args = [areas[0], path] if command == "update" else [path]
+    assert run([command, *args, "--output-dir", tmp_path / "out"]) == code
+    assert "bad.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,source,body",
+    [
+        ("evaluate", "ini", "[dbscan]\nepsilon = nan\n"),
+        ("evaluate", "ini", "[icp]\nmax_correspondence_dist = nan\n"),
+        ("select", "ini", "[pipeline]\nweights = w\n[weights.w]\nlane_weight = nan\n"
+         + ALL_WEIGHTS),
+        ("simulate", "json", {"lane_length": math.nan}),
+        ("simulate", "json", {"point_spacing": math.inf}),
+        ("simulate", "json", {"lane_spacing": -math.inf}),
+    ],
+)
+def test_non_finite_parameters_exit_1(tmp_path, capsys, command, source, body):
+    areas = simulate(tmp_path, maps_per_area=2)
+    if source == "ini":
+        config = tmp_path / "nan.ini"
+        config.write_text(body)
+        args = [command, areas[0], "--config", config]
+    else:
+        doc = synth_config_to_dict(standard_config(0))
+        doc.update(body)
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        args = [command, path]
+    assert run([*args, "--output-dir", tmp_path / "out"]) == 1
+    assert "finite" in capsys.readouterr().err

@@ -8,7 +8,13 @@ import pytest
 from lanefuse.confidence import ALL_FACTORS_CONTEXT, CLEAR_DAY_CONTEXT, DEFAULT_WEIGHTS
 from lanefuse.config import ENDPOINT_ENV_VAR, PipelineConfig, load_pipeline_config
 from lanefuse.errors import ConfigError
-from lanefuse.scoring import FactorKind
+from lanefuse.scoring import DEGRADATION_FACTORS, FactorKind
+
+
+# A [weights.w] section listing every factor weight, with one value replaced.
+def _weights(key, value):
+    lines = {"lane_weight": "1.0", **{f.key: "0.2" for f in DEGRADATION_FACTORS}, key: value}
+    return "[weights.w]\n" + "".join(f"{k} = {v}\n" for k, v in lines.items())
 
 
 def test_defaults_without_file():
@@ -113,6 +119,14 @@ sigma = 0.3
         "[context.x]\nfactorz = rain\n",
         "[context]\nfactors = rain\n",
         "[scenario.bad]\nsigma = inf\n",
+        "[dbscan]\nepsilon = nan\n",
+        "[dbscan]\nepsilon = inf\n",
+        "[icp]\nmax_correspondence_dist = nan\n",
+        "[icp]\nconvergence_tol = inf\n",
+        _weights("lane_weight", "nan"),
+        _weights("lane_weight", "inf"),
+        _weights("rain", "nan"),
+        _weights("fog", "inf"),
     ],
 )
 def test_rejects_bad_values(tmp_path, body):
@@ -120,6 +134,13 @@ def test_rejects_bad_values(tmp_path, body):
     path.write_text(body)
     with pytest.raises(ConfigError):
         load_pipeline_config(path)
+
+
+def test_full_weight_section_loads(tmp_path):
+    path = tmp_path / "w.ini"
+    path.write_text(_weights("rain", "0.5") + "\n[pipeline]\nweights = w\n")
+    cfg = load_pipeline_config(path)
+    assert cfg.weights.factor_weights[FactorKind.RAIN] == 0.5
 
 
 def test_unknown_key_error_names_section_and_key(tmp_path):
