@@ -1,8 +1,6 @@
 """Confidence-scored selection and fusion of crowdsourced lane maps."""
 
 from .backends import (
-    DEFAULT_CATALOG,
-    PromptCatalog,
     RemoteScorer,
     ReplayScorer,
     Scenario,

@@ -38,8 +38,6 @@ from .scoring import (
     assess_image,
 )
 
-CATALOG_VERSION = "1.0"
-
 # Task-guided question catalog. Q1 is the free-form scene description and is
 # not bound to any factor; Q2..Q12 each drive exactly one factor score.
 PROMPT_TEXTS: dict[str, str] = {
@@ -106,6 +104,7 @@ LANE_CLARITY_PROMPT = (
     "(completely invisible) to 1 (fully visible)."
 )
 
+# Each factor's prompt: every factor bound, to distinct prompts, Q1 to none.
 FACTOR_PROMPTS: dict[FactorKind, str] = {
     FactorKind.BLUR_DAY: "Q2",
     FactorKind.BLUR_NIGHT: "Q3",
@@ -120,43 +119,8 @@ FACTOR_PROMPTS: dict[FactorKind, str] = {
     FactorKind.LANE_VISIBILITY: "Q12",
 }
 
-
-@dataclass(frozen=True)
-class PromptCatalog:
-    """Versioned prompt set plus the factor -> prompt binding."""
-
-    prompts: Mapping[str, str]
-    factor_binding: Mapping[FactorKind, str]
-    version: str = CATALOG_VERSION
-
-    def __post_init__(self):
-        prompts = dict(self.prompts)
-        binding = dict(self.factor_binding)
-        if len(prompts) != 12:
-            raise ConfigError(f"catalog needs 12 prompts, got {len(prompts)}")
-        if set(binding) != set(FactorKind):
-            raise ConfigError("every factor needs exactly one prompt binding")
-        targets = list(binding.values())
-        if "Q1" in targets:
-            raise ConfigError("Q1 is the scene description and binds to no factor")
-        if len(set(targets)) != len(targets):
-            raise ConfigError("factor bindings must be distinct prompts")
-        unknown = set(targets) - set(prompts)
-        if unknown:
-            raise ConfigError(f"bindings reference unknown prompts: {sorted(unknown)}")
-        object.__setattr__(self, "prompts", prompts)
-        object.__setattr__(self, "factor_binding", binding)
-
-    def prompt_text(self, prompt_id: str) -> str:
-        if prompt_id == LANE_CLARITY_PROMPT_ID:
-            return LANE_CLARITY_PROMPT
-        text = self.prompts.get(prompt_id)
-        if text is None:
-            raise ConfigError(f"unknown prompt id {prompt_id!r}")
-        return text
-
-
-DEFAULT_CATALOG = PromptCatalog(prompts=PROMPT_TEXTS, factor_binding=FACTOR_PROMPTS)
+# Every prompt a request may name, by id: the catalog plus the clarity probe.
+_REQUEST_PROMPTS: dict[str, str] = {**PROMPT_TEXTS, LANE_CLARITY_PROMPT_ID: LANE_CLARITY_PROMPT}
 
 PROMPT_FACTORS: dict[str, FactorKind] = {v: k for k, v in FACTOR_PROMPTS.items()}
 
@@ -384,15 +348,24 @@ class RemoteScorer:
         self.max_in_flight = int(max_in_flight)
         check_remote_settings(self.max_retries, self.timeout, self.max_in_flight)
         self.log_path = Path(log_path) if log_path else None
+        # The log file appears with its first record; one that could never be
+        # written fails here, before any request is sent.
+        if self.log_path is not None and self.log_path.is_dir():
+            raise ConfigError(f"record log {self.log_path} is a directory")
+        if self.log_path is not None and not self.log_path.parent.is_dir():
+            raise ConfigError(f"record log {self.log_path}: no directory {self.log_path.parent}")
         self.session = session or _endpoint_session(endpoint, self.max_in_flight)
 
     def _exchange(self, request: ScorerRequest) -> tuple[ScorerResponse, str]:
         """POST one request with retries; returns the parsed response and the
         raw body. Writes nothing, so worker threads can run it."""
+        prompt = _REQUEST_PROMPTS.get(request.prompt_id)
+        if prompt is None:
+            raise ConfigError(f"unknown prompt id {request.prompt_id!r}")
         body = {
             "image": request.image,
             "prompt_id": request.prompt_id,
-            "prompt": DEFAULT_CATALOG.prompt_text(request.prompt_id),
+            "prompt": prompt,
             "mode": request.mode,
         }
         last_error: Exception | None = None
@@ -482,20 +455,29 @@ class ReplayScorer:
         self.log_path = Path(log_path)
         self._records: dict[str, str] = {}
         try:
-            with open(self.log_path, encoding="utf-8") as fh:
-                for line_no, line in enumerate(fh, 1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                        self._records[record["key"]] = record["body"]
-                    except (ValueError, KeyError) as exc:
-                        raise ProtocolError(
-                            f"{self.log_path}:{line_no}: bad replay record: {exc}"
-                        )
+            text = self.log_path.read_text(encoding="utf-8")
         except FileNotFoundError:
             raise ConfigError(f"replay log {self.log_path} does not exist")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"replay log {self.log_path} cannot be read: {exc}")
+        for line_no, line in enumerate(text.split("\n"), 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise ProtocolError(f"{self.log_path}:{line_no}: bad replay record: {exc}")
+            if not (
+                isinstance(record, dict)
+                and isinstance(record.get("key"), str)
+                and isinstance(record.get("body"), str)
+            ):
+                raise ProtocolError(
+                    f"{self.log_path}:{line_no}: bad replay record: "
+                    "not an object with string 'key' and 'body'"
+                )
+            self._records[record["key"]] = record["body"]
 
     def raw_body(self, request: ScorerRequest) -> str:
         body = self._records.get(request.key())
@@ -539,67 +521,33 @@ def write_replay_log(path, entries: Iterable[tuple[ScorerRequest, dict]]) -> Non
 # --- assessment via a backend ----------------------------------------------
 
 
-def assessment_requests(
-    image_id: str,
-    factors: Sequence[FactorKind],
-    *,
-    mode: str = "direct",
-) -> list[ScorerRequest]:
-    """The requests that assess one image: one per factor, in the order given,
-    then the lane-clarity probe. ``factors`` excludes lane visibility, which
-    the probe answers."""
-    requests_ = [
-        ScorerRequest(image=image_id, prompt_id=DEFAULT_CATALOG.factor_binding[f], mode=mode)
-        for f in factors
-    ]
-    requests_.append(
-        ScorerRequest(image=image_id, prompt_id=LANE_CLARITY_PROMPT_ID, mode="clarity")
-    )
-    return requests_
-
-
-def fold_assessment(
-    image_id: str,
-    factors: Sequence[FactorKind],
-    responses: Sequence[ScorerResponse],
-    *,
-    timestamp: float = 0.0,
-) -> ImageAssessment:
-    """Fold the answers to ``assessment_requests`` into an ImageAssessment."""
-    *answers, clarity = responses
-    outputs = {factor: response.payload() for factor, response in zip(factors, answers)}
-    return assess_image(image_id, outputs, clarity.l_clear, timestamp=timestamp, factors=factors)
-
-
 def collect_assessments(
     backend,
     images: Sequence[tuple[str, float]],
     *,
     factors: Iterable[FactorKind] = DEGRADATION_FACTORS,
-    mode: str = "direct",
 ) -> list[ImageAssessment]:
     """Assess every ``(image_id, timestamp)`` with one ``score_many`` call.
 
-    Each image costs one request per active factor plus one lane-clarity
-    request; the answers are folded per image, in the order given.
+    Each image asks one ``"direct"`` question per active factor, in the order
+    given, then the lane-clarity probe, which answers lane visibility. The
+    answers are folded per image, in the order given.
     """
     factors = [f for f in factors if f is not FactorKind.LANE_VISIBILITY]
-    batch = [
-        r
-        for image_id, _ in images
-        for r in assessment_requests(image_id, factors, mode=mode)
-    ]
+    batch = []
+    for image_id, _ in images:
+        batch += [ScorerRequest(image_id, FACTOR_PROMPTS[f]) for f in factors]
+        batch.append(ScorerRequest(image_id, LANE_CLARITY_PROMPT_ID, "clarity"))
     responses = backend.score_many(batch)
     per_image = len(factors) + 1
-    return [
-        fold_assessment(
-            image_id,
-            factors,
-            responses[i * per_image : (i + 1) * per_image],
-            timestamp=timestamp,
+    assessments = []
+    for i, (image_id, timestamp) in enumerate(images):
+        *answers, clarity = responses[i * per_image : (i + 1) * per_image]
+        outputs = {factor: answer.payload() for factor, answer in zip(factors, answers)}
+        assessments.append(
+            assess_image(image_id, outputs, clarity.l_clear, timestamp=timestamp, factors=factors)
         )
-        for i, (image_id, timestamp) in enumerate(images)
-    ]
+    return assessments
 
 
 def collect_assessment(
@@ -607,9 +555,7 @@ def collect_assessment(
     image_id: str,
     *,
     factors: Iterable[FactorKind] = DEGRADATION_FACTORS,
-    mode: str = "direct",
     timestamp: float = 0.0,
 ) -> ImageAssessment:
-    """Query a backend for every active factor plus lane clarity and fold the
-    answers into an ImageAssessment."""
-    return collect_assessments(backend, [(image_id, timestamp)], factors=factors, mode=mode)[0]
+    """Assess one image: ``collect_assessments`` for a batch of one."""
+    return collect_assessments(backend, [(image_id, timestamp)], factors=factors)[0]

@@ -195,7 +195,9 @@ def apply_context(context: ContextProfile, assessment: ImageAssessment) -> Image
     return replace(assessment, factor_scores=scores)
 
 
-CONFIDENCE_METHODS = ("dpcs", "gcs")  # the methods with_confidence accepts
+# The confidence methods by name: with_confidence, --method and the INI
+# ``method`` key all accept exactly these.
+CONFIDENCE_METHODS = {"dpcs": dpcs, "gcs": gcs}
 
 
 def with_confidence(
@@ -205,10 +207,7 @@ def with_confidence(
     method: str = "dpcs",
 ) -> ImageAssessment:
     """Return a copy with the confidence field filled in."""
-    if method == "dpcs":
-        value = dpcs(assessment, weights, context)
-    elif method == "gcs":
-        value = gcs(assessment, weights, context)
-    else:
+    confidence = CONFIDENCE_METHODS.get(method)
+    if confidence is None:
         raise ConfigError(f"unknown confidence method {method!r}")
-    return replace(assessment, confidence=value)
+    return replace(assessment, confidence=confidence(assessment, weights, context))

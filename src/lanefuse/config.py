@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import os
 from dataclasses import dataclass, field, replace
+from typing import Collection
 
 from .backends import Scenario, check_remote_settings
 from .clustering import DbscanParams
@@ -84,7 +85,7 @@ def check_k_cap(k_cap: int | None, name: str) -> None:
         raise ConfigError(f"{name} must be >= 1")
 
 
-def _one_of(choices: tuple[str, ...]):
+def _one_of(choices: Collection[str]):
     def parse(text: str) -> str:
         value = text.lower()
         if value not in choices:

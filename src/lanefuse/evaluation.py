@@ -532,23 +532,18 @@ class EvaluationReport:
         return rows
 
     def format_table(self) -> str:
-        """Plain-text table: one row per area, one error column per policy."""
-        header = ["link area"] + list(self.policies)
+        """Plain-text table of the CSV rows: one row per area, then the
+        averages, with one error column per policy."""
+        header = ["link area", *self.policies]
         lines = ["  ".join(f"{h:>12}" for h in header)]
-        averages = self.averages()
-        for link_id in sorted(self.rows):
-            cells = [f"{link_id:>12}"]
-            for policy in self.policies:
-                outcome = self.rows[link_id][policy]
-                cells.append(
-                    f"{outcome.result.e_ame:>12.6f}" if outcome.applicable else f"{'n/a':>12}"
-                )
-            lines.append("  ".join(cells))
-        cells = [f"{'average':>12}"]
-        for policy in self.policies:
-            avg = averages[policy]
-            cells.append(f"{avg:>12.6f}" if avg is not None else f"{'n/a':>12}")
-        lines.append("  ".join(cells))
+        rows = self.to_csv_rows()[1:]
+        # One chunk of rows per area, then the averages. Chunk by count, not
+        # by name: an area may be called "average".
+        step = max(1, len(self.policies))
+        for i in range(0, len(rows), step):
+            chunk = rows[i : i + step]
+            cells = [chunk[0][0], *(e_ame for _, _, e_ame, _ in chunk)]
+            lines.append("  ".join(f"{cell:>12}" for cell in cells))
         return "\n".join(lines) + "\n"
 
 

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import re
 import sys
 import time
 
@@ -9,22 +10,21 @@ import pytest
 import requests
 
 from lanefuse.backends import (
-    DEFAULT_CATALOG,
     FACTOR_PROMPTS,
     LANE_CLARITY_PROMPT_ID,
     PROMPT_TEXTS,
-    PromptCatalog,
     RemoteScorer,
     ReplayScorer,
     Scenario,
     ScorerRequest,
     SyntheticScorer,
     collect_assessment,
+    collect_assessments,
     parse_response,
     synthetic_score,
     write_replay_log,
 )
-from lanefuse.confidence import with_confidence
+from lanefuse.confidence import CLEAR_DAY_CONTEXT, with_confidence
 from lanefuse.errors import (
     ConfigError,
     ProtocolError,
@@ -45,16 +45,12 @@ DEGRADED = Scenario(
 
 
 def test_catalog_invariants():
-    assert len(DEFAULT_CATALOG.prompts) == 12
-    assert set(DEFAULT_CATALOG.factor_binding) == set(FactorKind)
-    assert "Q1" not in DEFAULT_CATALOG.factor_binding.values()
-    assert len(set(DEFAULT_CATALOG.factor_binding.values())) == 11
-    with pytest.raises(ConfigError):
-        PromptCatalog(prompts={"Q1": "x"}, factor_binding=FACTOR_PROMPTS)
-    bad_binding = dict(FACTOR_PROMPTS)
-    bad_binding[F.RAIN] = "Q1"
-    with pytest.raises(ConfigError):
-        PromptCatalog(prompts=PROMPT_TEXTS, factor_binding=bad_binding)
+    assert len(PROMPT_TEXTS) == 12
+    assert set(FACTOR_PROMPTS) == set(FactorKind)
+    assert "Q1" not in FACTOR_PROMPTS.values()
+    assert len(set(FACTOR_PROMPTS.values())) == 11
+    assert set(FACTOR_PROMPTS.values()) <= set(PROMPT_TEXTS)
+    assert LANE_CLARITY_PROMPT_ID not in PROMPT_TEXTS
 
 
 def test_synthetic_clean_scenario_values():
@@ -395,3 +391,80 @@ def test_parse_response_rejects_unknown_mode():
         parse_response({"mode": "direct", "score": 3}, "logits")
     with pytest.raises(ProtocolError):
         parse_response({"score": 3}, "direct")
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        "[1, 2]",
+        '"text"',
+        '{"key": "a.jpg|Q2|direct", "body": {"mode": "direct", "score": 3}}',
+        '{"key": 7, "body": "{}"}',
+        '{"body": "{}"}',
+    ],
+    ids=["array", "string", "object-body", "number-key", "no-key"],
+)
+def test_replay_bad_record_is_protocol_error_naming_its_line(tmp_path, record):
+    log = tmp_path / "log.jsonl"
+    good = json.dumps({"key": "a.jpg|Q3|direct", "body": "{}"})
+    log.write_text(f"{good}\n\n{record}\n")
+    with pytest.raises(ProtocolError, match=re.escape(f"{log}:3: bad replay record")):
+        ReplayScorer(log)
+
+
+def test_remote_record_log_appears_with_its_first_record(tmp_path, stub_server):
+    url, _ = stub_server
+    log = tmp_path / "log.jsonl"
+    scorer = RemoteScorer(url, log_path=log)
+    scorer.score_many([])
+    assert not log.exists()
+    scorer.score(ScorerRequest(image="a.jpg", prompt_id="Q12"))
+    assert [json.loads(line)["key"] for line in log.read_text().splitlines()] == [
+        "a.jpg|Q12|direct"
+    ]
+
+
+# --- the request layout the replay log depends on ------------------------------
+
+
+class RecordingScorer(SyntheticScorer):
+    """Synthetic backend that keeps every batch it is sent."""
+
+    def __init__(self, scenario: Scenario):
+        super().__init__(scenario, seed=0)
+        self.batches = []
+
+    def score_many(self, requests_):
+        self.batches.append([(r.image, r.prompt_id, r.mode) for r in requests_])
+        return super().score_many(requests_)
+
+
+def test_collect_assessments_request_layout():
+    # The factor order `score` uses: the context's factors sorted by key.
+    factors = sorted(CLEAR_DAY_CONTEXT.active_factors, key=lambda f: f.value)
+    images = [("a.jpg", 0.0), ("b.jpg", 1.0)]
+    backend = RecordingScorer(DEGRADED)
+    batched = collect_assessments(backend, images, factors=factors)
+    per_image = [("Q2", "direct"), ("Q10", "direct"), ("Q5", "direct"), ("Q11", "direct"),
+                 ("LC", "clarity")]
+    expected = [(image, p, mode) for image, _ in images for p, mode in per_image]
+    assert backend.batches == [expected]
+
+    one = RecordingScorer(DEGRADED)
+    singles = [
+        collect_assessment(one, image, factors=factors, timestamp=ts) for image, ts in images
+    ]
+    assert batched == singles
+    assert one.batches == [expected[:5], expected[5:]]
+    assert [a.timestamp for a in batched] == [0.0, 1.0]
+    assert batched[0].factor_scores[F.BLUR_DAY] in (4, 5, 6)
+
+
+def test_remote_unknown_prompt_id_is_config_error_before_any_post(stub_server):
+    url, handler = stub_server
+    scorer = RemoteScorer(url, backoff=0.01)
+    with pytest.raises(ConfigError, match="unknown prompt id 'Q13'"):
+        scorer.score(ScorerRequest(image="a.jpg", prompt_id="Q13"))
+    with pytest.raises(ConfigError, match="unknown prompt id 'Q13'"):
+        scorer.score_many([ScorerRequest(image="a.jpg", prompt_id="Q13")])
+    assert handler.calls == []

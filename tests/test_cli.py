@@ -233,6 +233,54 @@ def test_score_remote_outputs_and_log_independent_of_max_in_flight(tmp_path, stu
 
 
 @pytest.mark.parametrize(
+    "content, code",
+    [
+        (None, 1),  # a directory
+        (b'\xff\xfe{"key": "k", "body": "{}"}\n', 1),
+        (b"[1, 2]\n", 3),
+        (b'{"key": "k", "body": 7}\n', 3),
+    ],
+    ids=["directory", "non-utf8", "array-record", "number-body"],
+)
+def test_score_unusable_replay_log_exits_with_its_code(tmp_path, capsys, content, code):
+    areas = simulate(tmp_path, maps_per_area=2)
+    log = tmp_path / "replay.jsonl"
+    if content is None:
+        log.mkdir()
+    else:
+        log.write_bytes(content)
+    out = tmp_path / "out"
+    assert run(["score", areas[0], "--backend", "replay", "--replay-log", log,
+                "--output-dir", out]) == code
+    err = capsys.readouterr().err
+    assert str(log) in err
+    if code == 3:
+        assert f"{log}:1: bad replay record" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_score_unwritable_record_log_exits_1_before_any_request(
+    tmp_path, stub_server, capsys, where
+):
+    url, handler = stub_server
+    areas = simulate(tmp_path, maps_per_area=2)
+    log = tmp_path / "log.jsonl"
+    if where == "directory":
+        log.mkdir()
+    else:
+        log = tmp_path / "missing" / "log.jsonl"
+    config = tmp_path / "remote.ini"
+    config.write_text(f"[backend]\nendpoint = {url}\nrecord_log = {log}\n")
+    out = tmp_path / "out"
+    assert run(["score", areas[0], "--config", config, "--backend", "remote",
+                "--output-dir", out]) == 1
+    assert "record log" in capsys.readouterr().err
+    assert handler.calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "setting", ["max_in_flight = 0", "max_retries = -1", "timeout = 0"]
 )
 def test_score_unusable_backend_settings_exit_1(tmp_path, setting, capsys):

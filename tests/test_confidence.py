@@ -6,6 +6,7 @@ import pytest
 from lanefuse.confidence import (
     ALL_FACTORS_CONTEXT,
     CLEAR_DAY_CONTEXT,
+    CONFIDENCE_METHODS,
     DEFAULT_WEIGHTS,
     ContextProfile,
     WeightProfile,
@@ -167,6 +168,14 @@ def test_with_confidence_fills_field():
     assert CMP_COL3.confidence is None  # original untouched
     with pytest.raises(ConfigError):
         with_confidence(CMP_COL3, method="mystery")
+
+
+def test_with_confidence_computes_each_method_of_the_table():
+    assert list(CONFIDENCE_METHODS) == ["dpcs", "gcs"]
+    for a in (TABLE_LOW, TABLE_MID, TABLE_HIGH, CMP_COL3):
+        for name, method in CONFIDENCE_METHODS.items():
+            assert with_confidence(a, method=name).confidence == method(a)
+    assert with_confidence(TABLE_MID, method="gcs").confidence != dpcs(TABLE_MID)
 
 
 def test_weight_profile_validation():

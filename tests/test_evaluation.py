@@ -442,6 +442,22 @@ def test_policy_parsing_and_report_shape():
         run_experiment(areas, ["sequoia"])
 
 
+def test_table_renders_the_csv_rows_even_for_an_area_named_average():
+    def outcome(policy, e_ame):
+        result = None if e_ame is None else AmeResult(e_ame, 10, True)
+        return ev.PolicyOutcome(policy, result)
+
+    report = ev.EvaluationReport(policies=["baseline", "band"])
+    report.rows["average"] = {"baseline": outcome("baseline", 0.5), "band": outcome("band", None)}
+    report.rows["b"] = {"baseline": outcome("baseline", 0.25), "band": outcome("band", 0.125)}
+    assert report.format_table() == (
+        "   link area      baseline          band\n"
+        "     average      0.500000           n/a\n"
+        "           b      0.250000      0.125000\n"
+        "     average      0.375000      0.125000\n"
+    )
+
+
 def test_threshold_policy_can_be_not_applicable():
     murky = Scenario(
         name="murky",
