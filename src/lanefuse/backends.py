@@ -36,6 +36,7 @@ from .scoring import (
     ImageAssessment,
     LogitVector,
     assess_image,
+    exact_int,
 )
 
 # Task-guided question catalog. Q1 is the free-form scene description and is
@@ -168,7 +169,10 @@ def parse_response(data: dict, expected_mode: str, *, source: str = "backend") -
             f"{source}: response mode {mode!r} does not match request mode {expected_mode!r}"
         )
     model = str(data.get("model", ""))
-    latency = float(data.get("latency_ms", 0.0))
+    latency = data.get("latency_ms", 0.0)
+    if not isinstance(latency, (int, float)) or isinstance(latency, bool):
+        raise ProtocolError(f"{source}: 'latency_ms' must be a number, got {latency!r}")
+    latency = float(latency)
     if mode == "direct":
         raw = data.get("score")
         if not isinstance(raw, (int, float)) or isinstance(raw, bool) or raw != int(raw):
@@ -212,7 +216,8 @@ class Scenario:
     def __post_init__(self):
         ranges = {}
         for factor, (lo, hi) in dict(self.factor_ranges).items():
-            lo, hi = int(lo), int(hi)
+            where = f"scenario {self.name!r}: {factor.key} range"
+            lo, hi = exact_int(lo, where), exact_int(hi, where)
             if not (0 <= lo <= hi <= 10):
                 raise InvalidInputError(
                     f"scenario {self.name!r}: bad range {lo}..{hi} for {factor.key}"

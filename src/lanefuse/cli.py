@@ -136,8 +136,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not policies:
         raise ConfigError("no policies given")
-    for p in policies:
-        ev.parse_policy(p)
+    ev.parse_policies(policies)
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     areas = [load_link_area(f) for f in args.area_files]
@@ -157,7 +156,7 @@ def cmd_simulate(args, cfg: PipelineConfig) -> int:
     synth_cfg = ev.load_synth_config(args.synth_config)
     if args.seed is not None and args.seed != synth_cfg.seed:
         synth_cfg = dataclasses.replace(synth_cfg, seed=args.seed)
-    areas = ev.synth_generate(synth_cfg, cfg.weights, cfg.context)
+    areas = ev.synth_generate(synth_cfg, cfg.weights, cfg.context, cfg.method)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for area in areas:

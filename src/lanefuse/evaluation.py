@@ -17,11 +17,12 @@ construction.
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -41,7 +42,7 @@ from .fusion import fuse_maps, rank_maps, select_band  # noqa: F401
 from .mapmodel import LaneLine, LinkArea, LocalMap, load_json
 from .pipeline import Modification, apply_modifications, prior_map, update  # noqa: F401
 from .registration import IcpParams
-from .scoring import FACTOR_BY_KEY, FactorKind
+from .scoring import FACTOR_BY_KEY, FactorKind, exact_int
 
 CONFIDENCE_THRESHOLD = 7.0  # map-level cutoff for the threshold policy
 
@@ -333,12 +334,13 @@ def synth_generate(
     cfg: SynthConfig,
     weights: WeightProfile = DEFAULT_WEIGHTS,
     context: ContextProfile = ALL_FACTORS_CONTEXT,
+    method: str = "dpcs",
 ) -> list[LinkArea]:
     """Deterministic benchmark areas with ground truth.
 
     Scenarios cycle across the maps of an area, so every area sees the whole
     quality ladder; scores flow through the synthetic backend and the real
-    scoring/confidence stack.
+    scoring/confidence stack, with confidence ``method``.
     """
     areas = []
     scenarios = cfg.degradation_scenarios
@@ -358,7 +360,7 @@ def synth_generate(
                 assessment = collect_assessment(
                     backend, image_id, timestamp=float(k)
                 )
-                images.append(with_confidence(assessment, weights, context))
+                images.append(with_confidence(assessment, weights, context, method))
             maps.append(
                 LocalMap(
                     map_id=map_id,
@@ -371,8 +373,11 @@ def synth_generate(
     return areas
 
 
-_SYNTH_INT_KEYS = ("seed", "link_areas", "maps_per_area", "lanes_per_area", "images_per_map")
-_SYNTH_FLOAT_KEYS = ("lane_spacing", "lane_length", "point_spacing")
+# The scalar keys of a synth-config document, in the order it is written.
+_SYNTH_KEYS = {
+    "seed": int, "link_areas": int, "maps_per_area": int, "lanes_per_area": int,
+    "lane_spacing": float, "images_per_map": int, "lane_length": float, "point_spacing": float,
+}
 
 
 def _reject_unknown_keys(data: dict, known: Iterable[str], where: str) -> None:
@@ -386,7 +391,7 @@ def load_synth_config(path) -> SynthConfig:
     data = load_json(path, ConfigError)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: the top level must be a JSON object")
-    _reject_unknown_keys(data, (*_SYNTH_INT_KEYS, *_SYNTH_FLOAT_KEYS, "scenarios"), path)
+    _reject_unknown_keys(data, (*_SYNTH_KEYS, "scenarios"), path)
     raw_scenarios = data.get("scenarios", [])
     if not isinstance(raw_scenarios, list):
         raise ConfigError(f"{path}: scenarios must be a list")
@@ -400,8 +405,11 @@ def load_synth_config(path) -> SynthConfig:
         factors, sigma = raw.get("factors", {}), raw.get("sigma", 0.0)
         scenarios.append(scenario_from_mapping(name, factors, sigma, where))
     try:
-        kwargs = {key: int(data[key]) for key in _SYNTH_INT_KEYS if key in data}
-        kwargs.update({key: float(data[key]) for key in _SYNTH_FLOAT_KEYS if key in data})
+        kwargs = {
+            key: exact_int(data[key], key) if kind is int else float(data[key])
+            for key, kind in _SYNTH_KEYS.items()
+            if key in data
+        }
         if scenarios:
             kwargs["degradation_scenarios"] = tuple(scenarios)
         return SynthConfig(**kwargs)
@@ -411,14 +419,7 @@ def load_synth_config(path) -> SynthConfig:
 
 def synth_config_to_dict(cfg: SynthConfig) -> dict:
     return {
-        "seed": cfg.seed,
-        "link_areas": cfg.link_areas,
-        "maps_per_area": cfg.maps_per_area,
-        "lanes_per_area": cfg.lanes_per_area,
-        "lane_spacing": cfg.lane_spacing,
-        "images_per_map": cfg.images_per_map,
-        "lane_length": cfg.lane_length,
-        "point_spacing": cfg.point_spacing,
+        **{key: getattr(cfg, key) for key in _SYNTH_KEYS},
         "scenarios": [
             {
                 "name": s.name,
@@ -453,10 +454,22 @@ def scripted_modifications(truth: Sequence[LaneLine]) -> list[Modification]:
     ]
 
 
-def parse_policy(name: str) -> tuple[str, int | None]:
+MapChoice = Callable[[Sequence[tuple[str, float]]], list[str]]
+
+# The policies without a parameter; "seqK" fuses the K best-ranked maps.
+_POLICIES: dict[str, MapChoice] = {
+    "baseline": lambda ranked: [map_id for map_id, _ in ranked],
+    "band": lambda ranked: list(select_band(ranked).selected_map_ids),
+    "threshold": lambda ranked: [m for m, avg in ranked if avg >= CONFIDENCE_THRESHOLD],
+}
+
+
+def parse_policy(name: str) -> MapChoice:
+    """The maps policy ``name`` fuses: a function from the ranking
+    ((map_id, avg), best first) to map ids in rank order."""
     name = name.strip().lower()
-    if name in ("baseline", "band", "threshold"):
-        return name, None
+    if name in _POLICIES:
+        return _POLICIES[name]
     if name.startswith("seq"):
         try:
             k = int(name[3:])
@@ -464,21 +477,20 @@ def parse_policy(name: str) -> tuple[str, int | None]:
             raise ConfigError(f"unknown policy {name!r}")
         if k < 1:
             raise ConfigError(f"seq policy needs k >= 1, got {k}")
-        return "seq", k
+        return lambda ranked: [map_id for map_id, _ in ranked[:k]]
     raise ConfigError(f"unknown policy {name!r}")
 
 
-def _select_for_policy(
-    ranked: list[tuple[str, float]], policy: str
-) -> list[str]:
-    kind, k = parse_policy(policy)
-    if kind == "baseline":
-        return [map_id for map_id, _ in ranked]
-    if kind == "band":
-        return list(select_band(ranked).selected_map_ids)
-    if kind == "threshold":
-        return [map_id for map_id, avg in ranked if avg >= CONFIDENCE_THRESHOLD]
-    return [map_id for map_id, _ in ranked[:k]]
+def parse_policies(names: Iterable[str]) -> list[str]:
+    """The policy names stripped and lower-cased; an unknown or a repeated
+    policy is a ConfigError."""
+    policies = [name.strip().lower() for name in names]
+    for policy in policies:
+        parse_policy(policy)
+    repeated = [p for p, n in collections.Counter(policies).items() if n > 1]
+    if repeated:
+        raise ConfigError(f"policy {repeated[0]!r} given more than once")
+    return policies
 
 
 @dataclass
@@ -560,7 +572,7 @@ def evaluate_area(
     mods = scripted_modifications(area.ground_truth)
     truth = apply_modifications(LocalMap("truth", area.link_id, area.ground_truth), mods)
     ranked = rank_maps(area)
-    fused = update(area, mods, [_select_for_policy(ranked, p) for p in policies], dparams, iparams)
+    fused = update(area, mods, [parse_policy(p)(ranked) for p in policies], dparams, iparams)
     return {
         policy: PolicyOutcome(policy, None if f is None else ame(f.lane_lines, truth.lane_lines))
         for policy, f in zip(policies, fused)
@@ -576,26 +588,24 @@ def run_experiment(
 ) -> EvaluationReport:
     """Evaluate every policy on every area; areas are independent.
 
-    With ``jobs > 1`` that many threads evaluate areas concurrently. The
-    report is the same either way, and the first failing area (in input
-    order) raises. ``jobs`` below 1 is rejected.
+    ``jobs`` threads evaluate the areas. The report is the same for every
+    ``jobs``, and the first failing area (in input order) raises. ``jobs``
+    below 1, a repeated policy and a repeated link id are rejected.
     """
     if jobs < 1:
         raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
-    policies = [p.strip().lower() for p in policies]
-    for p in policies:
-        parse_policy(p)
-    report = EvaluationReport(policies=list(policies))
+    policies = parse_policies(policies)
     areas = list(areas)
-
-    def evaluate(area: LinkArea) -> dict[str, PolicyOutcome]:
-        return evaluate_area(area, policies, dparams, iparams)
-
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(jobs) as pool:
-            results = list(pool.map(evaluate, areas))
-    else:
-        results = [evaluate(area) for area in areas]
-    for area, outcome in zip(areas, results):
-        report.rows[area.link_id] = outcome
-    return report
+    link_ids = [area.link_id for area in areas]
+    repeated = [link_id for link_id, n in collections.Counter(link_ids).items() if n > 1]
+    if repeated:
+        raise InvalidInputError(f"link id {repeated[0]!r} appears in more than one area")
+    with concurrent.futures.ThreadPoolExecutor(jobs) as pool:
+        outcomes = pool.map(
+            evaluate_area,
+            areas,
+            itertools.repeat(policies),
+            itertools.repeat(dparams),
+            itertools.repeat(iparams),
+        )
+        return EvaluationReport(policies, dict(zip(link_ids, outcomes)))

@@ -143,8 +143,18 @@ def finalize_score(s: float) -> int:
     return int(math.ceil(s))
 
 
+def exact_int(value, name: str) -> int:
+    """``value`` as an int. A bool or a number with a fractional part (or an
+    infinite or NaN one) raises InvalidInputError instead of being truncated;
+    other values go through ``int()``."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_score(name: str, value: int) -> int:
-    value = int(value)
+    if type(value) is not int:  # the common case skips building the name
+        value = exact_int(value, f"{name} score")
     if not 0 <= value <= 10:
         raise InvalidInputError(f"{name} score {value} outside 0..10")
     return value

@@ -4,6 +4,7 @@ import json
 import logging
 import re
 import sys
+import threading
 import time
 
 import pytest
@@ -264,8 +265,14 @@ def test_remote_score_many_raises_the_first_failure_in_request_order(tmp_path, s
 
 def test_remote_reaches_max_in_flight_without_discarding_connections(stub_server, caplog):
     url, handler = stub_server
+    # The first 12 requests answer only once all 12 are in flight at once, so
+    # the peak does not depend on thread scheduling; a client that never has
+    # 12 in flight breaks the barrier and the scoring fails.
+    first = threading.Barrier(12, timeout=10)
 
     def slow(body):
+        if int(body["image"].removeprefix("img")) < 12:
+            first.wait()
         time.sleep(0.02)
         return 200, {"mode": "direct", "score": 0}
 
@@ -384,6 +391,21 @@ def test_replay_log_preserves_bytes(tmp_path):
 def test_replay_missing_log_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         ReplayScorer(tmp_path / "nope.jsonl")
+
+
+@pytest.mark.parametrize("latency", ["fast", None, True])
+def test_non_numeric_latency_is_protocol_error(tmp_path, stub_server, latency):
+    url, handler = stub_server
+    body = {"mode": "direct", "score": 3, "latency_ms": latency}
+    handler.behaviors["Q2"] = lambda _: (200, body)
+    request = ScorerRequest(image="a.jpg", prompt_id="Q2")
+    with pytest.raises(ProtocolError, match="'latency_ms' must be a number"):
+        RemoteScorer(url, backoff=0.01).score(request)
+    log = tmp_path / "log.jsonl"
+    write_replay_log(log, [(request, body)])
+    with pytest.raises(ProtocolError, match="'latency_ms' must be a number"):
+        ReplayScorer(log).score(request)
+    assert parse_response({**body, "latency_ms": 12}, "direct").latency_ms == 12.0
 
 
 def test_parse_response_rejects_unknown_mode():

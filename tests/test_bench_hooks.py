@@ -68,3 +68,23 @@ def test_traced_job_fires_every_hooked_span(monkeypatch, tmp_path):
     counts = collections.Counter(span["name"] for span in tracer.spans)
     assert {name: counts[name] for name in SPAN_COUNTS} == SPAN_COUNTS
 
+
+def test_traced_experiment_counts_each_area_for_every_jobs(monkeypatch):
+    """run_experiment must look evaluate_area up when it runs, so a worker
+    bound before the hooks are installed shows here as a missing span."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing = importlib.import_module("tracing")
+    ev = lanefuse.evaluation
+    config = ev.SynthConfig(
+        seed=0, link_areas=2, maps_per_area=2, images_per_map=1, lane_length=10.0
+    )
+    areas = ev.synth_generate(config)
+    for jobs in (1, 2):
+        tracer = tracing.Tracer("t")
+        uninstall = tracing.install(tracer)
+        try:
+            ev.run_experiment(areas, ["seq1"], jobs=jobs)
+        finally:
+            uninstall()
+        names = [span["name"] for span in tracer.spans]
+        assert names.count("evaluation.evaluate_area") == 2

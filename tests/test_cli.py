@@ -17,6 +17,7 @@ from lanefuse.backends import (
     write_replay_log,
 )
 from lanefuse.cli import main
+from lanefuse.confidence import gcs
 from lanefuse.evaluation import SCENARIOS_BY_NAME, ame, standard_config, synth_config_to_dict
 from lanefuse.mapmodel import area_to_dict, load_link_area, load_local_map
 from lanefuse.scoring import DEGRADATION_FACTORS, FactorKind
@@ -259,6 +260,20 @@ def test_score_unusable_replay_log_exits_with_its_code(tmp_path, capsys, content
     assert not out.exists()
 
 
+@pytest.mark.parametrize("latency", ["fast", None])
+def test_score_replay_non_numeric_latency_exits_3(tmp_path, capsys, latency):
+    area_path, config = table_fixture(tmp_path)
+    log = tmp_path / "table_log.jsonl"
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    for record in records:
+        record["body"] = json.dumps({**json.loads(record["body"]), "latency_ms": latency})
+    log.write_text("".join(json.dumps(record) + "\n" for record in records))
+    out = tmp_path / "out"
+    assert run(["score", area_path, "--config", config, "--output-dir", out]) == 3
+    assert "'latency_ms' must be a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where", ["directory", "missing parent"])
 def test_score_unwritable_record_log_exits_1_before_any_request(
     tmp_path, stub_server, capsys, where
@@ -422,6 +437,25 @@ def test_evaluate_jobs_below_one_exits_1(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+def test_evaluate_repeated_link_id_exits_2(tmp_path, capsys):
+    paths = []
+    for seed in (0, 1):
+        (tmp_path / f"s{seed}").mkdir()
+        paths += simulate(tmp_path / f"s{seed}", seed=seed, maps_per_area=2)
+    out = tmp_path / "eval"
+    assert run(["evaluate", *paths, "--output-dir", out]) == 2
+    assert "link id 'area_000' appears in more than one area" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_repeated_policy_exits_1_before_reading_areas(tmp_path, capsys):
+    out = tmp_path / "eval"
+    args = ["evaluate", tmp_path / "ghost.json", "--policies", "band,BAND", "--output-dir", out]
+    assert run(args) == 1
+    assert "policy 'band' given more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_jobs_parallel_matches_serial(tmp_path):
     areas = simulate(tmp_path, link_areas=3, maps_per_area=3)
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
@@ -448,6 +482,51 @@ def test_simulate_seed_flag_overrides_config(tmp_path):
     a = (out1 / "area_000.json").read_bytes()
     b = (out2 / "area_000.json").read_bytes()
     assert a != b
+
+
+def test_simulate_scores_with_the_pipeline_method(tmp_path):
+    cfg_path = small_synth_config(tmp_path, maps_per_area=7)
+    config = tmp_path / "gcs.ini"
+    config.write_text("[pipeline]\nmethod = gcs\n")
+    dpcs_out, gcs_out = tmp_path / "dpcs", tmp_path / "gcs"
+    assert run(["simulate", cfg_path, "--output-dir", dpcs_out]) == 0
+    assert run(["simulate", cfg_path, "--config", config, "--output-dir", gcs_out]) == 0
+    images = [img for m in load_link_area(gcs_out / "area_000.json").local_maps for img in m.images]
+    expected = [gcs(img) for img in images]
+    assert [img.confidence for img in images] == pytest.approx(expected, abs=1e-6)
+    assert (dpcs_out / "area_000.json").read_bytes() != (gcs_out / "area_000.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command,change,code",
+    [
+        ("select", ("factor_scores", {"blur_day": 3.7}), 2),
+        ("select", ("lane_visibility", True), 2),
+        ("simulate", {"link_areas": 1.9}, 1),
+        ("simulate", {"maps_per_area": True}, 1),
+        ("simulate", {"scenarios": [{"name": "x", "factors": {"rain": [2.5, 7]}}]}, 1),
+    ],
+    ids=[
+        "fractional-score", "bool-visibility", "fractional-count", "bool-count", "fractional-range"
+    ],
+)
+def test_integer_fields_reject_bools_and_fractions_with_the_readers_code(
+    tmp_path, capsys, command, change, code
+):
+    if command == "select":
+        (area_path,) = simulate(tmp_path, maps_per_area=2)
+        doc = json.loads(area_path.read_text())
+        key, value = change
+        doc["local_maps"][0]["images"][0][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+    else:
+        path = small_synth_config(tmp_path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), **change}))
+    out = tmp_path / "out"
+    assert run([command, path, "--output-dir", out]) == code
+    assert "must be an integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_missing_config_exits_1(tmp_path):

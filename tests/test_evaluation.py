@@ -1,6 +1,8 @@
 """AME metric, synthetic generator, and the policy experiment."""
 
 import dataclasses
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 
 import lanefuse.evaluation as ev
 from lanefuse.backends import Scenario
+from lanefuse.confidence import gcs
 from lanefuse.errors import ConfigError, EmptyInputError, InvalidInputError
 from lanefuse.evaluation import (
     AmeResult,
@@ -372,6 +375,45 @@ def test_synth_config_validation_and_roundtrip(tmp_path):
         load_synth_config(bad)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"link_areas": 1.9},
+        {"maps_per_area": True},
+        {"seed": float("inf")},
+        {"scenarios": [{"name": "x", "factors": {"rain": [2.5, 7]}}]},
+        {"scenarios": [{"name": "x", "factors": {"rain": [2, True]}}]},
+    ],
+    ids=["fraction", "bool", "infinite", "fractional-range", "bool-range"],
+)
+def test_synth_config_rejects_bools_and_fractions_for_integers(tmp_path, doc):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match="must be an integer"):
+        load_synth_config(path)
+
+
+def test_synth_config_reads_integral_floats_as_integers(tmp_path):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({"link_areas": 2.0, "scenarios": [{"factors": {"rain": [2.0, 7]}}]}))
+    cfg = load_synth_config(path)
+    assert cfg.link_areas == 2 and type(cfg.link_areas) is int
+    assert cfg.degradation_scenarios[0].range_for(F.RAIN) == (2, 7)
+
+
+def test_synth_generate_scores_with_the_given_method():
+    cfg = dataclasses.replace(standard_config(0), link_areas=1)
+    (dpcs_area,) = synth_generate(cfg)
+    (gcs_area,) = synth_generate(cfg, method="gcs")
+    pairs = [
+        (a, b)
+        for m, n in zip(dpcs_area.local_maps, gcs_area.local_maps)
+        for a, b in zip(m.images, n.images)
+    ]
+    assert all(b.confidence == gcs(a) for a, b in pairs)
+    assert any(a.confidence != b.confidence for a, b in pairs)
+
+
 # --- experiment ---------------------------------------------------------------
 
 
@@ -440,6 +482,33 @@ def test_policy_parsing_and_report_shape():
     assert "average" in table
     with pytest.raises(ConfigError):
         run_experiment(areas, ["sequoia"])
+
+
+def test_parse_policy_gives_each_policys_map_choice():
+    ranked = [("a", 9.0), ("b", 8.8), ("c", 7.0), ("d", 3.0)]
+    assert ev.parse_policy("baseline")(ranked) == ["a", "b", "c", "d"]
+    assert ev.parse_policy(" SEQ2 ")(ranked) == ["a", "b"]
+    assert ev.parse_policy("seq9")(ranked) == ["a", "b", "c", "d"]
+    assert ev.parse_policy("threshold")(ranked) == ["a", "b", "c"]
+    assert ev.parse_policy("band")(ranked) == list(ev.select_band(ranked).selected_map_ids)
+    for name, message in [
+        ("x", "unknown policy 'x'"),
+        ("seqq", "unknown policy 'seqq'"),
+        ("seq0", "seq policy needs k >= 1, got 0"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ev.parse_policy(name)
+
+
+def test_experiment_rejects_a_repeated_link_id_or_policy():
+    areas = [
+        synth_generate(dataclasses.replace(standard_config(seed), link_areas=1, maps_per_area=2))[0]
+        for seed in (0, 1)
+    ]
+    with pytest.raises(InvalidInputError, match="link id 'area_000' appears in more than one"):
+        run_experiment(areas, ["seq1"])
+    with pytest.raises(ConfigError, match="policy 'band' given more than once"):
+        run_experiment(areas[:1], ["band", "seq1", " BAND"])
 
 
 def test_table_renders_the_csv_rows_even_for_an_area_named_average():

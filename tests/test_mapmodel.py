@@ -287,6 +287,39 @@ def test_load_reads_numeral_strings_as_float_does(tmp_path):
     assert loaded.tolist() == [[0.5, 1.0, 2.0], [1.0, 0.0, 1e30]]
 
 
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("factor_scores", {"blur_day": 3.7}, "blur_day score must be an integer, got 3.7"),
+        ("factor_scores", {"rain": True}, "rain score must be an integer, got True"),
+        ("lane_visibility", True, "lane_visibility score must be an integer, got True"),
+        ("lane_visibility", 8.5, "lane_visibility score must be an integer, got 8.5"),
+        ("factor_scores", {"fog": float("inf")}, "fog score must be an integer, got inf"),
+    ],
+    ids=[
+        "fractional-factor", "bool-factor", "bool-visibility", "fractional-visibility", "infinite"
+    ],
+)
+def test_load_rejects_image_scores_that_are_not_integers(tmp_path, key, value, message):
+    doc = area_to_dict(area())
+    doc["local_maps"][0]["images"][0][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MapValidationError) as info:
+        load_link_area(path)
+    assert str(info.value) == f"{path}: at map[m0]: image 'm0_img': {message}"
+
+
+def test_load_reads_integral_float_scores_as_integers(tmp_path):
+    doc = area_to_dict(area())
+    doc["local_maps"][0]["images"][0].update(factor_scores={"blur_day": 3.0}, lane_visibility=8.0)
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps(doc))
+    img = load_link_area(path).local_maps[0].images[0]
+    assert img.factor_scores == {FactorKind.BLUR_DAY: 3} and img.lane_visibility == 8
+    assert type(img.lane_visibility) is int
+
+
 def test_load_rejects_one_point_lane(tmp_path):
     doc = area_to_dict(area())
     doc["local_maps"][0]["lane_lines"][0]["points"] = [[0.0, 0.0, 0.0]]
