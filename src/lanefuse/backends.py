@@ -14,13 +14,12 @@ import json
 import math
 import threading
 import time
+import urllib.parse
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
-import requests
-from requests.adapters import HTTPAdapter
 
 from .errors import (
     ConfigError,
@@ -38,6 +37,9 @@ from .scoring import (
     assess_image,
     exact_int,
 )
+
+if TYPE_CHECKING:
+    import requests
 
 # Task-guided question catalog. Q1 is the free-form scene description and is
 # not bound to any factor; Q2..Q12 each drive exactly one factor score.
@@ -303,6 +305,20 @@ def check_remote_settings(max_retries: int, timeout: float, max_in_flight: int) 
         raise ConfigError(f"timeout must be a positive number of seconds, got {timeout}")
 
 
+def _check_endpoint(endpoint: str) -> None:
+    """Reject an endpoint URL that no request could reach: one with no scheme,
+    a scheme other than http or https, or no host."""
+    try:
+        parts = urllib.parse.urlsplit(endpoint)
+        parts.port  # raises ValueError on a port that is not a number
+    except ValueError as exc:
+        raise ConfigError(f"endpoint {endpoint!r} is not a valid URL: {exc}")
+    if parts.scheme not in ("http", "https"):
+        raise ConfigError(f"endpoint {endpoint!r} must be an http:// or https:// URL")
+    if not parts.hostname:
+        raise ConfigError(f"endpoint {endpoint!r} names no host")
+
+
 def _endpoint_session(endpoint: str, pool_size: int) -> requests.Session:
     """A session bound to one endpoint that reads the environment only once.
 
@@ -312,6 +328,11 @@ def _endpoint_session(endpoint: str, pool_size: int) -> requests.Session:
     connection pool holds ``pool_size`` connections, so none is discarded
     with up to that many requests in flight.
     """
+    # requests is imported here and in _exchange, as scipy is in the geometry
+    # stages (see clustering.dbscan): only the remote backend pays for it.
+    import requests
+    from requests.adapters import HTTPAdapter
+
     session = requests.Session()
     adapter = HTTPAdapter(pool_maxsize=pool_size)
     session.mount("http://", adapter)
@@ -346,6 +367,7 @@ class RemoteScorer:
     ):
         if not endpoint:
             raise ConfigError("remote backend needs an endpoint URL")
+        _check_endpoint(endpoint)
         self.endpoint = endpoint
         self.max_retries = int(max_retries)
         self.backoff = float(backoff)
@@ -364,6 +386,8 @@ class RemoteScorer:
     def _exchange(self, request: ScorerRequest) -> tuple[ScorerResponse, str]:
         """POST one request with retries; returns the parsed response and the
         raw body. Writes nothing, so worker threads can run it."""
+        import requests
+
         prompt = _REQUEST_PROMPTS.get(request.prompt_id)
         if prompt is None:
             raise ConfigError(f"unknown prompt id {request.prompt_id!r}")

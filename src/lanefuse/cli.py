@@ -40,6 +40,29 @@ EXIT_INPUT = 2
 EXIT_BACKEND = 3
 
 
+def _check_output_dir(path: Path) -> None:
+    """Fail before any work if ``path`` cannot become a directory: it, or the
+    nearest of its parents that exists, is not one. Creates nothing."""
+    try:
+        for p in (path, *path.parents):
+            if p.is_dir():
+                return
+            if p.exists():
+                raise ConfigError(f"--output-dir {path}: {p} is not a directory")
+    except OSError as exc:  # e.g. a name too long to look up
+        raise ConfigError(f"--output-dir {path}: {exc.strerror}")
+
+
+def _output_dir(args) -> Path:
+    """The output directory, created if it is missing."""
+    out_dir = Path(args.output_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--output-dir {out_dir}: {exc.strerror}")
+    return out_dir
+
+
 def _make_backend(cfg: PipelineConfig, seed: int):
     if cfg.backend == "synthetic":
         return be.SyntheticScorer(cfg.scenario(), seed=seed)
@@ -82,8 +105,7 @@ def cmd_score(args, cfg: PipelineConfig) -> int:
     scored = LinkArea(
         link_id=area.link_id, local_maps=scored_maps, ground_truth=area.ground_truth
     )
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args)
     stem = Path(args.map_file).stem
     map_out = out_dir / f"{stem}_scored.json"
     csv_out = out_dir / f"{stem}_scores.csv"
@@ -98,8 +120,7 @@ def cmd_select(args, cfg: PipelineConfig) -> int:
     area = load_link_area(args.area_file)
     ranked = rank_maps(area)
     result = select_band(ranked, k_cap=cfg.k_cap)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args)
     out = out_dir / f"{Path(args.area_file).stem}_selection.csv"
     with atomic_writer(out, newline="") as fh:
         writer = csv.writer(fh)
@@ -124,8 +145,7 @@ def cmd_update(args, cfg: PipelineConfig) -> int:
     # The band is pooled in area-file order; evaluate pools in rank order.
     band = [m.map_id for m in area.local_maps if m.map_id in chosen]
     (fused,) = update(area, mods, [band], cfg.dbscan, cfg.icp)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args)
     out = out_dir / f"{Path(args.area_file).stem}_fused.json"
     save_local_map(fused, out)
     print(f"wrote {out}", file=sys.stderr)
@@ -141,8 +161,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     areas = [load_link_area(f) for f in args.area_files]
     report = ev.run_experiment(areas, policies, cfg.dbscan, cfg.icp, jobs=args.jobs)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args)
     csv_path = out_dir / "evaluation.csv"
     with atomic_writer(csv_path, newline="") as fh:
         csv.writer(fh).writerows(report.to_csv_rows())
@@ -157,8 +176,7 @@ def cmd_simulate(args, cfg: PipelineConfig) -> int:
     if args.seed is not None and args.seed != synth_cfg.seed:
         synth_cfg = dataclasses.replace(synth_cfg, seed=args.seed)
     areas = ev.synth_generate(synth_cfg, cfg.weights, cfg.context, cfg.method)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args)
     for area in areas:
         save_link_area(area, out_dir / f"{area.link_id}.json")
     print(f"wrote {len(areas)} link area files to {out_dir}", file=sys.stderr)
@@ -248,6 +266,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_pipeline_config(args.config)
         cfg = _apply_overrides(args, cfg)
+        _check_output_dir(Path(args.output_dir))
         return COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .backends import Scenario, SyntheticScorer, collect_assessment
 from .clustering import DbscanParams
@@ -84,6 +83,8 @@ def _candidate_blocks(
     grouped by point and at most _PAIR_BUDGET of them per block, unless a
     block is a single point (at most len(seg_a) pairs).
     """
+    from scipy.spatial import cKDTree  # on first use, as in clustering.dbscan
+
     mid = (seg_a + seg_b) * 0.5
     half = 0.5 * np.linalg.norm(seg_b - seg_a, axis=1).max()
     tree = cKDTree(mid)
@@ -386,6 +387,22 @@ def _reject_unknown_keys(data: dict, known: Iterable[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
 
 
+def _json_number(value, kind: type, name: str):
+    """``value`` as ``kind`` (int or float). A bool, a string or any other
+    non-number, and for an int a fraction, raises InvalidInputError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        noun = "an integer" if kind is int else "a number"
+        raise InvalidInputError(f"{name} must be {noun}, got {value!r}")
+    return exact_int(value, name) if kind is int else float(value)
+
+
+def _json_range(value, key: str) -> tuple[int, int]:
+    """A factor's [lo, hi] score range: a list of two integers."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise InvalidInputError(f"{key} range must be a list [lo, hi], got {value!r}")
+    return tuple(_json_number(v, int, f"{key} range") for v in value)
+
+
 def load_synth_config(path) -> SynthConfig:
     """Parse a synth-config JSON document; unknown keys are rejected."""
     data = load_json(path, ConfigError)
@@ -402,11 +419,15 @@ def load_synth_config(path) -> SynthConfig:
             raise ConfigError(f"{where}: must be an object whose factors are an object")
         _reject_unknown_keys(raw, ("name", "sigma", "factors"), where)
         name = str(raw.get("name", f"scenario_{i}"))
-        factors, sigma = raw.get("factors", {}), raw.get("sigma", 0.0)
+        try:
+            factors = {key: _json_range(r, key) for key, r in raw.get("factors", {}).items()}
+            sigma = _json_number(raw.get("sigma", 0.0), float, "sigma")
+        except InvalidInputError as exc:
+            raise ConfigError(f"{where}: {exc}")
         scenarios.append(scenario_from_mapping(name, factors, sigma, where))
     try:
         kwargs = {
-            key: exact_int(data[key], key) if kind is int else float(data[key])
+            key: _json_number(data[key], kind, key)
             for key, kind in _SYNTH_KEYS.items()
             if key in data
         }

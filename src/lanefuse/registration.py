@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateGeometryError, InvalidInputError
 from .mapmodel import LaneLine, LocalMap
@@ -124,6 +123,8 @@ def icp_align(
     change falls below convergence_tol; exceeding max_iterations yields a
     result flagged unconverged rather than an error.
     """
+    from scipy.spatial import cKDTree  # on first use, as in clustering.dbscan
+
     src = np.asarray(source, dtype=float)
     tgt = np.asarray(target, dtype=float)
     if src.ndim != 2 or src.shape[1] != 3 or tgt.ndim != 2 or tgt.shape[1] != 3:

@@ -5,6 +5,7 @@ import json
 import math
 import time
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from lanefuse.backends import (
     FACTOR_PROMPTS,
     LANE_CLARITY_PROMPT_ID,
+    RemoteScorer,
     ScorerRequest,
     synthetic_score,
     write_replay_log,
@@ -305,6 +307,63 @@ def test_score_unusable_backend_settings_exit_1(tmp_path, setting, capsys):
     assert run(["score", areas[0], "--config", config, "--backend", "remote",
                 "--output-dir", tmp_path]) == 1
     assert setting.split()[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("endpoint", ["foo", "ftp://x/score", "http://"])
+def test_score_malformed_endpoint_exits_1_without_a_request(
+    tmp_path, capsys, monkeypatch, endpoint
+):
+    areas = simulate(tmp_path, maps_per_area=2)
+
+    def no_exchange(self, request):
+        raise AssertionError("a request was sent")
+
+    monkeypatch.setattr(RemoteScorer, "_exchange", no_exchange)
+    out = tmp_path / "out"
+    assert run(["score", areas[0], "--backend", "remote", "--endpoint", endpoint,
+                "--output-dir", out]) == 1
+    assert f"endpoint {endpoint!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["score", "select", "update", "evaluate", "simulate"])
+def test_unusable_output_dir_exits_1_before_any_work(
+    tmp_path, capsys, stub_server, command, under
+):
+    url, handler = stub_server
+    areas = simulate(tmp_path, maps_per_area=2)
+    script = tmp_path / "noop.json"
+    script.write_text("[]")
+    args = {
+        "score": [areas[0], "--backend", "remote", "--endpoint", url],
+        "select": [areas[0]],
+        "update": [areas[0], script],
+        "evaluate": [areas[0], "--policies", "band"],
+        "simulate": [small_synth_config(tmp_path)],
+    }[command]
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    out = blocker / "out" if under else blocker
+    assert run([command, *args, "--output-dir", out]) == 1
+    assert f"--output-dir {out}: {blocker} is not a directory" in capsys.readouterr().err
+    assert handler.calls == []
+    assert blocker.read_text() == ""
+
+
+def test_output_dir_that_cannot_be_looked_up_or_made_exits_1(tmp_path, capsys, monkeypatch):
+    areas = simulate(tmp_path, maps_per_area=2)
+    too_long = tmp_path / ("x" * 300)
+    assert run(["select", areas[0], "--output-dir", too_long]) == 1
+    assert f"--output-dir {too_long}: File name too long" in capsys.readouterr().err
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "mkdir", denied)
+    out = tmp_path / "out"
+    assert run(["select", areas[0], "--output-dir", out]) == 1
+    assert f"--output-dir {out}: Permission denied" in capsys.readouterr().err
 
 
 def test_select_band_and_k_cap(tmp_path):

@@ -393,6 +393,28 @@ def test_synth_config_rejects_bools_and_fractions_for_integers(tmp_path, doc):
         load_synth_config(path)
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"lane_length": True}, "lane_length must be a number"),
+        ({"lane_spacing": "3.5"}, "lane_spacing must be a number"),
+        ({"link_areas": "3"}, "link_areas must be an integer"),
+        ({"scenarios": [{"sigma": True}]}, "sigma must be a number"),
+        ({"scenarios": [{"sigma": "0.2"}]}, "sigma must be a number"),
+        ({"scenarios": [{"factors": {"rain": ["2", "5"]}}]}, "rain range must be an integer"),
+        ({"scenarios": [{"factors": {"rain": "25"}}]}, "rain range must be a list"),
+        ({"scenarios": [{"factors": {"rain": [2, 5, 7]}}]}, "rain range must be a list"),
+    ],
+    ids=["bool-float", "string-float", "string-int", "bool-sigma", "string-sigma",
+         "string-range", "string-as-range", "three-bounds"],
+)
+def test_synth_config_numbers_must_be_json_numbers(tmp_path, doc, key):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=key):
+        load_synth_config(path)
+
+
 def test_synth_config_reads_integral_floats_as_integers(tmp_path):
     path = tmp_path / "synth.json"
     path.write_text(json.dumps({"link_areas": 2.0, "scenarios": [{"factors": {"rain": [2.0, 7]}}]}))

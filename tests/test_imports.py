@@ -1,0 +1,79 @@
+"""Each command loads only the libraries it runs.
+
+scipy serves the geometry stages (ICP, DBSCAN, AME) and requests the remote
+scorer; a process that runs neither must not pay for importing them. Every
+check runs in a fresh interpreter, since this one has long loaded both.
+"""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from lanefuse.evaluation import standard_config, synth_config_to_dict, synth_generate
+from lanefuse.mapmodel import save_link_area
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+WATCHED = ("scipy", "scipy.spatial", "requests")
+SMALL = dataclasses.replace(
+    standard_config(0), link_areas=1, maps_per_area=3, images_per_map=2, lane_length=20.0
+)
+
+
+def loaded_after(code: str, cwd: Path) -> list[str]:
+    """The WATCHED modules loaded once ``code`` has run in a new interpreter."""
+    probe = f"import sys\n{code}\nprint(' '.join(m for m in {WATCHED!r} if m in sys.modules))\n"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], cwd=cwd, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def cli(args: list[str]) -> str:
+    return f"from lanefuse.cli import main\nassert main({args!r}) == 0"
+
+
+@pytest.fixture
+def area(tmp_path) -> str:
+    """One small simulated link area."""
+    (small,) = synth_generate(SMALL)
+    save_link_area(small, tmp_path / "area.json")
+    return "area.json"
+
+
+def test_import_loads_neither_scipy_nor_requests(tmp_path):
+    assert loaded_after("import lanefuse, lanefuse.cli", tmp_path) == []
+
+
+def test_simulate_loads_neither(tmp_path):
+    (tmp_path / "synth.json").write_text(json.dumps(synth_config_to_dict(SMALL)))
+    assert loaded_after(cli(["simulate", "synth.json", "--output-dir", "out"]), tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["select", "{area}", "--output-dir", "out"],
+        ["score", "{area}", "--backend", "synthetic", "--output-dir", "out"],
+    ],
+    ids=["select", "synthetic-score"],
+)
+def test_commands_without_geometry_or_remote_load_neither(tmp_path, area, args):
+    assert loaded_after(cli([a.format(area=area) for a in args]), tmp_path) == []
+
+
+def test_evaluate_loads_scipy(tmp_path, area):
+    args = ["evaluate", area, "--policies", "band", "--output-dir", "out"]
+    loaded = loaded_after(cli(args), tmp_path)
+    assert {"scipy", "scipy.spatial"} <= set(loaded)
+
+
+def test_remote_scorer_loads_requests_only(tmp_path):
+    code = "from lanefuse.backends import RemoteScorer\nRemoteScorer('http://127.0.0.1:9/score')"
+    assert loaded_after(code, tmp_path) == ["requests"]
