@@ -36,6 +36,7 @@ from .scoring import (
     LogitVector,
     assess_image,
     exact_int,
+    finite_number,
 )
 
 if TYPE_CHECKING:
@@ -171,35 +172,24 @@ def parse_response(data: dict, expected_mode: str, *, source: str = "backend") -
             f"{source}: response mode {mode!r} does not match request mode {expected_mode!r}"
         )
     model = str(data.get("model", ""))
-    latency = data.get("latency_ms", 0.0)
-    if not isinstance(latency, (int, float)) or isinstance(latency, bool):
-        raise ProtocolError(f"{source}: 'latency_ms' must be a number, got {latency!r}")
-    latency = float(latency)
-    if mode == "direct":
-        raw = data.get("score")
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool) or raw != int(raw):
-            raise ProtocolError(f"{source}: direct response needs an integer 'score'")
-        score = int(raw)
-        if not 0 <= score <= 10:
-            raise ResponseValidationError(f"{source}: score {score} outside 0..10")
-        return ScorerResponse(mode=mode, score=score, model=model, latency_ms=latency)
-    if mode == "logits":
-        raw = data.get("logits")
-        if not isinstance(raw, list):
-            raise ProtocolError(f"{source}: logits response needs a 'logits' list")
-        try:
+    try:
+        latency = finite_number(data.get("latency_ms", 0.0), "'latency_ms'")
+        if mode == "direct":
+            score = exact_int(data.get("score"), "'score'")
+            if not 0 <= score <= 10:
+                raise ResponseValidationError(f"{source}: score {score} outside 0..10")
+            return ScorerResponse(mode=mode, score=score, model=model, latency_ms=latency)
+        if mode == "logits":
+            raw = data.get("logits")
+            if not isinstance(raw, list):
+                raise ProtocolError(f"{source}: logits response needs a 'logits' list")
             logits = LogitVector(raw)
-        except InvalidInputError as exc:
-            raise ResponseValidationError(f"{source}: {exc}") from exc
-        return ScorerResponse(mode=mode, logits=logits, model=model, latency_ms=latency)
-    if mode == "clarity":
-        raw = data.get("l_clear")
-        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-            raise ProtocolError(f"{source}: clarity response needs a numeric 'l_clear'")
-        value = float(raw)
-        if not math.isfinite(value):
-            raise ResponseValidationError(f"{source}: l_clear {value!r} not finite")
-        return ScorerResponse(mode=mode, l_clear=value, model=model, latency_ms=latency)
+            return ScorerResponse(mode=mode, logits=logits, model=model, latency_ms=latency)
+        if mode == "clarity":
+            l_clear = finite_number(data.get("l_clear"), "'l_clear'")
+            return ScorerResponse(mode=mode, l_clear=l_clear, model=model, latency_ms=latency)
+    except InvalidInputError as exc:
+        raise ProtocolError(f"{source}: {exc}") from exc
     raise ProtocolError(f"{source}: unknown response mode {mode!r}")
 
 

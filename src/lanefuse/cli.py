@@ -21,6 +21,7 @@ from .config import BACKEND_KINDS, PipelineConfig, check_k_cap, load_pipeline_co
 from .errors import (
     BackendError,
     ConfigError,
+    InvalidInputError,
     LanefuseError,
 )
 from .fusion import rank_maps, select_band
@@ -174,7 +175,10 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
 def cmd_simulate(args, cfg: PipelineConfig) -> int:
     synth_cfg = ev.load_synth_config(args.synth_config)
     if args.seed is not None and args.seed != synth_cfg.seed:
-        synth_cfg = dataclasses.replace(synth_cfg, seed=args.seed)
+        try:
+            synth_cfg = dataclasses.replace(synth_cfg, seed=args.seed)
+        except InvalidInputError as exc:
+            raise ConfigError(f"--seed: {exc}")
     areas = ev.synth_generate(synth_cfg, cfg.weights, cfg.context, cfg.method)
     out_dir = _output_dir(args)
     for area in areas:

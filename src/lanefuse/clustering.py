@@ -85,21 +85,3 @@ def dbscan(points: np.ndarray, params: DbscanParams = DbscanParams()) -> np.ndar
     reached = border < n
     labels[reached] = border[reached]
     return labels
-
-
-def canonical_labels(labels: np.ndarray) -> np.ndarray:
-    """Relabel clusters by their smallest member index; noise stays -1.
-
-    Two label vectors describe the same partition iff their canonical forms
-    are equal, regardless of how cluster ids were assigned.
-    """
-    labels = np.asarray(labels)
-    out = np.full(len(labels), NOISE, dtype=int)
-    order: dict[int, int] = {}
-    for i, lab in enumerate(labels):
-        if lab == NOISE:
-            continue
-        if lab not in order:
-            order[lab] = len(order)
-        out[i] = order[lab]
-    return out

@@ -38,10 +38,10 @@ from .confidence import (
 from .errors import ConfigError, EmptyInputError, InvalidInputError
 # fuse_maps and prior_map stay importable here for callers and perfbench/tracing.py.
 from .fusion import fuse_maps, rank_maps, select_band  # noqa: F401
-from .mapmodel import LaneLine, LinkArea, LocalMap, load_json
+from .mapmodel import LaneLine, LinkArea, LocalMap, load_json, reject_unknown_keys
 from .pipeline import Modification, apply_modifications, prior_map, update  # noqa: F401
 from .registration import IcpParams
-from .scoring import FACTOR_BY_KEY, FactorKind, exact_int
+from .scoring import FACTOR_BY_KEY, FactorKind, exact_int, finite_number
 
 CONFIDENCE_THRESHOLD = 7.0  # map-level cutoff for the threshold policy
 
@@ -252,10 +252,10 @@ def scenario_from_mapping(name: str, ranges: Mapping, sigma: float, where: str) 
     the JSON config alike; a bad value is a ConfigError prefixed by ``where``."""
     try:
         factor_ranges = {FACTOR_BY_KEY[key]: r for key, r in ranges.items()}
-        return Scenario(name=name, factor_ranges=factor_ranges, noise_sigma=float(sigma))
+        return Scenario(name=name, factor_ranges=factor_ranges, noise_sigma=sigma)
     except KeyError as exc:
         raise ConfigError(f"{where}: unknown factor {exc}")
-    except (TypeError, ValueError, InvalidInputError) as exc:
+    except InvalidInputError as exc:
         raise ConfigError(f"{where}: {exc}")
 
 
@@ -276,6 +276,8 @@ class SynthConfig:
     point_spacing: float = 0.2
 
     def __post_init__(self):
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
         for name in ("link_areas", "maps_per_area", "lanes_per_area", "images_per_map"):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"{name} must be >= 1")
@@ -374,33 +376,20 @@ def synth_generate(
     return areas
 
 
-# The scalar keys of a synth-config document, in the order it is written.
+# The scalar keys of a synth-config document, in the order it is written,
+# each with the checker of its number.
 _SYNTH_KEYS = {
-    "seed": int, "link_areas": int, "maps_per_area": int, "lanes_per_area": int,
-    "lane_spacing": float, "images_per_map": int, "lane_length": float, "point_spacing": float,
+    "seed": exact_int, "link_areas": exact_int, "maps_per_area": exact_int,
+    "lanes_per_area": exact_int, "lane_spacing": finite_number, "images_per_map": exact_int,
+    "lane_length": finite_number, "point_spacing": finite_number,
 }
-
-
-def _reject_unknown_keys(data: dict, known: Iterable[str], where: str) -> None:
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
-
-
-def _json_number(value, kind: type, name: str):
-    """``value`` as ``kind`` (int or float). A bool, a string or any other
-    non-number, and for an int a fraction, raises InvalidInputError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        noun = "an integer" if kind is int else "a number"
-        raise InvalidInputError(f"{name} must be {noun}, got {value!r}")
-    return exact_int(value, name) if kind is int else float(value)
 
 
 def _json_range(value, key: str) -> tuple[int, int]:
     """A factor's [lo, hi] score range: a list of two integers."""
     if not (isinstance(value, list) and len(value) == 2):
         raise InvalidInputError(f"{key} range must be a list [lo, hi], got {value!r}")
-    return tuple(_json_number(v, int, f"{key} range") for v in value)
+    return tuple(exact_int(v, f"{key} range") for v in value)
 
 
 def load_synth_config(path) -> SynthConfig:
@@ -408,7 +397,7 @@ def load_synth_config(path) -> SynthConfig:
     data = load_json(path, ConfigError)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: the top level must be a JSON object")
-    _reject_unknown_keys(data, (*_SYNTH_KEYS, "scenarios"), path)
+    reject_unknown_keys(data, (*_SYNTH_KEYS, "scenarios"), path, ConfigError)
     raw_scenarios = data.get("scenarios", [])
     if not isinstance(raw_scenarios, list):
         raise ConfigError(f"{path}: scenarios must be a list")
@@ -417,24 +406,24 @@ def load_synth_config(path) -> SynthConfig:
         where = f"{path}: scenarios[{i}]"
         if not isinstance(raw, dict) or not isinstance(raw.get("factors", {}), dict):
             raise ConfigError(f"{where}: must be an object whose factors are an object")
-        _reject_unknown_keys(raw, ("name", "sigma", "factors"), where)
+        reject_unknown_keys(raw, ("name", "sigma", "factors"), where, ConfigError)
         name = str(raw.get("name", f"scenario_{i}"))
         try:
             factors = {key: _json_range(r, key) for key, r in raw.get("factors", {}).items()}
-            sigma = _json_number(raw.get("sigma", 0.0), float, "sigma")
+            sigma = finite_number(raw.get("sigma", 0.0), "sigma")
         except InvalidInputError as exc:
             raise ConfigError(f"{where}: {exc}")
         scenarios.append(scenario_from_mapping(name, factors, sigma, where))
     try:
         kwargs = {
-            key: _json_number(data[key], kind, key)
-            for key, kind in _SYNTH_KEYS.items()
+            key: check(data[key], key)
+            for key, check in _SYNTH_KEYS.items()
             if key in data
         }
         if scenarios:
             kwargs["degradation_scenarios"] = tuple(scenarios)
         return SynthConfig(**kwargs)
-    except (TypeError, ValueError, InvalidInputError) as exc:
+    except InvalidInputError as exc:
         raise ConfigError(f"{path}: {exc}")
 
 

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -270,6 +270,8 @@ def _lane_from_dict(ctx: _Ctx, data: dict) -> LaneLine:
 def _image_from_dict(ctx: _Ctx, data: dict) -> ImageAssessment:
     image_id = str(_need(ctx, data, "image_id"))
     raw_scores = data.get("factor_scores") or {}
+    if not isinstance(raw_scores, dict):
+        ctx.fail(f"image {image_id!r}: 'factor_scores' must be an object")
     scores: dict[FactorKind, int] = {}
     for key, value in raw_scores.items():
         factor = FACTOR_BY_KEY.get(key)
@@ -279,7 +281,7 @@ def _image_from_dict(ctx: _Ctx, data: dict) -> ImageAssessment:
     try:
         return ImageAssessment(
             image_id=image_id,
-            timestamp=float(data.get("timestamp", 0.0)),
+            timestamp=data.get("timestamp", 0.0),
             factor_scores=scores,
             lane_visibility=data.get("lane_visibility"),
             lane_confidence=data.get("lane_confidence"),
@@ -287,8 +289,6 @@ def _image_from_dict(ctx: _Ctx, data: dict) -> ImageAssessment:
         )
     except InvalidInputError as exc:
         ctx.invalid(f"image {image_id!r}: {exc}")
-    except (TypeError, ValueError):
-        ctx.fail(f"image {image_id!r} has non-numeric fields")
 
 
 def _map_from_dict(ctx: _Ctx, data: dict, *, require_images: bool) -> LocalMap:
@@ -367,6 +367,16 @@ def load_json(path, error: type[LanefuseError] = MapParseError):
         raise error(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"{path}: cannot read: {exc}")
+
+
+def reject_unknown_keys(
+    data: dict, known: Iterable[str], where: str, error: type[LanefuseError]
+) -> None:
+    """Raise ``error`` naming the first key of the JSON object ``data``, in
+    sorted order, that is not in ``known``."""
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise error(f"{where}: unknown key {unknown[0]!r}")
 
 
 def load_link_area(path) -> LinkArea:

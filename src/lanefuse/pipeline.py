@@ -19,10 +19,11 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import DbscanParams
-from .errors import ConfigError, EmptyInputError, LanefuseError
+from .errors import ConfigError, EmptyInputError, InvalidInputError, LanefuseError
 from .fusion import fuse_selections, modify_add, modify_delete, modify_shift, resample_polyline
-from .mapmodel import LaneLine, LinkArea, LocalMap, load_json
+from .mapmodel import LaneLine, LinkArea, LocalMap, load_json, reject_unknown_keys
 from .registration import IcpParams
+from .scoring import finite_number
 
 PRIOR_MAP_SPACING = 2.0  # meters between control points of the prior map
 
@@ -48,23 +49,31 @@ _OPS = {
 
 
 def load_modifications(path: Path) -> list[Modification]:
-    """Parse a modification script; any fault raises LanefuseError."""
+    """Parse a modification script; any fault raises LanefuseError naming the
+    operation's index and, for a bad or unknown key, the key."""
     raw = load_json(path, LanefuseError)
     if not isinstance(raw, list):
         raise LanefuseError(f"{path}: script must be a JSON list of operations")
     mods = []
     for index, entry in enumerate(raw):
-        try:
-            op = entry.get("op")
-            if not isinstance(op, str) or op not in _OPS:
-                raise LanefuseError(f"{path}: operation {index}: unknown op {op!r}")
-            fields = {
-                name: entry[name] if default is None else float(entry.get(name, default))
-                for name, default in _OPS[op][1].items()
-            }
-            mods.append(Modification(op=op, **fields))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise LanefuseError(f"{path}: operation {index} is malformed: {exc}")
+        where = f"{path}: operation {index}"
+        if not isinstance(entry, dict):
+            raise LanefuseError(f"{where} must be a JSON object")
+        op = entry.get("op")
+        if not isinstance(op, str) or op not in _OPS:
+            raise LanefuseError(f"{where}: unknown op {op!r}")
+        fields = _OPS[op][1]
+        reject_unknown_keys(entry, ("op", *fields), where, LanefuseError)
+        values = {}
+        for name, default in fields.items():
+            value = entry.get(name, default)
+            if default is None and not isinstance(value, str):
+                raise LanefuseError(f"{where}: {name} must be a string, got {value!r}")
+            try:
+                values[name] = value if default is None else finite_number(value, name)
+            except InvalidInputError as exc:
+                raise LanefuseError(f"{where}: {exc}")
+        mods.append(Modification(op=op, **values))
     return mods
 
 

@@ -47,13 +47,6 @@ DEGRADATION_FACTORS: tuple[FactorKind, ...] = tuple(
 FACTOR_BY_KEY: dict[str, FactorKind] = {f.value: f for f in FactorKind}
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise InvalidInputError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class LogitVector:
     """Raw logits, one per score level 0..10."""
@@ -61,13 +54,11 @@ class LogitVector:
     values: tuple[float, ...]
 
     def __init__(self, values: Sequence[float]):
-        vals = tuple(float(v) for v in values)
+        vals = tuple(finite_number(v, "logit") for v in values)
         if len(vals) != SCORE_LEVELS:
             raise InvalidInputError(
                 f"logit vector needs {SCORE_LEVELS} entries, got {len(vals)}"
             )
-        for v in vals:
-            _require_finite("logit", v)
         object.__setattr__(self, "values", vals)
 
 
@@ -102,7 +93,7 @@ def softmax_distribution(logits: Union[LogitVector, Sequence[float]]) -> ScoreDi
 
 def lane_confidence(l_clear: float) -> float:
     """Sigmoid of the lane-clarity logit; a confidence in [0, 1]."""
-    x = _require_finite("l_clear", l_clear)
+    x = finite_number(l_clear, "l_clear")
     if x >= 0.0:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
@@ -143,13 +134,34 @@ def finalize_score(s: float) -> int:
     return int(math.ceil(s))
 
 
+# The number rule of every JSON input; each reader turns InvalidInputError into
+# its own error class. Bools (ints to Python) and the NaN and Infinity that
+# Python's JSON decoder reads are rejected.
+
+
 def exact_int(value, name: str) -> int:
-    """``value`` as an int. A bool or a number with a fractional part (or an
-    infinite or NaN one) raises InvalidInputError instead of being truncated;
-    other values go through ``int()``."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``value`` as an int: an int, or a float with no fractional part. A bool,
+    a string or other non-number, a fraction, NaN or an infinity raises
+    InvalidInputError instead of being converted or truncated."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def finite_number(value, name: str) -> float:
+    """``value`` as a float: an int or a finite float. A bool, a string or
+    other non-number, NaN or an infinity raises InvalidInputError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidInputError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise InvalidInputError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def _check_score(name: str, value: int) -> int:
@@ -187,16 +199,14 @@ class ImageAssessment:
             )
         if self.lane_visibility is not None:
             self.lane_visibility = _check_score("lane_visibility", self.lane_visibility)
-        if self.lane_confidence is not None:
-            if not 0.0 <= self.lane_confidence <= 1.0:
-                raise InvalidInputError(
-                    f"lane_confidence {self.lane_confidence!r} outside [0, 1]"
-                )
-        if self.confidence is not None:
-            if not 0.0 <= self.confidence <= 10.0:
-                raise InvalidInputError(
-                    f"confidence {self.confidence!r} outside [0, 10]"
-                )
+        self.timestamp = finite_number(self.timestamp, "timestamp")
+        for name, top in (("lane_confidence", 1.0), ("confidence", 10.0)):
+            value = getattr(self, name)
+            if value is not None:
+                value = finite_number(value, name)
+                if not 0.0 <= value <= top:
+                    raise InvalidInputError(f"{name} {value!r} outside [0, {top:g}]")
+                setattr(self, name, value)
 
     def score_for(self, factor: FactorKind) -> int:
         """Severity for a factor; unscored or inactive factors count as 0."""

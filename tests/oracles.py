@@ -78,6 +78,24 @@ def scan_dbscan(points: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
     return labels
 
 
+def canonical_labels(labels: np.ndarray) -> np.ndarray:
+    """Relabel clusters by their smallest member index; noise stays -1.
+
+    Two label vectors describe the same partition iff their canonical forms
+    are equal, regardless of how cluster ids were assigned.
+    """
+    labels = np.asarray(labels)
+    out = np.full(len(labels), NOISE, dtype=int)
+    order: dict[int, int] = {}
+    for i, lab in enumerate(labels):
+        if lab == NOISE:
+            continue
+        if lab not in order:
+            order[lab] = len(order)
+        out[i] = order[lab]
+    return out
+
+
 def dense_point_errors(
     points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray, lateral_only: bool
 ) -> np.ndarray:

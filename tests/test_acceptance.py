@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lanefuse.clustering import DbscanParams, canonical_labels, dbscan
+from lanefuse.clustering import DbscanParams, dbscan
 from lanefuse.confidence import dpcs, gcs
 from lanefuse.evaluation import (
     ame,
@@ -30,7 +30,7 @@ from lanefuse.scoring import (
     finalize_score,
     softmax_distribution,
 )
-from oracles import brute_force_dbscan, random_rigid_transform
+from oracles import brute_force_dbscan, canonical_labels, random_rigid_transform
 
 F = FactorKind
 README = Path(__file__).resolve().parents[1] / "README.md"

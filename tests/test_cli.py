@@ -466,6 +466,25 @@ def test_update_unknown_lane_exits_2(tmp_path):
     assert run(["update", areas[0], script, "--output-dir", tmp_path]) == 2
 
 
+@pytest.mark.parametrize(
+    "operation,message",
+    [
+        ({"op": "shift", "lane_id": "lane_00", "dX": 0.5}, "operation 1: unknown key 'dX'"),
+        ({"op": "delete", "lane_id": 7}, "operation 1: lane_id must be a string, got 7"),
+        ({"op": "add", "lane_a": "lane_00", "lane_b": None}, "operation 1: lane_b must be a string"),
+    ],
+    ids=["misspelt-key", "number-lane-id", "null-lane-id"],
+)
+def test_update_script_key_faults_exit_2_before_any_output(tmp_path, capsys, operation, message):
+    areas = simulate(tmp_path, maps_per_area=2)
+    script = tmp_path / "bad.json"
+    script.write_text(json.dumps([{"op": "delete", "lane_id": "lane_01"}, operation]))
+    out = tmp_path / "out"
+    assert run(["update", areas[0], script, "--output-dir", out]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_report_shape_and_policies(tmp_path):
     areas = simulate(tmp_path, link_areas=2, maps_per_area=4)
     out = tmp_path / "eval"
@@ -586,6 +605,19 @@ def test_integer_fields_reject_bools_and_fractions_with_the_readers_code(
     assert run([command, path, "--output-dir", out]) == code
     assert "must be an integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["config", "option"])
+def test_simulate_negative_seed_exits_1_before_any_area(tmp_path, capsys, source):
+    path = small_synth_config(tmp_path)
+    args = ["simulate", path, "--output-dir", tmp_path / "out"]
+    if source == "config":
+        path.write_text(json.dumps({**json.loads(path.read_text()), "seed": -1}))
+    else:
+        args += ["--seed", "-5"]
+    assert run(args) == 1
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_missing_config_exits_1(tmp_path):

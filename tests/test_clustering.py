@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import lanefuse.fusion
-from lanefuse.clustering import NOISE, DbscanParams, canonical_labels, dbscan
+from lanefuse.clustering import NOISE, DbscanParams, dbscan
 from lanefuse.errors import InvalidInputError
 from lanefuse.evaluation import (
     SynthConfig,
@@ -18,7 +18,7 @@ from lanefuse.evaluation import (
 )
 from lanefuse.fusion import fuse_maps, rank_maps
 from lanefuse.mapmodel import LocalMap
-from oracles import brute_force_dbscan, scan_dbscan
+from oracles import brute_force_dbscan, canonical_labels, scan_dbscan
 
 
 def test_two_well_separated_groups():

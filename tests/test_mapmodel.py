@@ -310,6 +310,15 @@ def test_load_rejects_image_scores_that_are_not_integers(tmp_path, key, value, m
     assert str(info.value) == f"{path}: at map[m0]: image 'm0_img': {message}"
 
 
+def test_load_rejects_factor_scores_that_are_not_an_object(tmp_path):
+    doc = area_to_dict(area())
+    doc["local_maps"][0]["images"][0]["factor_scores"] = [1]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MapParseError, match="'factor_scores' must be an object"):
+        load_link_area(path)
+
+
 def test_load_reads_integral_float_scores_as_integers(tmp_path):
     doc = area_to_dict(area())
     doc["local_maps"][0]["images"][0].update(factor_scores={"blur_day": 3.0}, lane_visibility=8.0)

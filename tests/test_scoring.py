@@ -13,8 +13,10 @@ from lanefuse.scoring import (
     LogitVector,
     ScoreDistribution,
     assess_image,
+    exact_int,
     expected_factor_score,
     finalize_score,
+    finite_number,
     lane_confidence,
     lane_visibility_score,
     softmax_distribution,
@@ -202,3 +204,18 @@ def test_assessment_validation():
         ImageAssessment("x", confidence=10.5)
     with pytest.raises(InvalidInputError):
         ImageAssessment("x", factor_scores={FactorKind.LANE_VISIBILITY: 5})
+
+
+def test_number_checkers_accept_numbers_only():
+    assert exact_int(3, "n") == 3 and exact_int(3.0, "n") == 3 and type(exact_int(3.0, "n")) is int
+    assert finite_number(3, "x") == 3.0 and type(finite_number(3, "x")) is float
+    assert finite_number(-0.5, "x") == -0.5
+    for value in (True, "3", None, 3.5, math.nan, math.inf):
+        with pytest.raises(InvalidInputError, match="n must be an integer"):
+            exact_int(value, "n")
+    for value in (False, "0.5", None, [1.0]):
+        with pytest.raises(InvalidInputError, match="x must be a number"):
+            finite_number(value, "x")
+    for value in (math.nan, -math.inf, 10**400):
+        with pytest.raises(InvalidInputError, match="x must be finite"):
+            finite_number(value, "x")
