@@ -8,10 +8,12 @@ integer score, or the lane-clarity logit.
 
 from __future__ import annotations
 
+import base64
 import concurrent.futures
 import hashlib
 import json
 import math
+import os
 import threading
 import time
 import urllib.parse
@@ -40,7 +42,8 @@ from .scoring import (
 )
 
 if TYPE_CHECKING:
-    import requests
+    import http.client
+    import ssl
 
 # Task-guided question catalog. Q1 is the free-form scene description and is
 # not bound to any factor; Q2..Q12 each drive exactly one factor score.
@@ -309,39 +312,169 @@ def _check_endpoint(endpoint: str) -> None:
         raise ConfigError(f"endpoint {endpoint!r} names no host")
 
 
-def _endpoint_session(endpoint: str, pool_size: int) -> requests.Session:
-    """A session bound to one endpoint that reads the environment only once.
+def _basic_auth(user: str, password: str, where: str) -> str:
+    try:
+        token = base64.b64encode(f"{user}:{password}".encode("latin-1")).decode("ascii")
+    except UnicodeEncodeError:
+        raise ConfigError(f"{where}: credentials must be Latin-1 text")
+    return f"Basic {token}"
 
-    A default session rescans ``os.environ`` for proxies on every request.
-    Here the proxies, CA bundle and netrc credentials for ``endpoint`` are
-    resolved up front and the environment is no longer consulted. The
-    connection pool holds ``pool_size`` connections, so none is discarded
-    with up to that many requests in flight.
+
+def _url_credentials(parts: urllib.parse.SplitResult) -> tuple[str, str] | None:
+    if parts.username is None or parts.password is None:
+        return None
+    return urllib.parse.unquote(parts.username), urllib.parse.unquote(parts.password)
+
+
+def _netrc_credentials(host: str) -> tuple[str, str] | None:
+    """(login, password) for ``host`` from ``$NETRC``, else ``~/.netrc`` or
+    ``~/_netrc``; None when there is no such file, entry or readable file."""
+    import netrc
+
+    named = os.environ.get("NETRC")
+    for candidate in (named,) if named is not None else ("~/.netrc", "~/_netrc"):
+        path = os.path.expanduser(candidate)
+        if os.path.exists(path):
+            break
+    else:
+        return None
+    try:
+        entry = netrc.netrc(path).authenticators(host)
+    except (netrc.NetrcParseError, OSError):
+        return None
+    if not entry:
+        return None
+    login, account, password = entry
+    return login or account, password
+
+
+def _tls_context() -> ssl.SSLContext:
+    """Verifying TLS with the CA bundle in ``REQUESTS_CA_BUNDLE``, else
+    ``CURL_CA_BUNDLE``, else certifi's (the system store without certifi)."""
+    import ssl
+
+    bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    if not bundle:
+        try:
+            import certifi
+        except ImportError:
+            return ssl.create_default_context()
+        bundle = certifi.where()
+    try:
+        if os.path.isdir(bundle):
+            return ssl.create_default_context(capath=bundle)
+        return ssl.create_default_context(cafile=bundle)
+    except OSError as exc:
+        raise ConfigError(f"CA bundle {bundle}: {exc}")
+
+
+@dataclass(frozen=True)
+class _Route:
+    """How every request to one endpoint is sent: where to connect, the
+    request target and the headers. Resolved once, by ``_resolve_endpoint``."""
+
+    host: str
+    port: int | None
+    target: str
+    headers: Mapping[str, str]
+    tls: ssl.SSLContext | None = None
+    tunnel: tuple[str, int | None, dict[str, str]] | None = None
+
+    def connect(self, timeout: float) -> http.client.HTTPConnection:
+        """A new keep-alive connection; its socket opens with the first request."""
+        import http.client
+
+        if self.tls is None:
+            conn = http.client.HTTPConnection(self.host, self.port, timeout=timeout)
+        else:
+            conn = http.client.HTTPSConnection(
+                self.host, self.port, timeout=timeout, context=self.tls
+            )
+        if self.tunnel is not None:
+            conn.set_tunnel(*self.tunnel)
+        return conn
+
+    def post(self, conn: http.client.HTTPConnection, body: bytes) -> tuple[int, str]:
+        """POST ``body`` on ``conn`` and read the whole reply: its status and
+        body text. A kept-alive connection that the server has closed is
+        reopened once, without counting as an attempt."""
+        reused = conn.sock is not None
+        try:
+            conn.request("POST", self.target, body, self.headers)
+            reply = conn.getresponse()
+        except ConnectionError:
+            if not reused:
+                raise
+            conn.close()
+            conn.request("POST", self.target, body, self.headers)
+            reply = conn.getresponse()
+        raw = reply.read()
+        # The body's declared charset, else UTF-8; undecodable bytes become U+FFFD.
+        charset = reply.headers.get_content_charset() or "utf-8"
+        try:
+            text = raw.decode(charset, errors="replace")
+        except LookupError:
+            text = raw.decode("utf-8", errors="replace")
+        return reply.status, text
+
+
+def _resolve_endpoint(endpoint: str) -> _Route:
+    """The route to ``endpoint``, reading the environment once.
+
+    The proxy is the one ``urllib.request.getproxies()`` names for the
+    endpoint's scheme (``http_proxy``, ``https_proxy``), else ``all_proxy``,
+    unless ``urllib.request.proxy_bypass()`` (``no_proxy``) exempts the host.
+    An http endpoint is then reached by sending absolute-URI requests to the
+    proxy, an https one through a CONNECT tunnel. https verifies against
+    ``_tls_context``'s CA bundle. netrc credentials for the host, else those
+    in the URL, are sent as a Basic ``Authorization`` header.
     """
-    # requests is imported here and in _exchange, as scipy is in the geometry
-    # stages (see clustering.dbscan): only the remote backend pays for it.
-    import requests
-    from requests.adapters import HTTPAdapter
+    import urllib.request
 
-    session = requests.Session()
-    adapter = HTTPAdapter(pool_maxsize=pool_size)
-    session.mount("http://", adapter)
-    session.mount("https://", adapter)
-    settings = session.merge_environment_settings(endpoint, {}, None, None, None)
-    session.proxies = settings["proxies"]
-    session.verify = settings["verify"]
-    session.auth = requests.utils.get_netrc_auth(endpoint)
-    session.trust_env = False
-    return session
+    parts = urllib.parse.urlsplit(endpoint)
+    host, port = parts.hostname, parts.port
+    target = urllib.parse.quote(parts.path or "/", safe="!#$%&'()*+,/:;=?@[]~")
+    if parts.query:
+        target += f"?{parts.query}"
+    headers = {"Content-Type": "application/json"}
+    credentials = _netrc_credentials(host) or _url_credentials(parts)
+    if credentials:
+        headers["Authorization"] = _basic_auth(*credentials, where=f"endpoint {host}")
+    tls = _tls_context() if parts.scheme == "https" else None
+    proxy = None
+    if not urllib.request.proxy_bypass(host):
+        proxies = urllib.request.getproxies()
+        proxy = proxies.get(parts.scheme) or proxies.get("all")
+    if not proxy:
+        return _Route(host, port, target, headers, tls)
+    proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    try:
+        proxy_port = proxy_parts.port
+    except ValueError as exc:
+        raise ConfigError(f"proxy {proxy!r} for {endpoint!r} is not a valid URL: {exc}")
+    if proxy_parts.scheme != "http" or not proxy_parts.hostname:
+        raise ConfigError(f"proxy {proxy!r} for {endpoint!r} must be an http:// URL with a host")
+    proxy_headers = {}
+    proxy_credentials = _url_credentials(proxy_parts)
+    if proxy_credentials:
+        proxy_headers["Proxy-Authorization"] = _basic_auth(
+            *proxy_credentials, where=f"proxy {proxy_parts.hostname}"
+        )
+    if tls is None:
+        absolute = f"http://{parts.netloc.rpartition('@')[2]}{target}"
+        return _Route(proxy_parts.hostname, proxy_port, absolute, {**headers, **proxy_headers})
+    tunnel = (host, port, proxy_headers)
+    return _Route(proxy_parts.hostname, proxy_port, target, headers, tls, tunnel)
 
 
 class RemoteScorer:
     """HTTP client for an external scoring service.
 
-    POSTs one JSON body per (image, prompt) and retries transient failures
-    (connection errors, timeouts, 5xx) with exponential backoff, at most
-    ``max_retries`` times. When ``log_path`` is set every successful exchange
-    is appended to a JSONL replay log, raw body included, in request order.
+    POSTs one JSON body per (image, prompt) over keep-alive connections and
+    retries transient failures (connection errors, timeouts, 5xx) with
+    exponential backoff, at most ``max_retries`` times. When ``log_path`` is
+    set every successful exchange is appended to a JSONL replay log, raw body
+    included, in request order.
     """
 
     def __init__(
@@ -353,7 +486,6 @@ class RemoteScorer:
         timeout: float = 10.0,
         max_in_flight: int = 4,
         log_path=None,
-        session: requests.Session | None = None,
     ):
         if not endpoint:
             raise ConfigError("remote backend needs an endpoint URL")
@@ -371,57 +503,62 @@ class RemoteScorer:
             raise ConfigError(f"record log {self.log_path} is a directory")
         if self.log_path is not None and not self.log_path.parent.is_dir():
             raise ConfigError(f"record log {self.log_path}: no directory {self.log_path.parent}")
-        self.session = session or _endpoint_session(endpoint, self.max_in_flight)
+        self._route = _resolve_endpoint(endpoint)
 
-    def _exchange(self, request: ScorerRequest) -> tuple[ScorerResponse, str]:
-        """POST one request with retries; returns the parsed response and the
-        raw body. Writes nothing, so worker threads can run it."""
-        import requests
+    def _exchange(
+        self, request: ScorerRequest, conn: http.client.HTTPConnection
+    ) -> tuple[ScorerResponse, str]:
+        """POST one request on ``conn`` with retries; returns the parsed
+        response and the raw body. Writes nothing, so worker threads can run
+        it, each on its own connection."""
+        import http.client
 
         prompt = _REQUEST_PROMPTS.get(request.prompt_id)
         if prompt is None:
             raise ConfigError(f"unknown prompt id {request.prompt_id!r}")
-        body = {
+        body = json.dumps({
             "image": request.image,
             "prompt_id": request.prompt_id,
             "prompt": prompt,
             "mode": request.mode,
-        }
+        }).encode()
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             try:
-                resp = self.session.post(self.endpoint, json=body, timeout=self.timeout)
-            except requests.RequestException as exc:
+                status, text = self._route.post(conn, body)
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()  # the next attempt starts on a new connection
                 last_error = exc
                 continue
-            if resp.status_code >= 500:
-                last_error = TransportError(
-                    f"{self.endpoint}: server error {resp.status_code}"
-                )
+            if status >= 500:
+                last_error = TransportError(f"{self.endpoint}: server error {status}")
                 continue
-            if resp.status_code != 200:
-                raise ProtocolError(
-                    f"{self.endpoint}: unexpected status {resp.status_code}"
-                )
+            if status != 200:
+                raise ProtocolError(f"{self.endpoint}: unexpected status {status}")
             try:
-                data = resp.json()
+                data = json.loads(text)
             except ValueError as exc:
                 raise ProtocolError(f"{self.endpoint}: response is not JSON") from exc
-            return parse_response(data, request.mode, source=self.endpoint), resp.text
+            return parse_response(data, request.mode, source=self.endpoint), text
         raise TransportError(
             f"{self.endpoint}: gave up after {self.max_retries + 1} attempts: {last_error}"
         )
 
     def score(self, request: ScorerRequest) -> ScorerResponse:
-        parsed, text = self._exchange(request)
+        conn = self._route.connect(self.timeout)
+        try:
+            parsed, text = self._exchange(request, conn)
+        finally:
+            conn.close()
         self._log([(request, text)])
         return parsed
 
     def score_many(self, requests_: Sequence[ScorerRequest]) -> list[ScorerResponse]:
-        """At most ``max_in_flight`` requests at once; responses come back, and
-        log records are written, in request order.
+        """At most ``max_in_flight`` requests at once, each worker on its own
+        keep-alive connection; responses come back, and log records are
+        written, in request order. Every connection is closed on return.
 
         If a request fails, the records before it are logged, requests not yet
         started are cancelled and its error is raised.
@@ -432,13 +569,20 @@ class RemoteScorer:
         # Requests after a failed one are skipped: their answers go unused.
         first_failed = len(requests_)
         lock = threading.Lock()
+        worker = threading.local()
+        conns: list[http.client.HTTPConnection] = []
 
         def exchange(index: int):
             nonlocal first_failed
             if index > first_failed:
                 return None  # never read: an earlier request's error is raised
+            conn = getattr(worker, "conn", None)
+            if conn is None:
+                conn = worker.conn = self._route.connect(self.timeout)
+                with lock:
+                    conns.append(conn)
             try:
-                return self._exchange(requests_[index])
+                return self._exchange(requests_[index], conn)
             except BaseException:
                 with lock:
                     first_failed = min(first_failed, index)
@@ -452,6 +596,8 @@ class RemoteScorer:
                 done.append(future.result())
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
+            for conn in conns:
+                conn.close()
             self._log(zip(requests_, (text for _, text in done)))
         return [parsed for parsed, _ in done]
 

@@ -237,14 +237,23 @@ class _Ctx:
         raise MapValidationError(f"{self.source}: at {self._where()}: {message}")
 
 
-def _need(ctx: _Ctx, obj: dict, key: str):
+_KIND_NAMES = {str: "a string", list: "a list"}
+
+
+def _of_kind(ctx: _Ctx, value, key: str, kind: type):
+    if not isinstance(value, kind):
+        ctx.invalid(f"{key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _need(ctx: _Ctx, obj: dict, key: str, kind: type = object):
     if not isinstance(obj, dict) or key not in obj:
         ctx.fail(f"missing field {key!r}")
-    return obj[key]
+    return _of_kind(ctx, obj[key], key, kind)
 
 
 def _lane_from_dict(ctx: _Ctx, data: dict) -> LaneLine:
-    lane_id = str(_need(ctx, data, "lane_id"))
+    lane_id = _need(ctx, data, "lane_id", str)
     raw_points = _need(ctx, data, "points")
     if not isinstance(raw_points, list):
         ctx.fail("'points' must be a list")
@@ -268,7 +277,7 @@ def _lane_from_dict(ctx: _Ctx, data: dict) -> LaneLine:
 
 
 def _image_from_dict(ctx: _Ctx, data: dict) -> ImageAssessment:
-    image_id = str(_need(ctx, data, "image_id"))
+    image_id = _need(ctx, data, "image_id", str)
     raw_scores = data.get("factor_scores") or {}
     if not isinstance(raw_scores, dict):
         ctx.fail(f"image {image_id!r}: 'factor_scores' must be an object")
@@ -292,16 +301,19 @@ def _image_from_dict(ctx: _Ctx, data: dict) -> ImageAssessment:
 
 
 def _map_from_dict(ctx: _Ctx, data: dict, *, require_images: bool) -> LocalMap:
-    map_id = str(_need(ctx, data, "map_id"))
+    map_id = _need(ctx, data, "map_id", str)
     ctx.path.append(f"map[{map_id}]")
-    lanes = [_lane_from_dict(ctx, l) for l in _need(ctx, data, "lane_lines")]
-    images = [_image_from_dict(ctx, i) for i in data.get("images", [])]
+    lanes = [_lane_from_dict(ctx, l) for l in _need(ctx, data, "lane_lines", list)]
+    images = [
+        _image_from_dict(ctx, i) for i in _of_kind(ctx, data.get("images", []), "images", list)
+    ]
     if require_images and not images:
         ctx.invalid("local map has no image records")
+    link_area_id = _of_kind(ctx, data.get("link_area_id", ""), "link_area_id", str)
     try:
         local_map = LocalMap(
             map_id=map_id,
-            link_area_id=str(data.get("link_area_id", "")),
+            link_area_id=link_area_id,
             lane_lines=lanes,
             images=images,
         )
@@ -313,16 +325,16 @@ def _map_from_dict(ctx: _Ctx, data: dict, *, require_images: bool) -> LocalMap:
 
 def area_from_dict(data: dict, *, source: str = "<dict>") -> LinkArea:
     ctx = _Ctx(source)
-    link_id = str(_need(ctx, data, "link_id"))
+    link_id = _need(ctx, data, "link_id", str)
     truth = data.get("ground_truth")
     truth_lanes = None
     if truth is not None:
         ctx.path.append("ground_truth")
-        truth_lanes = [_lane_from_dict(ctx, l) for l in truth]
+        truth_lanes = [_lane_from_dict(ctx, l) for l in _of_kind(ctx, truth, "ground_truth", list)]
         ctx.path.pop()
     maps = [
         _map_from_dict(ctx, m, require_images=True)
-        for m in _need(ctx, data, "local_maps")
+        for m in _need(ctx, data, "local_maps", list)
     ]
     try:
         return LinkArea(link_id=link_id, local_maps=maps, ground_truth=truth_lanes)

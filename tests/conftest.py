@@ -1,17 +1,32 @@
-"""Shared fixtures: a stub scorer service on 127.0.0.1."""
+"""Shared fixtures: a stub scorer service on 127.0.0.1, over http or https,
+and a CONNECT proxy."""
 
+import contextlib
 import json
+import select
+import socket
+import ssl
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+# A self-signed certificate for 127.0.0.1 (valid until 2126) and its key.
+TLS_CERT = Path(__file__).parent / "data" / "localhost-cert.pem"
+TLS_KEY = Path(__file__).parent / "data" / "localhost-key.pem"
+
 
 class StubHandler(BaseHTTPRequestHandler):
-    """Answers each POST through ``behaviors[prompt_id](body)``.
+    """Answers each POST through ``behaviors[prompt_id](body)``, which returns
+    a status and a JSON payload (or the raw body bytes).
 
     Keeps connections alive (HTTP/1.1) and serves each one on its own thread,
     so concurrent clients really overlap; ``peak_in_flight`` records how far.
+    ``connections`` and ``closed`` count the TCP connections accepted and
+    ended. ``after_reply`` "announce" answers with ``Connection: close``;
+    "drop" closes the connection after each reply without saying so, as a
+    server does with an idle keep-alive connection.
     """
 
     protocol_version = "HTTP/1.1"
@@ -19,10 +34,28 @@ class StubHandler(BaseHTTPRequestHandler):
     # writes on a kept-alive connection wait ~40 ms on Nagle and delayed ACK.
     wbufsize = 1 << 16
     behaviors = {}  # prompt_id -> callable(body) -> (status, payload)
-    calls = []
+    calls = []  # request bodies, in arrival order
+    paths = []  # request targets
+    seen_headers = []  # request headers
     lock = threading.Lock()
     in_flight = 0
     peak_in_flight = 0
+    connections = 0
+    closed = 0
+    after_reply = "keep"
+    content_type = "application/json"
+
+    def setup(self):
+        super().setup()
+        with self.lock:
+            type(self).connections += 1
+
+    def finish(self):
+        try:
+            super().finish()
+        finally:
+            with self.lock:
+                type(self).closed += 1
 
     def do_POST(self):
         cls = type(self)
@@ -33,17 +66,23 @@ class StubHandler(BaseHTTPRequestHandler):
             n = int(self.headers.get("Content-Length", 0))
             body = json.loads(self.rfile.read(n))
             cls.calls.append(body)
+            cls.paths.append(self.path)
+            cls.seen_headers.append(self.headers)
             behavior = cls.behaviors.get(body["prompt_id"], default_behavior)
             status, payload = behavior(body)
         finally:
             with cls.lock:
                 cls.in_flight -= 1
-        data = json.dumps(payload).encode()
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", cls.content_type)
         self.send_header("Content-Length", str(len(data)))
+        if cls.after_reply == "announce":
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
+        if cls.after_reply == "drop":
+            self.close_connection = True
 
     def log_message(self, *args):
         pass
@@ -57,16 +96,86 @@ def default_behavior(body):
     return 200, {"mode": "clarity", "l_clear": 1.5}
 
 
-@pytest.fixture
-def stub_server():
-    StubHandler.behaviors = {}
-    StubHandler.calls = []
-    StubHandler.in_flight = 0
-    StubHandler.peak_in_flight = 0
-    server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
+@contextlib.contextmanager
+def _serve(handler, wrap=None):
+    """Serve ``handler`` on a free 127.0.0.1 port, given to the ``with`` block."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     server.daemon_threads = True
+    if wrap is not None:
+        server.socket = wrap(server.socket)
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}/score", StubHandler
-    server.shutdown()
-    server.server_close()
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _reset_stub():
+    StubHandler.behaviors = {}
+    StubHandler.calls = []
+    StubHandler.paths = []
+    StubHandler.seen_headers = []
+    StubHandler.in_flight = 0
+    StubHandler.peak_in_flight = 0
+    StubHandler.connections = 0
+    StubHandler.closed = 0
+    StubHandler.after_reply = "keep"
+    StubHandler.content_type = "application/json"
+
+
+@pytest.fixture
+def stub_server():
+    _reset_stub()
+    with _serve(StubHandler) as port:
+        yield f"http://127.0.0.1:{port}/score", StubHandler
+
+
+@pytest.fixture
+def tls_stub_server():
+    """The stub behind TLS, with the certificate in ``TLS_CERT``."""
+    _reset_stub()
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(TLS_CERT, TLS_KEY)
+    wrap = lambda sock: context.wrap_socket(sock, server_side=True)  # noqa: E731
+    with _serve(StubHandler, wrap) as port:
+        yield f"https://127.0.0.1:{port}/score", StubHandler
+
+
+class ConnectProxyHandler(BaseHTTPRequestHandler):
+    """A proxy that only tunnels: each CONNECT relays bytes both ways.
+    ``tunnels`` records each target and its Proxy-Authorization header."""
+
+    protocol_version = "HTTP/1.1"
+    tunnels = []
+
+    def do_CONNECT(self):
+        type(self).tunnels.append((self.path, self.headers.get("Proxy-Authorization")))
+        host, _, port = self.path.rpartition(":")
+        upstream = socket.create_connection((host, int(port)), timeout=10)
+        self.send_response(200, "Connection established")
+        self.end_headers()
+        self.close_connection = True
+        ends = {self.connection: upstream, upstream: self.connection}
+        try:
+            while True:
+                readable, _, _ = select.select(list(ends), [], [], 10)
+                data = readable and readable[0].recv(1 << 16)
+                if not data:
+                    return
+                ends[readable[0]].sendall(data)
+        except OSError:
+            return
+        finally:
+            upstream.close()
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def connect_proxy():
+    ConnectProxyHandler.tunnels = []
+    with _serve(ConnectProxyHandler) as port:
+        yield f"http://127.0.0.1:{port}", ConnectProxyHandler

@@ -1,15 +1,16 @@
 """Backend contract: synthetic determinism, HTTP client behaviour, replay."""
 
+import base64
 import json
-import logging
 import re
 import sys
 import threading
 import time
+import urllib.request
 
 import pytest
-import requests
 
+from lanefuse import backends
 from lanefuse.backends import (
     FACTOR_PROMPTS,
     LANE_CLARITY_PROMPT_ID,
@@ -34,6 +35,8 @@ from lanefuse.errors import (
     TransportError,
 )
 from lanefuse.scoring import FactorKind
+
+from conftest import TLS_CERT
 
 F = FactorKind
 
@@ -263,7 +266,7 @@ def test_remote_score_many_raises_the_first_failure_in_request_order(tmp_path, s
         sys.setswitchinterval(interval)
 
 
-def test_remote_reaches_max_in_flight_without_discarding_connections(stub_server, caplog):
+def test_remote_reaches_max_in_flight_without_discarding_connections(stub_server):
     url, handler = stub_server
     # The first 12 requests answer only once all 12 are in flight at once, so
     # the peak does not depend on thread scheduling; a client that never has
@@ -278,10 +281,116 @@ def test_remote_reaches_max_in_flight_without_discarding_connections(stub_server
 
     handler.behaviors["Q2"] = slow
     reqs = [ScorerRequest(image=f"img{i}", prompt_id="Q2") for i in range(48)]
-    caplog.set_level(logging.WARNING, logger="urllib3.connectionpool")
     RemoteScorer(url, max_in_flight=12).score_many(reqs)
     assert handler.peak_in_flight == 12
-    assert not [r for r in caplog.records if "Connection pool is full" in r.getMessage()]
+    assert handler.connections == 12
+
+
+def _wait_closed(handler, timeout=5.0):
+    """The stub's count of ended connections, once it has caught up with the
+    client's closes (each is seen by a server thread reading EOF)."""
+    deadline = time.monotonic() + timeout
+    while handler.closed < handler.connections and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return handler.closed
+
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Every client connection made, kept so that none is closed by the
+    garbage collector instead of the client."""
+    conns = []
+    connect = backends._Route.connect
+
+    def recording(route, timeout):
+        conns.append(connect(route, timeout))
+        return conns[-1]
+
+    monkeypatch.setattr(backends._Route, "connect", recording)
+    return conns
+
+
+def test_remote_score_many_opens_one_connection_per_worker_and_closes_them(
+    stub_server, opened
+):
+    url, handler = stub_server
+    reqs = [ScorerRequest(image=f"img{i}", prompt_id="Q2") for i in range(48)]
+    out = RemoteScorer(url, max_in_flight=4).score_many(reqs)
+    assert [r.score for r in out] == [7] * 48
+    assert len(handler.calls) == 48
+    assert 1 <= handler.connections == len(opened) <= 4
+    assert all(conn.sock is None for conn in opened)
+    assert _wait_closed(handler) == handler.connections
+
+
+def test_remote_score_closes_its_connection(stub_server, opened):
+    url, handler = stub_server
+    scorer = RemoteScorer(url)
+    for _ in range(3):
+        assert scorer.score(ScorerRequest(image="a.jpg", prompt_id="Q12")).score == 7
+    assert handler.connections == len(opened) == 3
+    assert all(conn.sock is None for conn in opened)
+    assert _wait_closed(handler) == 3
+
+
+@pytest.mark.parametrize("after_reply", ["announce", "drop"])
+@pytest.mark.parametrize("in_flight", [1, 3])
+def test_remote_reopens_a_closed_keep_alive_connection_without_a_retry(
+    stub_server, after_reply, in_flight
+):
+    # Every connection serves one reply: "announce" says so with
+    # Connection: close, "drop" just closes it, as an idle timeout would.
+    url, handler = stub_server
+    handler.after_reply = after_reply
+    reqs = [ScorerRequest(image=f"img{i}", prompt_id="Q2") for i in range(12)]
+    out = RemoteScorer(url, max_retries=0, max_in_flight=in_flight).score_many(reqs)
+    assert [r.score for r in out] == [7] * 12
+    assert len(handler.calls) == 12
+    assert handler.connections == 12
+
+
+def test_remote_server_error_on_a_kept_alive_connection_spends_a_retry(stub_server):
+    url, handler = stub_server
+    attempts = []
+
+    def second_fails(body):
+        attempts.append(body["image"])
+        if len(attempts) == 2:
+            return 503, {"error": "busy"}
+        return 200, {"mode": "direct", "score": 4}
+
+    handler.behaviors["Q5"] = second_fails
+    reqs = [ScorerRequest(image=f"img{i}", prompt_id="Q5") for i in range(3)]
+    with pytest.raises(TransportError, match="server error 503"):
+        RemoteScorer(url, max_retries=0, max_in_flight=1).score_many(reqs)
+    attempts.clear()
+    out = RemoteScorer(url, max_retries=1, backoff=0.001, max_in_flight=1).score_many(reqs)
+    assert [r.score for r in out] == [4, 4, 4]
+    assert attempts == ["img0", "img1", "img1", "img2"]
+
+
+_ACCENTED_BODY = '{"mode": "direct", "score": 3, "model": "s\u00e9"}'
+
+
+@pytest.mark.parametrize(
+    "content_type, encoding",
+    [
+        ("application/json", "utf-8"),
+        ("application/json; charset=latin-1", "latin-1"),
+        ("application/json; charset=no-such-codec", "utf-8"),
+    ],
+    ids=["utf-8-by-default", "declared-charset", "unknown-charset"],
+)
+def test_remote_logs_the_body_decoded_by_its_charset(
+    tmp_path, stub_server, content_type, encoding
+):
+    url, handler = stub_server
+    handler.content_type = content_type
+    handler.behaviors["Q2"] = lambda _: (200, _ACCENTED_BODY.encode(encoding))
+    log = tmp_path / "log.jsonl"
+    resp = RemoteScorer(url, log_path=log).score(ScorerRequest(image="a.jpg", prompt_id="Q2"))
+    assert resp.model == "s\u00e9"
+    assert json.loads(log.read_text(encoding="utf-8"))["body"] == _ACCENTED_BODY
 
 
 def test_remote_reads_proxy_environment_only_at_construction(monkeypatch, stub_server):
@@ -296,45 +405,141 @@ def test_remote_reads_proxy_environment_only_at_construction(monkeypatch, stub_s
 
         return wrapper
 
-    monkeypatch.setattr(
-        requests.sessions, "get_environ_proxies", counting(requests.sessions.get_environ_proxies)
-    )
-    monkeypatch.setattr(
-        requests.utils, "get_environ_proxies", counting(requests.utils.get_environ_proxies)
-    )
+    for name in ("getproxies", "proxy_bypass"):
+        monkeypatch.setattr(urllib.request, name, counting(getattr(urllib.request, name)))
     scorer.score_many([ScorerRequest(image=f"img{i}", prompt_id="Q2") for i in range(8)])
-    assert len(handler.calls) == 8
+    scorer.score(ScorerRequest(image="a.jpg", prompt_id="Q2"))
+    assert len(handler.calls) == 9
     assert scans == []
+    RemoteScorer(url)  # the counters do see a construction
+    assert scans
 
 
 _PROXY_VARS = ("http_proxy", "https_proxy", "all_proxy", "no_proxy")
 
 
-def test_remote_uses_proxy_set_before_construction(monkeypatch, stub_server):
-    url, handler = stub_server
+@pytest.fixture
+def no_proxy_env(monkeypatch):
     for name in _PROXY_VARS:
         monkeypatch.delenv(name, raising=False)
         monkeypatch.delenv(name.upper(), raising=False)
-    proxy = url.removesuffix("/score")
-    monkeypatch.setenv("http_proxy", proxy)
+    return monkeypatch
+
+
+def _score_through_proxy(env, url, handler, variable):
+    env.setenv(variable, url.removesuffix("/score"))
     # Nothing listens on port 9: only the proxy (the stub) can answer.
     scorer = RemoteScorer("http://127.0.0.1:9/score", max_retries=0, timeout=5.0)
-    monkeypatch.delenv("http_proxy")
+    env.delenv(variable)
     resp = scorer.score_many([ScorerRequest(image="a.jpg", prompt_id="Q12")])
     assert resp[0].score == 7
     assert len(handler.calls) == 1
+    assert handler.paths == ["http://127.0.0.1:9/score"]  # absolute-URI form
 
 
-def test_remote_leaves_injected_session_untouched(stub_server):
-    url, _ = stub_server
-    session = requests.Session()
-    adapters = dict(session.adapters)
-    scorer = RemoteScorer(url, max_in_flight=12, session=session)
-    assert scorer.session is session
-    assert session.trust_env is True
-    assert session.proxies == {} and session.auth is None
-    assert session.adapters == adapters
+def test_remote_uses_proxy_set_before_construction(no_proxy_env, stub_server):
+    _score_through_proxy(no_proxy_env, *stub_server, "http_proxy")
+
+
+def test_remote_uses_all_proxy_when_no_scheme_proxy_is_set(no_proxy_env, stub_server):
+    _score_through_proxy(no_proxy_env, *stub_server, "all_proxy")
+
+
+def test_remote_ignores_proxy_set_after_construction(no_proxy_env, stub_server):
+    url, handler = stub_server
+    scorer = RemoteScorer(url, max_retries=0, timeout=5.0)
+    # Nothing listens on port 9: a client that read this proxy would fail.
+    no_proxy_env.setenv("http_proxy", "http://127.0.0.1:9")
+    assert scorer.score_many([ScorerRequest(image="a.jpg", prompt_id="Q12")])[0].score == 7
+    assert handler.paths == ["/score"]
+
+
+def test_remote_skips_proxy_for_no_proxy_hosts(no_proxy_env, stub_server):
+    url, handler = stub_server
+    no_proxy_env.setenv("http_proxy", "http://127.0.0.1:9")
+    no_proxy_env.setenv("no_proxy", "127.0.0.1")
+    scorer = RemoteScorer(url, max_retries=0, timeout=5.0)
     assert scorer.score(ScorerRequest(image="a.jpg", prompt_id="Q12")).score == 7
+
+
+@pytest.mark.parametrize("proxy", ["https://127.0.0.1:3128", "socks5://127.0.0.1:1080"])
+def test_remote_rejects_a_proxy_it_cannot_use(no_proxy_env, proxy):
+    no_proxy_env.setenv("http_proxy", proxy)
+    with pytest.raises(ConfigError, match="must be an http:// URL"):
+        RemoteScorer("http://127.0.0.1:9/score")
+
+
+def _auth_headers(handler):
+    return [h.get("Authorization") for h in handler.seen_headers]
+
+
+def test_remote_sends_netrc_credentials_read_at_construction(tmp_path, monkeypatch, stub_server):
+    url, handler = stub_server
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login ann password s3cret\n")
+    monkeypatch.setenv("NETRC", str(netrc))
+    scorer = RemoteScorer(url)
+    netrc.write_text("machine 127.0.0.1 login bob password other\n")
+    scorer.score(ScorerRequest(image="a.jpg", prompt_id="Q12"))
+    monkeypatch.setenv("NETRC", str(tmp_path / "none"))
+    RemoteScorer(url).score(ScorerRequest(image="a.jpg", prompt_id="Q12"))
+    user_url = url.replace("//", "//carl:pw@")
+    RemoteScorer(user_url).score(ScorerRequest(image="a.jpg", prompt_id="Q12"))
+    assert _auth_headers(handler) == [
+        "Basic " + base64.b64encode(b"ann:s3cret").decode(),
+        None,
+        "Basic " + base64.b64encode(b"carl:pw").decode(),
+    ]
+
+
+def test_remote_rejects_credentials_that_are_not_latin_1():
+    with pytest.raises(ConfigError, match="Latin-1"):
+        RemoteScorer("http://\u20ac:pw@127.0.0.1:9/score")
+
+
+@pytest.fixture
+def clean_tls_env(no_proxy_env):
+    for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+        no_proxy_env.delenv(name, raising=False)
+    return no_proxy_env
+
+
+@pytest.mark.parametrize("variable", ["REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"])
+def test_remote_https_verifies_with_the_ca_bundle_read_at_construction(
+    clean_tls_env, tls_stub_server, variable
+):
+    url, handler = tls_stub_server
+    request = ScorerRequest(image="a.jpg", prompt_id="Q12")
+    clean_tls_env.setenv(variable, str(TLS_CERT))
+    scorer = RemoteScorer(url, max_retries=0)
+    clean_tls_env.delenv(variable)
+    assert scorer.score_many([request] * 3)[0].score == 7
+    assert scorer.score(request).score == 7
+    # Without the bundle the self-signed certificate fails verification.
+    with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+        RemoteScorer(url, max_retries=0).score(request)
+    assert len(handler.calls) == 4
+
+
+def test_remote_https_goes_through_a_connect_tunnel(clean_tls_env, tls_stub_server, connect_proxy):
+    url, handler = tls_stub_server
+    proxy, proxy_handler = connect_proxy
+    clean_tls_env.setenv("REQUESTS_CA_BUNDLE", str(TLS_CERT))
+    clean_tls_env.setenv("https_proxy", proxy.replace("//", "//ann:pw@"))
+    scorer = RemoteScorer(url, max_retries=0, max_in_flight=2)
+    out = scorer.score_many([ScorerRequest(image=f"img{i}", prompt_id="Q12") for i in range(6)])
+    assert [r.score for r in out] == [7] * 6
+    target = url.removeprefix("https://").removesuffix("/score")
+    auth = "Basic " + base64.b64encode(b"ann:pw").decode()
+    assert proxy_handler.tunnels in ([(target, auth)], [(target, auth)] * 2)
+    assert handler.paths == ["/score"] * 6
+
+
+def test_remote_rejects_a_ca_bundle_that_cannot_be_read(tmp_path, monkeypatch):
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "missing.pem"))
+    RemoteScorer("http://127.0.0.1:9/score")  # plain http needs no bundle
+    with pytest.raises(ConfigError, match="CA bundle"):
+        RemoteScorer("https://127.0.0.1:9/score")
 
 
 @pytest.mark.parametrize(

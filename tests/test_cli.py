@@ -170,6 +170,21 @@ def test_score_synthetic_twice_identical(tmp_path):
     assert (out1 / f"{name}_scored.json").read_bytes() == (out2 / f"{name}_scored.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "field, value", [("images", 5), ("lane_lines", None), ("image_id", [1]), ("lane_id", 7)]
+)
+def test_select_malformed_area_field_exits_2_naming_it(tmp_path, capsys, field, value):
+    areas = simulate(tmp_path, maps_per_area=2)
+    doc = json.loads(areas[0].read_text())
+    first = doc["local_maps"][0]
+    target = {"image_id": first["images"][0], "lane_id": first["lane_lines"][0]}.get(field, first)
+    target[field] = value
+    areas[0].write_text(json.dumps(doc))
+    assert run(["select", areas[0], "--output-dir", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert f"{field!r} must be a " in err and "Traceback" not in err
+
+
 def test_score_missing_file_exits_2(tmp_path):
     assert run(["score", tmp_path / "ghost.json", "--output-dir", tmp_path]) == 2
 
@@ -214,7 +229,7 @@ def test_score_remote_outputs_and_log_independent_of_max_in_flight(tmp_path, stu
     areas = simulate(tmp_path, maps_per_area=3)
     name = areas[0].stem
     outputs = {}
-    for in_flight in (1, 4):
+    for in_flight in (1, 2, 12):
         out = tmp_path / f"remote{in_flight}"
         config = tmp_path / f"remote{in_flight}.ini"
         config.write_text(
@@ -228,11 +243,11 @@ def test_score_remote_outputs_and_log_independent_of_max_in_flight(tmp_path, stu
             (out / f).read_bytes()
             for f in (f"{name}_scores.csv", f"{name}_scored.json", "replay.jsonl")
         ]
-    assert outputs[1] == outputs[4]
+    assert outputs[1] == outputs[2] == outputs[12]
     ref = tmp_path / "synthetic"
     assert run(["score", areas[0], "--backend", "synthetic", "--scenario", "murky",
                 "--output-dir", ref]) == 0
-    assert outputs[4][0] == (ref / f"{name}_scores.csv").read_bytes()
+    assert outputs[12][0] == (ref / f"{name}_scores.csv").read_bytes()
 
 
 @pytest.mark.parametrize(

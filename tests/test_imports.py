@@ -1,8 +1,9 @@
 """Each command loads only the libraries it runs.
 
-scipy serves the geometry stages (ICP, DBSCAN, AME) and requests the remote
-scorer; a process that runs neither must not pay for importing them. Every
-check runs in a fresh interpreter, since this one has long loaded both.
+scipy serves the geometry stages (ICP, DBSCAN, AME); a process that runs
+none must not pay for importing it. The remote scorer speaks HTTP through the
+standard library, so requests and urllib3 are loaded by no command. Every
+check runs in a fresh interpreter, since this one has long loaded them.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ from lanefuse.evaluation import standard_config, synth_config_to_dict, synth_gen
 from lanefuse.mapmodel import save_link_area
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-WATCHED = ("scipy", "scipy.spatial", "requests")
+WATCHED = ("scipy", "scipy.spatial", "requests", "urllib3")
 SMALL = dataclasses.replace(
     standard_config(0), link_areas=1, maps_per_area=3, images_per_map=2, lane_length=20.0
 )
@@ -74,6 +75,6 @@ def test_evaluate_loads_scipy(tmp_path, area):
     assert {"scipy", "scipy.spatial"} <= set(loaded)
 
 
-def test_remote_scorer_loads_requests_only(tmp_path):
+def test_remote_scorer_loads_none_of_scipy_requests_urllib3(tmp_path):
     code = "from lanefuse.backends import RemoteScorer\nRemoteScorer('http://127.0.0.1:9/score')"
-    assert loaded_after(code, tmp_path) == ["requests"]
+    assert loaded_after(code, tmp_path) == []

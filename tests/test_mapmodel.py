@@ -319,6 +319,62 @@ def test_load_rejects_factor_scores_that_are_not_an_object(tmp_path):
         load_link_area(path)
 
 
+def _edit_area(tmp_path, edit):
+    """An area file saved from ``area()`` after ``edit(doc)``."""
+    doc = area_to_dict(area())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, where, field",
+    [
+        (lambda d: d.update(local_maps=5), "<root>", "local_maps"),
+        (lambda d: d.update(ground_truth=5), "ground_truth", "ground_truth"),
+        (lambda d: d["local_maps"][0].update(lane_lines=5), "map[m0]", "lane_lines"),
+        (lambda d: d["local_maps"][0].update(images=5), "map[m0]", "images"),
+    ],
+    ids=["local_maps", "ground_truth", "lane_lines", "images"],
+)
+def test_load_rejects_a_list_field_that_is_not_a_list(tmp_path, edit, where, field):
+    path = _edit_area(tmp_path, edit)
+    with pytest.raises(MapValidationError) as info:
+        load_link_area(path)
+    assert str(info.value) == f"{path}: at {where}: {field!r} must be a list, got 5"
+
+
+@pytest.mark.parametrize(
+    "edit, where, field, value",
+    [
+        (lambda d: d.update(link_id=7), "<root>", "link_id", 7),
+        (lambda d: d["local_maps"][0].update(map_id=None), "<root>", "map_id", None),
+        (lambda d: d["local_maps"][0].update(link_area_id=0), "map[m0]", "link_area_id", 0),
+        (lambda d: d["local_maps"][0]["lane_lines"][0].update(lane_id=7), "map[m0]", "lane_id", 7),
+        (lambda d: d["ground_truth"][0].update(lane_id=1.5), "ground_truth", "lane_id", 1.5),
+        (lambda d: d["local_maps"][0]["images"][0].update(image_id=[1]), "map[m0]", "image_id",
+         [1]),
+    ],
+    ids=["link_id", "map_id", "link_area_id", "lane_id", "truth-lane_id", "image_id"],
+)
+def test_load_rejects_an_id_that_is_not_a_string(tmp_path, edit, where, field, value):
+    path = _edit_area(tmp_path, edit)
+    with pytest.raises(MapValidationError) as info:
+        load_link_area(path)
+    assert str(info.value) == f"{path}: at {where}: {field!r} must be a string, got {value!r}"
+
+
+def test_load_local_map_rejects_a_non_string_lane_id(tmp_path):
+    path = tmp_path / "map.json"
+    save_local_map(area().local_maps[0], path)
+    doc = json.loads(path.read_text())
+    doc["lane_lines"][1]["lane_id"] = 1
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MapValidationError, match="'lane_id' must be a string, got 1"):
+        load_local_map(path)
+
+
 def test_load_reads_integral_float_scores_as_integers(tmp_path):
     doc = area_to_dict(area())
     doc["local_maps"][0]["images"][0].update(factor_scores={"blur_day": 3.0}, lane_visibility=8.0)
