@@ -16,7 +16,6 @@ from .confidence import (
     DEFAULT_WEIGHTS,
     ContextProfile,
     WeightProfile,
-    apply_context,
     dpcs,
     gcs,
     with_confidence,

@@ -1,6 +1,8 @@
 """Scorer backends: remote HTTP client, deterministic synthetic scorer, replay.
 
-All three expose one contract: ``score(ScorerRequest) -> ScorerResponse``.
+All three expose one contract: ``score_many(Sequence[ScorerRequest]) ->
+list[ScorerResponse]``, answers in request order; ``score(request)`` is a
+batch of one.
 A request pairs an image reference with a prompt from the fixed catalog and
 asks for one of three answer shapes: the 11 score-level logits, a direct
 integer score, or the lane-clarity logit.
@@ -298,20 +300,6 @@ def check_remote_settings(max_retries: int, timeout: float, max_in_flight: int) 
         raise ConfigError(f"timeout must be a positive number of seconds, got {timeout}")
 
 
-def _check_endpoint(endpoint: str) -> None:
-    """Reject an endpoint URL that no request could reach: one with no scheme,
-    a scheme other than http or https, or no host."""
-    try:
-        parts = urllib.parse.urlsplit(endpoint)
-        parts.port  # raises ValueError on a port that is not a number
-    except ValueError as exc:
-        raise ConfigError(f"endpoint {endpoint!r} is not a valid URL: {exc}")
-    if parts.scheme not in ("http", "https"):
-        raise ConfigError(f"endpoint {endpoint!r} must be an http:// or https:// URL")
-    if not parts.hostname:
-        raise ConfigError(f"endpoint {endpoint!r} names no host")
-
-
 def _basic_auth(user: str, password: str, where: str) -> str:
     try:
         token = base64.b64encode(f"{user}:{password}".encode("latin-1")).decode("ascii")
@@ -421,7 +409,9 @@ class _Route:
 def _resolve_endpoint(endpoint: str) -> _Route:
     """The route to ``endpoint``, reading the environment once.
 
-    The proxy is the one ``urllib.request.getproxies()`` names for the
+    An endpoint that no request could reach is a ``ConfigError``: one that
+    does not parse, has no scheme, a scheme other than http or https, or no
+    host. The proxy is the one ``urllib.request.getproxies()`` names for the
     endpoint's scheme (``http_proxy``, ``https_proxy``), else ``all_proxy``,
     unless ``urllib.request.proxy_bypass()`` (``no_proxy``) exempts the host.
     An http endpoint is then reached by sending absolute-URI requests to the
@@ -431,8 +421,16 @@ def _resolve_endpoint(endpoint: str) -> _Route:
     """
     import urllib.request
 
-    parts = urllib.parse.urlsplit(endpoint)
-    host, port = parts.hostname, parts.port
+    try:
+        parts = urllib.parse.urlsplit(endpoint)
+        port = parts.port  # raises ValueError on a port that is not a number
+    except ValueError as exc:
+        raise ConfigError(f"endpoint {endpoint!r} is not a valid URL: {exc}")
+    if parts.scheme not in ("http", "https"):
+        raise ConfigError(f"endpoint {endpoint!r} must be an http:// or https:// URL")
+    host = parts.hostname
+    if not host:
+        raise ConfigError(f"endpoint {endpoint!r} names no host")
     target = urllib.parse.quote(parts.path or "/", safe="!#$%&'()*+,/:;=?@[]~")
     if parts.query:
         target += f"?{parts.query}"
@@ -489,7 +487,7 @@ class RemoteScorer:
     ):
         if not endpoint:
             raise ConfigError("remote backend needs an endpoint URL")
-        _check_endpoint(endpoint)
+        self._route = _resolve_endpoint(endpoint)
         self.endpoint = endpoint
         self.max_retries = int(max_retries)
         self.backoff = float(backoff)
@@ -503,7 +501,6 @@ class RemoteScorer:
             raise ConfigError(f"record log {self.log_path} is a directory")
         if self.log_path is not None and not self.log_path.parent.is_dir():
             raise ConfigError(f"record log {self.log_path}: no directory {self.log_path.parent}")
-        self._route = _resolve_endpoint(endpoint)
 
     def _exchange(
         self, request: ScorerRequest, conn: http.client.HTTPConnection
@@ -547,13 +544,7 @@ class RemoteScorer:
         )
 
     def score(self, request: ScorerRequest) -> ScorerResponse:
-        conn = self._route.connect(self.timeout)
-        try:
-            parsed, text = self._exchange(request, conn)
-        finally:
-            conn.close()
-        self._log([(request, text)])
-        return parsed
+        return self.score_many([request])[0]
 
     def score_many(self, requests_: Sequence[ScorerRequest]) -> list[ScorerResponse]:
         """At most ``max_in_flight`` requests at once, each worker on its own

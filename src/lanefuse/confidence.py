@@ -186,15 +186,6 @@ def gcs(
     return gcs_detail(assessment, weights, context).value
 
 
-def apply_context(context: ContextProfile, assessment: ImageAssessment) -> ImageAssessment:
-    """Zero out the scores of inactive factors; lane visibility is untouched."""
-    scores = {
-        f: (s if context.is_active(f) else 0)
-        for f, s in assessment.factor_scores.items()
-    }
-    return replace(assessment, factor_scores=scores)
-
-
 # The confidence methods by name: with_confidence, --method and the INI
 # ``method`` key all accept exactly these.
 CONFIDENCE_METHODS = {"dpcs": dpcs, "gcs": gcs}

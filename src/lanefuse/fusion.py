@@ -26,12 +26,8 @@ from .errors import (
     InvalidInputError,
     LaneNotFoundError,
 )
-from .mapmodel import LaneLine, LinkArea, LocalMap, average_confidence, check_lane_points
-
-# apply_transform is unused here but stays importable from this module:
-# perfbench/tracing.py wraps the registration entry points where fusion
-# looks them up.
-from .registration import IcpParams, IcpResult, apply_transform, icp_align  # noqa: F401
+from .mapmodel import LaneLine, LinkArea, LocalMap, average_confidence
+from .registration import IcpParams, IcpResult, apply_transform, icp_align
 
 BAND_FRACTION = 0.1  # band lower bound sits 10% below the best average
 BIN_LENGTH = 1.0  # meters along the cluster axis per emitted polyline point
@@ -217,20 +213,18 @@ def align(
 ) -> tuple[np.ndarray, IcpResult | None]:
     """ICP-align one map onto the target points.
 
-    Returns the map's lane points moved by the fitted transform, pooled in
-    lane order into one (n, 3) array, and the ICP result. A map with no lane
-    points has nothing to align: its points come back empty and its result
-    is None. Moved lanes must still be valid lanes (finite, no two identical
-    consecutive points); a lane that is not raises as LaneLine would.
+    Returns the map's lane points moved by the fitted transform through
+    ``apply_transform``, pooled in lane order into one (n, 3) array, and the
+    ICP result. A map with no lane points has nothing to align: its points
+    come back empty and its result is None. A moved lane that is no longer a
+    valid lane (non-finite, two identical consecutive points) raises as
+    LaneLine does.
     """
-    arrays = [lane.points_array() for lane in local_map.lane_lines]
-    if not arrays:
-        return np.empty((0, 3)), None
-    result = icp_align(np.vstack(arrays), target, iparams)
-    moved = [result.transform.apply(pts) for pts in arrays]
-    for lane, pts in zip(local_map.lane_lines, moved):
-        check_lane_points(lane.lane_id, pts)
-    return np.vstack(moved), result
+    source = local_map.lane_points()
+    if not len(source):
+        return source, None
+    result = icp_align(source, target, iparams)
+    return apply_transform(result.transform, local_map).lane_points(), result
 
 
 def fuse_points(

@@ -347,14 +347,20 @@ def atomic_writer(path, newline: str | None = None) -> Iterator[TextIO]:
     """A UTF-8 text file that appears at ``path`` only once fully written.
 
     The text goes to ``<name>.tmp`` beside ``path``, which is renamed over
-    ``path`` when the block ends without an error. ``newline`` is passed to
-    ``open`` (csv writers want ``""``).
+    ``path`` when the block ends without an error. If the block or the rename
+    raises, the temp file is removed and ``path`` is left as it was.
+    ``newline`` is passed to ``open`` (csv writers want ``""``).
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
-        yield fh
-    tmp.replace(path)
+    fh = open(tmp, "w", newline=newline, encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _dump_json(payload: dict, path) -> None:

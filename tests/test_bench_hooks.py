@@ -38,6 +38,7 @@ SPAN_COUNTS = {
     "confidence.with_confidence": 6,
     "backends.collect_assessment": 3,
     "registration.icp_align": 3,
+    "registration.apply_transform": 3,
     "clustering.dbscan": 2,
     "evaluation.ame": 2,
 }

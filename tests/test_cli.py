@@ -386,14 +386,14 @@ def test_select_band_and_k_cap(tmp_path):
     out = tmp_path / "sel"
     assert run(["select", areas[0], "--output-dir", out]) == 0
     sel_file = out / f"{areas[0].stem}_selection.csv"
-    rows = list(csv.reader(sel_file.open()))
+    rows = list(csv.reader(sel_file.read_text(encoding="utf-8").splitlines()))
     assert rows[0] == ["rank", "map_id", "avg_confidence", "selected"]
     ranks = [r for r in rows[1:] if len(r) == 4 and r[0].isdigit()]
     assert len(ranks) == 5
     averages = [float(r[2]) for r in ranks]
     assert averages == sorted(averages, reverse=True)
     assert run(["select", areas[0], "--output-dir", out, "--k-cap", 1]) == 0
-    rows = list(csv.reader(sel_file.open()))
+    rows = list(csv.reader(sel_file.read_text(encoding="utf-8").splitlines()))
     assert sum(1 for r in rows if len(r) == 4 and r[3] == "yes") == 1
 
 
@@ -401,7 +401,8 @@ def test_select_single_map_area(tmp_path):
     areas = simulate(tmp_path, maps_per_area=1)
     out = tmp_path / "sel1"
     assert run(["select", areas[0], "--output-dir", out]) == 0
-    rows = list(csv.reader((out / f"{areas[0].stem}_selection.csv").open()))
+    text = (out / f"{areas[0].stem}_selection.csv").read_text(encoding="utf-8")
+    rows = list(csv.reader(text.splitlines()))
     assert sum(1 for r in rows if len(r) == 4 and r[3] == "yes") == 1
 
 
@@ -725,7 +726,8 @@ def test_select_reported_average_row_keeps_three(tmp_path):
     path.write_text(json.dumps(area))
     out = tmp_path / "sel_avg"
     assert run(["select", path, "--output-dir", out]) == 0
-    rows = list(csv.reader((out / "avgrow_selection.csv").open()))
+    text = (out / "avgrow_selection.csv").read_text(encoding="utf-8")
+    rows = list(csv.reader(text.splitlines()))
     assert sum(1 for r in rows if len(r) == 4 and r[3] == "yes") == 3
     bound = [r for r in rows if r and r[0] == "lower_bound"][0]
     assert float(bound[1]) == pytest.approx(7.47, abs=1e-6)

@@ -4,13 +4,10 @@ import numpy as np
 import pytest
 
 from lanefuse.confidence import (
-    ALL_FACTORS_CONTEXT,
-    CLEAR_DAY_CONTEXT,
     CONFIDENCE_METHODS,
     DEFAULT_WEIGHTS,
     ContextProfile,
     WeightProfile,
-    apply_context,
     dpcs,
     dpcs_detail,
     gcs,
@@ -125,19 +122,6 @@ def test_all_zero_factors_reduce_to_lane_term():
         a = make({}, s_l)
         assert dpcs(a) == pytest.approx(min(10.0, s_l * 1.0), abs=1e-12)
         assert gcs(a) == pytest.approx(min(10.0, s_l * 1.0), abs=1e-12)
-
-
-def test_apply_context_zeroes_inactive_factors():
-    a = make({F.RAIN: 3, F.BLUR_DAY: 1}, 8)
-    gated = apply_context(CLEAR_DAY_CONTEXT, a)
-    assert gated.factor_scores[F.RAIN] == 0
-    assert gated.factor_scores[F.BLUR_DAY] == 1
-    assert gated.lane_visibility == 8
-
-
-def test_apply_context_all_active_is_identity():
-    a = make({F.RAIN: 3, F.FOG: 2}, 4)
-    assert apply_context(ALL_FACTORS_CONTEXT, a).factor_scores == a.factor_scores
 
 
 def test_lane_only_context():

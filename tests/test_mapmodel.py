@@ -22,6 +22,7 @@ from lanefuse.mapmodel import (
     LocalMap,
     Point3,
     area_to_dict,
+    atomic_writer,
     average_confidence,
     check_lane_points,
     load_link_area,
@@ -425,10 +426,39 @@ def test_local_map_document_roundtrip(tmp_path):
     assert loaded.lane_lines[0].points_array().tolist() == lane().points_array().tolist()
 
 
+def test_atomic_writer_replaces_the_target(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n", encoding="utf-8")
+    with atomic_writer(path) as fh:
+        fh.write("new\n")
+    assert path.read_text(encoding="utf-8") == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+def test_atomic_writer_failed_block_leaves_target_and_no_temp_file(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old\n")
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with atomic_writer(path) as fh:
+            fh.write("partial")
+            raise RuntimeError("mid-write")
+    assert path.read_bytes() == b"old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+
+def test_atomic_writer_failed_rename_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out"
+    path.mkdir()
+    with pytest.raises(IsADirectoryError):
+        with atomic_writer(path) as fh:
+            fh.write("text")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
 def test_scores_csv_layout(tmp_path):
     path = tmp_path / "scores.csv"
     write_scores_csv([image("a", 7.6), image("b", None)], path)
-    rows = list(csv.reader(path.open()))
+    rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
     assert rows[0][0] == "image_id"
     assert rows[0][1] == "blur_day"
     assert rows[0][-3:] == ["lane_visibility", "lane_confidence", "confidence"]
