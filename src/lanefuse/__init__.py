@@ -20,7 +20,6 @@ from .confidence import (
     gcs,
     with_confidence,
 )
-from .config import load_profiles
 from .evaluation import (
     AmeResult,
     EvaluationReport,

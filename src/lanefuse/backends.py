@@ -667,13 +667,6 @@ def _log_line(request: ScorerRequest, body_text: str) -> str:
     return json.dumps(record) + "\n"
 
 
-def write_replay_log(path, entries: Iterable[tuple[ScorerRequest, dict]]) -> None:
-    """Write a replay log from (request, response-dict) pairs."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for request, response in entries:
-            fh.write(_log_line(request, json.dumps(response)))
-
-
 # --- assessment via a backend ----------------------------------------------
 
 

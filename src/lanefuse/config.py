@@ -182,12 +182,6 @@ def _profiles(sections, path):
     return weights, contexts, scenarios
 
 
-def load_profiles(path) -> tuple[dict[str, WeightProfile], dict[str, ContextProfile]]:
-    """The ``[weights.NAME]`` and ``[context.NAME]`` profiles of a pipeline INI
-    file, the built-in context profiles included."""
-    return _profiles(_read(path), path)[:2]
-
-
 def load_pipeline_config(path=None) -> PipelineConfig:
     """Build a PipelineConfig from an INI file; None yields the defaults."""
     cfg = PipelineConfig()

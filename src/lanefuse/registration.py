@@ -3,7 +3,8 @@
 The transform estimation is the closed-form least-squares fit: centroid
 subtraction, SVD of the cross-covariance, reflection-corrected rotation.
 ICP alternates nearest-neighbor matching (optionally gated by distance)
-with re-estimation until the RMS residual stops improving.
+with re-estimation until the RMS residual stops improving. It iterates on
+plain (R, t) arrays and returns one checked RigidTransform for the final fit.
 """
 
 from __future__ import annotations
@@ -40,17 +41,9 @@ class RigidTransform:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(rotation=np.eye(3), translation=np.zeros(3))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return pts @ self.rotation.T + self.translation
-
-    def inverse(self) -> "RigidTransform":
-        r_inv = self.rotation.T
-        return RigidTransform(rotation=r_inv, translation=-(r_inv @ self.translation))
 
 
 @dataclass(frozen=True)
@@ -86,8 +79,11 @@ def _check_spread(points: np.ndarray, label: str) -> None:
         raise DegenerateGeometryError(f"{label} points are collinear; cannot align")
 
 
-def estimate_rigid_transform(source: np.ndarray, target: np.ndarray) -> RigidTransform:
-    """Least-squares rigid fit for paired points source[i] -> target[i]."""
+def estimate_rigid_transform(
+    source: np.ndarray, target: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares rigid fit (rotation, translation) for paired points
+    source[i] -> target[i]; the rotation is proper and orthonormal."""
     src = np.asarray(source, dtype=float)
     tgt = np.asarray(target, dtype=float)
     if src.shape != tgt.shape or src.ndim != 2 or src.shape[1] != 3:
@@ -106,7 +102,7 @@ def estimate_rigid_transform(source: np.ndarray, target: np.ndarray) -> RigidTra
     uu, _, vvt = np.linalg.svd(r)
     r = uu @ vvt
     t = c_tgt - r @ c_src
-    return RigidTransform(rotation=r, translation=t)
+    return r, t
 
 
 def icp_align(
@@ -133,14 +129,14 @@ def icp_align(
     _check_spread(tgt, "target")
 
     tree = cKDTree(tgt)
-    transform = RigidTransform.identity()
+    r, t = np.eye(3), np.zeros(3)
     history: list[float] = []
     prev = np.inf
     converged = False
     iterations = 0
 
     for iterations in range(1, params.max_iterations + 1):
-        moved = transform.apply(src)
+        moved = src @ r.T + t
         dist, idx = tree.query(moved)
         mask = dist <= params.max_correspondence_dist
         if int(mask.sum()) < 3:
@@ -150,8 +146,8 @@ def icp_align(
             )
         pairs_src = src[mask]
         pairs_tgt = tgt[idx[mask]]
-        transform = estimate_rigid_transform(pairs_src, pairs_tgt)
-        errs = np.linalg.norm(transform.apply(pairs_src) - pairs_tgt, axis=1)
+        r, t = estimate_rigid_transform(pairs_src, pairs_tgt)
+        errs = np.linalg.norm(pairs_src @ r.T + t - pairs_tgt, axis=1)
         rms = float(np.sqrt(np.mean(errs**2)))
         history.append(rms)
         if abs(prev - rms) < params.convergence_tol:
@@ -160,7 +156,7 @@ def icp_align(
         prev = rms
 
     return IcpResult(
-        transform=transform,
+        transform=RigidTransform(rotation=r, translation=t),
         rms_residual=history[-1],
         converged=converged,
         iterations=iterations,

@@ -24,7 +24,6 @@ from lanefuse.backends import (
     collect_assessments,
     parse_response,
     synthetic_score,
-    write_replay_log,
 )
 from lanefuse.confidence import CLEAR_DAY_CONTEXT, with_confidence
 from lanefuse.errors import (
@@ -37,6 +36,7 @@ from lanefuse.errors import (
 from lanefuse.scoring import FactorKind
 
 from conftest import TLS_CERT
+from replaylog import write_replay_log
 
 F = FactorKind
 

@@ -16,13 +16,14 @@ from lanefuse.backends import (
     RemoteScorer,
     ScorerRequest,
     synthetic_score,
-    write_replay_log,
 )
 from lanefuse.cli import main
 from lanefuse.confidence import gcs
 from lanefuse.evaluation import SCENARIOS_BY_NAME, ame, standard_config, synth_config_to_dict
 from lanefuse.mapmodel import area_to_dict, load_link_area, load_local_map
 from lanefuse.scoring import DEGRADATION_FACTORS, FactorKind
+
+from replaylog import write_replay_log
 
 F = FactorKind
 ALL_WEIGHTS = "".join(f"{f.key} = 0.2\n" for f in DEGRADATION_FACTORS)

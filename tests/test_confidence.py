@@ -14,7 +14,7 @@ from lanefuse.confidence import (
     weighted_deduction,
     with_confidence,
 )
-from lanefuse.config import load_profiles
+from lanefuse.config import load_pipeline_config
 from lanefuse.errors import ConfigError, InvalidInputError
 from lanefuse.scoring import DEGRADATION_FACTORS, FactorKind, ImageAssessment
 
@@ -188,21 +188,15 @@ degradation = 0.3
 
 [context.storm]
 factors = rain, snow, fog, occlusion
+
+[pipeline]
+weights = heavy
 """
     )
-    weights, contexts = load_profiles(path)
-    assert weights["heavy"].lane_weight == 2.0
-    assert weights["heavy"].factor_weights[F.RAIN] == 0.4
-    storm = contexts["storm"]
+    cfg = load_pipeline_config(path)
+    assert cfg.weights.lane_weight == 2.0
+    assert cfg.weights.factor_weights[F.RAIN] == 0.4
+    storm = cfg.contexts["storm"]
     assert storm.is_active(F.RAIN)
     assert not storm.is_active(F.BLUR_DAY)
     assert storm.is_active(F.LANE_VISIBILITY)
-
-
-def test_profile_file_errors(tmp_path):
-    with pytest.raises(ConfigError):
-        load_profiles(tmp_path / "missing.ini")
-    bad = tmp_path / "bad.ini"
-    bad.write_text("[weights.x]\nlane_weight = 1.0\nwhirlwind = 0.2\n")
-    with pytest.raises(ConfigError):
-        load_profiles(bad)

@@ -117,6 +117,7 @@ sigma = 0.3
         "[pipeline]\noutput_dir = out\n",
         "[DEFAULT]\nk_cap = 2\n",
         "[context.x]\nfactorz = rain\n",
+        "[weights.x]\nlane_weight = 1.0\nwhirlwind = 0.2\n",
         "[context]\nfactors = rain\n",
         "[scenario.bad]\nsigma = inf\n",
         "[dbscan]\nepsilon = nan\n",

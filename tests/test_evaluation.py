@@ -628,3 +628,26 @@ def test_threaded_experiment_raises_first_failing_area():
     for jobs in (1, 2):
         with pytest.raises(EmptyInputError, match="'bare'"):
             run_experiment(areas, ["seq1"], jobs=jobs)
+
+
+def test_policy_errors_unchanged_at_map_frame_coordinates():
+    # UTM-sized offsets: ICP, DBSCAN and the AME must not lose the centimetres.
+    offset = np.array([500000.0, 4000000.0, 0.0])
+    policies = ["baseline", "seq1", "seq3", "seq5", "band"]
+
+    def moved(lanes):
+        return [LaneLine(lane.lane_id, lane.points + offset) for lane in lanes]
+
+    for area in synth_generate(standard_config(0))[:2]:  # straight, curved
+        far = LinkArea(
+            area.link_id,
+            [dataclasses.replace(m, lane_lines=moved(m.lane_lines)) for m in area.local_maps],
+            moved(area.ground_truth),
+        )
+        near_out = evaluate_area(area, policies)
+        far_out = evaluate_area(far, policies)
+        for policy in policies:
+            near, far_result = near_out[policy].result, far_out[policy].result
+            assert (near is None) == (far_result is None)
+            if near is not None:
+                assert f"{far_result.e_ame:.6f}" == f"{near.e_ame:.6f}", (area.link_id, policy)

@@ -16,7 +16,6 @@ from lanefuse.backends import (
     LANE_CLARITY_PROMPT_ID,
     ReplayScorer,
     ScorerRequest,
-    write_replay_log,
 )
 from lanefuse.cli import main
 from lanefuse.confidence import CLEAR_DAY_CONTEXT
@@ -24,6 +23,8 @@ from lanefuse.errors import ConfigError, LanefuseError, MapValidationError, Prot
 from lanefuse.evaluation import load_synth_config
 from lanefuse.mapmodel import load_link_area
 from lanefuse.pipeline import load_modifications
+
+from replaylog import write_replay_log
 
 # Python's JSON encoder writes NaN and Infinity, and its decoder reads them.
 BAD_VALUES = {"bool": True, "numeral-string": "3", "nan": math.nan, "infinity": math.inf}

@@ -29,22 +29,13 @@ def test_rigid_transform_validation():
         RigidTransform(rotation=reflection, translation=np.zeros(3))
 
 
-def test_transform_inverse_roundtrip():
-    rng = np.random.default_rng(2)
-    r, t = random_rigid_transform(rng)
-    transform = RigidTransform(rotation=r, translation=t)
-    pts = cloud(rng, 50)
-    back = transform.inverse().apply(transform.apply(pts))
-    assert np.allclose(back, pts, atol=1e-9)
-
-
 def test_estimate_recovers_exact_pairing():
     rng = np.random.default_rng(3)
     src = cloud(rng, 100)
     r, t = random_rigid_transform(rng)
-    est = estimate_rigid_transform(src, src @ r.T + t)
-    assert np.linalg.norm(est.rotation - r) < 1e-9
-    assert np.linalg.norm(est.translation - t) < 1e-9
+    est_r, est_t = estimate_rigid_transform(src, src @ r.T + t)
+    assert np.linalg.norm(est_r - r) < 1e-9
+    assert np.linalg.norm(est_t - t) < 1e-9
 
 
 def test_estimate_handles_reflection_temptation():
@@ -53,8 +44,8 @@ def test_estimate_handles_reflection_temptation():
     src = cloud(rng, 60)
     src[:, 2] *= 1e-9
     r = rodrigues(np.array([0.0, 0.0, 1.0]), 0.3)
-    est = estimate_rigid_transform(src, src @ r.T)
-    assert abs(np.linalg.det(est.rotation) - 1.0) < 1e-9
+    est_r, _ = estimate_rigid_transform(src, src @ r.T)
+    assert abs(np.linalg.det(est_r) - 1.0) < 1e-9
 
 
 def test_icp_identity_on_identical_clouds():
@@ -120,6 +111,24 @@ def test_icp_unconverged_is_flagged_not_raised():
     assert res.iterations == 1
 
 
+def test_icp_checks_one_transform_per_fit(monkeypatch):
+    # ICP iterates on (R, t) arrays; only the returned fit is a RigidTransform.
+    checks = []
+    original = RigidTransform.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        original(self)
+
+    monkeypatch.setattr(RigidTransform, "__post_init__", counted)
+    rng = np.random.default_rng(13)
+    src = cloud(rng)
+    r, t = random_rigid_transform(rng)
+    res = icp_align(src, src @ r.T + t, UNGATED)
+    assert res.iterations > 1
+    assert len(checks) == 1
+
+
 def test_icp_params_validation():
     with pytest.raises(InvalidInputError):
         IcpParams(max_iterations=0)
@@ -142,7 +151,7 @@ def _toy_map():
 
 def test_apply_transform_identity_is_noop():
     m = _toy_map()
-    out = apply_transform(RigidTransform.identity(), m)
+    out = apply_transform(RigidTransform(np.eye(3), np.zeros(3)), m)
     assert out.lane_points().tolist() == m.lane_points().tolist()
 
 
@@ -158,5 +167,6 @@ def test_apply_transform_then_inverse_restores():
     r, tv = random_rigid_transform(rng)
     t = RigidTransform(rotation=r, translation=tv)
     m = _toy_map()
-    back = apply_transform(t.inverse(), apply_transform(t, m))
+    inverse = RigidTransform(rotation=r.T, translation=-(r.T @ tv))
+    back = apply_transform(inverse, apply_transform(t, m))
     assert np.allclose(back.lane_points(), m.lane_points(), atol=1e-9)
