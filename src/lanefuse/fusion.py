@@ -9,6 +9,14 @@ back into a polyline. ``fuse_selections`` is the one loop over those steps.
 An aligned map depends only on the map and the modified map, so it fuses
 several selections of one area aligning each map once; ``fuse_maps`` is
 that loop for a single selection.
+
+Selections are usually prefixes of one another (every policy takes a prefix
+of the rank order), and so are their pools. ``fuse_selections`` therefore
+searches DBSCAN's neighbour pairs once, on the pool of the longest
+selection; a selection that is a prefix of it pools the first n points of
+that pool and clusters them with the pairs whose points both lie there,
+which are the pairs of its own pool (see ``lanefuse.clustering``).
+Any other selection is pooled and searched on its own.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .clustering import DbscanParams, dbscan
+from .clustering import DbscanParams, dbscan, neighbor_pairs
 from .errors import (
     DegenerateGeometryError,
     EmptyFusionError,
@@ -228,18 +236,22 @@ def align(
 
 
 def fuse_points(
-    pooled: np.ndarray, modified: LocalMap, dparams: DbscanParams = DbscanParams()
+    pooled: np.ndarray,
+    modified: LocalMap,
+    dparams: DbscanParams = DbscanParams(),
+    pairs: np.ndarray | None = None,
 ) -> LocalMap:
     """Fuse pooled lane points into the lanes of a new map.
 
     ``pooled`` holds the modified map's own points followed by the aligned
     points of the selected maps. DBSCAN groups them into lane clusters
     (noise dropped), and each cluster is condensed to a polyline; clusters
-    spanning fewer than two bins are dropped.
+    spanning fewer than two bins are dropped. ``pairs``, when given, are the
+    pool's neighbour pairs (see ``clustering.dbscan``).
     """
     if len(pooled) == 0:
         raise EmptyFusionError("no lane points to fuse")
-    labels = dbscan(pooled, dparams)
+    labels = dbscan(pooled, dparams, pairs=pairs)
     lanes: list[LaneLine] = []
     for cluster_id in range(int(labels.max()) + 1):
         polyline = cluster_polyline(pooled[labels == cluster_id])
@@ -265,17 +277,36 @@ def fuse_selections(
 ) -> list[LocalMap | None]:
     """Fuse each selection (keys of ``maps`` in pooling order) onto the
     modified map, whose own points are pooled first. Each map is aligned
-    once, the first time a selection holds it; an empty selection gives None.
+    once, in the order the selections first hold them, before any selection
+    is fused; an empty selection gives None. Selections that are prefixes of
+    the longest one share its neighbour-pair search (see the module
+    docstring).
     """
     target = modified.lane_points()
     aligned: dict[Hashable, np.ndarray] = {}
-    fused: list[LocalMap | None] = []
     for chosen in selections:
         for key in chosen:
             if key not in aligned:
                 aligned[key] = align(maps[key], target, iparams)[0]
-        pooled = [target, *(aligned[key] for key in chosen)]
-        fused.append(fuse_points(np.vstack(pooled), modified, dparams) if chosen else None)
+
+    def pool(chosen: Sequence[Hashable]) -> np.ndarray:
+        return np.vstack([target, *(aligned[key] for key in chosen)])
+
+    longest = tuple(max(selections, key=len, default=()))
+    union = pool(longest)
+    union_pairs = neighbor_pairs(union, dparams.epsilon) if longest else None
+    fused: list[LocalMap | None] = []
+    for chosen in selections:
+        if not chosen:
+            fused.append(None)
+        elif tuple(chosen) == longest[: len(chosen)]:
+            n = len(target) + sum(len(aligned[key]) for key in chosen)
+            pairs = union_pairs
+            if n < len(union):  # i < j, so a pair lies in the prefix when j does
+                pairs = np.compress(union_pairs[:, 1] < n, union_pairs, axis=0)
+            fused.append(fuse_points(union[:n], modified, dparams, pairs))
+        else:
+            fused.append(fuse_points(pool(chosen), modified, dparams))
     return fused
 
 

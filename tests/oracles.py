@@ -6,6 +6,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from lanefuse.clustering import NOISE
+from lanefuse.errors import DegenerateGeometryError
+from lanefuse.registration import IcpResult, RigidTransform, estimate_rigid_transform
 
 
 def brute_force_dbscan(points: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
@@ -76,6 +78,35 @@ def scan_dbscan(points: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
                 queue.extend(sorted(neighborhoods[j]))
         cluster += 1
     return labels
+
+
+def full_search_icp(source: np.ndarray, target: np.ndarray, params) -> IcpResult:
+    """Reference ICP: every iteration searches the k-d tree for every source
+    point, with no reuse of earlier searches."""
+    src = np.asarray(source, dtype=float)
+    tgt = np.asarray(target, dtype=float)
+    tree = cKDTree(tgt)
+    r, t = np.eye(3), np.zeros(3)
+    history = []
+    prev = np.inf
+    converged = False
+    for iterations in range(1, params.max_iterations + 1):
+        moved = src @ r.T + t
+        dist, idx = tree.query(moved)
+        mask = dist <= params.max_correspondence_dist
+        if int(mask.sum()) < 3:
+            raise DegenerateGeometryError(f"only {int(mask.sum())} correspondences")
+        pairs_src = src[mask]
+        pairs_tgt = tgt[idx[mask]]
+        r, t = estimate_rigid_transform(pairs_src, pairs_tgt)
+        errs = np.linalg.norm(pairs_src @ r.T + t - pairs_tgt, axis=1)
+        rms = float(np.sqrt(np.mean(errs**2)))
+        history.append(rms)
+        if abs(prev - rms) < params.convergence_tol:
+            converged = True
+            break
+        prev = rms
+    return IcpResult(RigidTransform(r, t), history[-1], converged, iterations, history)
 
 
 def canonical_labels(labels: np.ndarray) -> np.ndarray:

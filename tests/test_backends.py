@@ -9,6 +9,8 @@ import time
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lanefuse import backends
 from lanefuse.backends import (
@@ -97,6 +99,20 @@ def test_synthetic_logits_mode_flows_through_softmax():
 
 
 # --- remote client -----------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    images=st.lists(
+        st.tuples(st.text("abc_019", min_size=1, max_size=8), st.floats(0.0, 1e9)), max_size=6
+    ),
+    seed=st.integers(0, 2**31 - 1),
+    factors=st.lists(st.sampled_from(list(FactorKind)), unique=True),
+)
+def test_collect_assessments_of_a_batch_equal_one_image_at_a_time(images, seed, factors):
+    backend = SyntheticScorer(DEGRADED, seed=seed)
+    one_at_a_time = [collect_assessments(backend, [image], factors=factors)[0] for image in images]
+    assert collect_assessments(backend, images, factors=factors) == one_at_a_time
 
 
 def test_remote_direct_roundtrip(stub_server):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import lanefuse.fusion
-from lanefuse.clustering import NOISE, DbscanParams, dbscan
+from lanefuse.clustering import NOISE, DbscanParams, dbscan, neighbor_pairs
 from lanefuse.errors import InvalidInputError
 from lanefuse.evaluation import (
     SynthConfig,
@@ -14,9 +14,10 @@ from lanefuse.evaluation import (
     evaluate_area,
     prior_map,
     scripted_modifications,
+    standard_config,
     synth_generate,
 )
-from lanefuse.fusion import fuse_maps, rank_maps
+from lanefuse.fusion import align, fuse_maps, fuse_points, fuse_selections, rank_maps
 from lanefuse.mapmodel import LocalMap
 from oracles import brute_force_dbscan, canonical_labels, scan_dbscan
 
@@ -146,10 +147,63 @@ def test_determinism():
 
 
 def test_param_validation():
-    with pytest.raises(InvalidInputError):
-        DbscanParams(epsilon=0.0)
-    with pytest.raises(InvalidInputError):
-        DbscanParams(min_samples=0)
+    for kwargs in [
+        {"epsilon": 0.0},
+        {"epsilon": True},
+        {"epsilon": "0.5"},
+        {"epsilon": float("nan")},
+        {"epsilon": float("inf")},
+        {"min_samples": 0},
+        {"min_samples": 2.5},
+        {"min_samples": True},
+        {"min_samples": "4"},
+    ]:
+        with pytest.raises(InvalidInputError, match=next(iter(kwargs))):
+            DbscanParams(**kwargs)
+
+
+def test_params_store_plain_numbers():
+    params = DbscanParams(epsilon=1, min_samples=4.0)
+    assert type(params.epsilon) is float and params.epsilon == 1.0
+    assert type(params.min_samples) is int and params.min_samples == 4
+
+
+# --- neighbour pairs passed in ------------------------------------------------
+
+
+def test_no_pairs_leaves_every_point_alone():
+    pts = np.array([[0.0, 0.0], [5.0, 5.0], [10.0, 10.0]])
+    none = neighbor_pairs(pts, 0.5)
+    assert none.shape == (0, 2)
+    for min_samples, want in ((1, [0, 1, 2]), (2, [NOISE] * 3)):
+        params = DbscanParams(epsilon=0.5, min_samples=min_samples)
+        assert dbscan(pts, params, pairs=none).tolist() == want == dbscan(pts, params).tolist()
+
+
+def test_pairs_must_be_an_m_by_2_array():
+    pts = np.zeros((3, 2))
+    with pytest.raises(InvalidInputError, match="pairs"):
+        dbscan(pts, DbscanParams(), pairs=np.array([0, 1]))
+
+
+def _modified(area):
+    mods = scripted_modifications(area.ground_truth)
+    prior = apply_modifications(prior_map(area.ground_truth, area.link_id), mods)
+    return prior, {m.map_id: apply_modifications(m, mods) for m in area.local_maps}
+
+
+def test_prefix_pools_cluster_alike_with_the_longest_pools_pairs():
+    # Each policy pools the prior's points, then a rank prefix of aligned maps.
+    params = DbscanParams()
+    for area in synth_generate(standard_config(0)):
+        prior, observed = _modified(area)
+        target = prior.lane_points()
+        pool = [target] + [align(observed[m], target)[0] for m, _ in rank_maps(area)]
+        union = np.vstack(pool)
+        pairs = neighbor_pairs(union, params.epsilon)
+        for n in np.cumsum([len(p) for p in pool]):
+            shared = pairs[pairs[:, 1] < n]
+            assert dbscan(union[:n], params, pairs=shared).tolist() == dbscan(union[:n], params).tolist()
 
 
 # --- align once per area -------------------------------------------------------
@@ -211,3 +265,22 @@ def test_evaluate_area_matches_fusing_each_policy_from_scratch():
     for policy, k in policies.items():
         fused = fuse_maps([observed[m] for m in ranked[:k]], prior)
         assert outcomes[policy].result == ame(fused.lane_lines, truth.lane_lines)
+
+
+def test_fuse_selections_that_are_not_prefixes_match_each_fused_alone():
+    area = _small_area()
+    prior, observed = _modified(area)
+    target = prior.lane_points()
+    ranked = [map_id for map_id, _ in rank_maps(area)]
+    selections = [ranked[1:3], ranked[:2], [], ranked[:4], ranked[2:3]]
+    fused = fuse_selections(observed, selections, prior)
+    for chosen, got in zip(selections, fused):
+        if not chosen:
+            assert got is None
+            continue
+        pooled = np.vstack([target, *(align(observed[m], target)[0] for m in chosen)])
+        want = fuse_points(pooled, prior)
+        assert got.map_id == want.map_id
+        assert [(l.lane_id, l.points.tolist()) for l in got.lane_lines] == [
+            (l.lane_id, l.points.tolist()) for l in want.lane_lines
+        ]

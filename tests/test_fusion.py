@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lanefuse.clustering import DbscanParams
 from lanefuse.errors import (
@@ -52,6 +54,20 @@ def test_rank_maps_descending_with_reported_row():
 def test_rank_maps_tie_breaks_by_map_id():
     ranked = rank_maps(area_with_averages([5.0, 5.0, 5.0]))
     assert [map_id for map_id, _ in ranked] == ["m0", "m1", "m2"]
+
+
+confidence = st.one_of(st.integers(0, 10).map(float), st.floats(0.0, 10.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(confidence, min_size=1, max_size=3), min_size=1, max_size=7), st.data())
+def test_rank_maps_ignores_the_order_of_local_maps(per_map, data):
+    # Integer confidences tie often, so the map_id tie-break is exercised too.
+    maps = [scored_map(f"m{i}", c) for i, c in enumerate(per_map)]
+    shuffled = data.draw(st.permutations(maps))
+    assert rank_maps(LinkArea("link", local_maps=shuffled)) == rank_maps(
+        LinkArea("link", local_maps=maps)
+    )
 
 
 def test_rank_maps_singleton_and_empty():

@@ -1,8 +1,9 @@
 """The recorded output digests of the benchmark, checked in tier-1.
 
 ``perfbench/digests.json`` holds the sha256 of ``evaluation.csv`` per
-standard synth seed (``experiment``) and the manifest digest of every file a
-seed-0 CLI chain writes (``cli_pipeline``). Both are rebuilt here in-process,
+standard synth seed (``experiment``) and per seed of two 160 m areas
+(``long_lane``), and the manifest digest of every file a seed-0 CLI chain
+writes (``cli_pipeline``). Both are rebuilt here in-process,
 exactly as the benchmark builds them, so a change that moves any output byte
 fails tier-1. A change that moves outputs on purpose must re-record the
 digests (``perfbench/record_digests.py``) in a change to the benchmark.
@@ -38,12 +39,21 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def csv_digest(areas) -> str:
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(run_experiment(areas, POLICIES).to_csv_rows())
+    return sha256(buf.getvalue().encode("utf-8"))
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_experiment_csv_matches_recorded_digest(seed):
-    report = run_experiment(synth_generate(standard_config(seed)), POLICIES)
-    buf = io.StringIO(newline="")
-    csv.writer(buf).writerows(report.to_csv_rows())
-    assert sha256(buf.getvalue().encode("utf-8")) == DIGESTS["experiment"][str(seed)]
+    assert csv_digest(synth_generate(standard_config(seed))) == DIGESTS["experiment"][str(seed)]
+
+
+def test_long_lane_csv_matches_recorded_digest():
+    # One straight and one curved area at 160 m, as the long_lane workload runs.
+    areas = synth_generate(SynthConfig(seed=0, link_areas=2, lane_length=160.0))
+    assert csv_digest(areas) == DIGESTS["long_lane"]["0"]
 
 
 def test_cli_chain_matches_recorded_manifest(tmp_path, monkeypatch):

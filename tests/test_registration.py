@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.spatial
 
+import lanefuse.fusion
 from lanefuse.errors import DegenerateGeometryError, InvalidInputError
+from lanefuse.evaluation import SynthConfig, evaluate_area, prior_map, standard_config, synth_generate
 from lanefuse.mapmodel import LaneLine, LocalMap, Point3
 from lanefuse.registration import (
     IcpParams,
@@ -12,7 +15,7 @@ from lanefuse.registration import (
     estimate_rigid_transform,
     icp_align,
 )
-from oracles import random_rigid_transform, rodrigues
+from oracles import full_search_icp, random_rigid_transform, rodrigues
 
 UNGATED = IcpParams(max_iterations=200, convergence_tol=1e-13, max_correspondence_dist=1e9)
 
@@ -130,12 +133,126 @@ def test_icp_checks_one_transform_per_fit(monkeypatch):
 
 
 def test_icp_params_validation():
-    with pytest.raises(InvalidInputError):
-        IcpParams(max_iterations=0)
-    with pytest.raises(InvalidInputError):
-        IcpParams(convergence_tol=0.0)
-    with pytest.raises(InvalidInputError):
-        IcpParams(max_correspondence_dist=-1.0)
+    for kwargs in [
+        {"max_iterations": 0},
+        {"max_iterations": 2.5},
+        {"max_iterations": True},
+        {"max_iterations": "50"},
+        {"max_iterations": float("nan")},
+        {"convergence_tol": 0.0},
+        {"convergence_tol": True},
+        {"convergence_tol": "1e-6"},
+        {"convergence_tol": float("nan")},
+        {"max_correspondence_dist": -1.0},
+        {"max_correspondence_dist": False},
+        {"max_correspondence_dist": float("inf")},
+    ]:
+        with pytest.raises(InvalidInputError, match=next(iter(kwargs))):
+            IcpParams(**kwargs)
+
+
+def test_icp_params_store_plain_numbers():
+    params = IcpParams(max_iterations=3.0, convergence_tol=1, max_correspondence_dist=2)
+    assert type(params.max_iterations) is int and params.max_iterations == 3
+    assert type(params.convergence_tol) is float and params.convergence_tol == 1.0
+    assert type(params.max_correspondence_dist) is float
+
+
+# --- reuse of certified nearest neighbours -----------------------------------
+
+POLICIES = ["baseline", "seq1", "seq3", "seq5", "band"]
+
+
+def assert_same_icp(result, reference):
+    assert np.array_equal(result.transform.rotation, reference.transform.rotation)
+    assert np.array_equal(result.transform.translation, reference.transform.translation)
+    assert result.residual_history == reference.residual_history
+    assert result.iterations == reference.iterations
+    assert result.converged == reference.converged
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_icp_matches_full_search_on_every_experiment_call(seed, monkeypatch):
+    calls = []
+    icp = lanefuse.fusion.icp_align
+
+    def recording(source, target, params):
+        result = icp(source, target, params)
+        calls.append((source, target, params, result))
+        return result
+
+    monkeypatch.setattr(lanefuse.fusion, "icp_align", recording)
+    for area in synth_generate(standard_config(seed)):
+        evaluate_area(area, POLICIES)
+    assert len(calls) == sum(len(a.local_maps) for a in synth_generate(standard_config(seed)))
+    for source, target, params, result in calls:
+        assert_same_icp(result, full_search_icp(source, target, params))
+
+
+def _shifted_copy(rng, pts, angle_deg=2.0):
+    r = rodrigues(np.array([0.0, 0.0, 1.0]), np.deg2rad(angle_deg))
+    return pts @ r.T + rng.normal(scale=0.05, size=pts.shape) + [0.3, -0.2, 0.0]
+
+
+def _ties(rng):
+    # Every target point twice: each nearest distance is a tie (d1 == d2).
+    tgt = cloud(rng, 150)
+    return _shifted_copy(rng, tgt), np.vstack([tgt, tgt[::-1]]), IcpParams()
+
+
+def _midpoint_ties(rng):
+    # Every source point starts halfway between two distinct target points.
+    tgt = np.array([[x, 3.5 * k, 0.0] for k in range(4) for x in range(40)], dtype=float)
+    src = tgt[tgt[:, 0] < 39] + [0.5, 0.0, 0.0]
+    src[:, 2] += rng.normal(scale=0.01, size=len(src))  # not collinear, ties kept
+    return src, tgt, IcpParams()
+
+
+def _partial_gate(rng):
+    # A fifth of the source lies 50 m off, beyond the 2 m gate, on every iteration.
+    tgt = cloud(rng, 200)
+    src = _shifted_copy(rng, tgt)
+    src[::5] += [50.0, 0.0, 0.0]
+    return src, tgt, IcpParams()
+
+
+def _one_iteration(rng):
+    tgt = cloud(rng, 200)
+    return _shifted_copy(rng, tgt), tgt, IcpParams(max_iterations=1)
+
+
+def _map_frame(rng):
+    # Map-frame coordinates: the certificate rests on differences, not magnitudes.
+    tgt = cloud(rng, 200) + [500_000.0, 4_000_000.0, 0.0]
+    return _shifted_copy(rng, tgt - tgt[0]) + tgt[0], tgt, IcpParams()
+
+
+@pytest.mark.parametrize(
+    "case", [_ties, _midpoint_ties, _partial_gate, _one_iteration, _map_frame]
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_icp_matches_full_search_on_targeted_cases(case, seed):
+    source, target, params = case(np.random.default_rng(seed))
+    assert_same_icp(icp_align(source, target, params), full_search_icp(source, target, params))
+
+
+def test_icp_searches_only_points_it_cannot_certify(monkeypatch):
+    searched = []
+
+    class CountingTree(scipy.spatial.cKDTree):
+        def query(self, x, *args, **kwargs):
+            searched.append(len(x))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.spatial, "cKDTree", CountingTree)
+    # One synthetic local map against its area's prior map, as fusion aligns it.
+    area = synth_generate(SynthConfig(seed=0, link_areas=1, maps_per_area=1, images_per_map=1))[0]
+    source = area.local_maps[0].lane_points()
+    result = icp_align(source, prior_map(area.ground_truth, area.link_id).lane_points())
+    assert result.converged and result.iterations >= 4
+    assert searched[0] == len(source)
+    # After the first search, most points keep their certified neighbour.
+    assert sum(searched[1:]) < len(source) * (result.iterations - 1) / 4
 
 
 def _toy_map():
