@@ -39,6 +39,7 @@ from .scoring import (
     ImageAssessment,
     LogitVector,
     assess_image,
+    bounded_number,
     exact_int,
     finite_number,
 )
@@ -220,9 +221,9 @@ class Scenario:
                     f"scenario {self.name!r}: bad range {lo}..{hi} for {factor.key}"
                 )
             ranges[factor] = (lo, hi)
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
-            raise InvalidInputError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         object.__setattr__(self, "factor_ranges", ranges)
+        sigma = bounded_number(self.noise_sigma, "noise_sigma", 0.0)
+        object.__setattr__(self, "noise_sigma", sigma)
 
     def range_for(self, factor: FactorKind) -> tuple[int, int]:
         return self.factor_ranges.get(factor, (0, 0))
@@ -276,7 +277,7 @@ class SyntheticScorer:
 
     def __init__(self, scenario: Scenario, seed: int = 0):
         self.scenario = scenario
-        self.seed = int(seed)
+        self.seed = exact_int(seed, "seed")  # hashed, so any integer works
 
     def score(self, request: ScorerRequest) -> ScorerResponse:
         return synthetic_score(
@@ -290,14 +291,18 @@ class SyntheticScorer:
 # --- remote scorer ----------------------------------------------------------
 
 
-def check_remote_settings(max_retries: int, timeout: float, max_in_flight: int) -> None:
-    """Reject remote-client settings that cannot work, instead of clamping them."""
-    if max_in_flight < 1:
-        raise ConfigError(f"max_in_flight must be >= 1, got {max_in_flight}")
-    if max_retries < 0:
-        raise ConfigError(f"max_retries must be >= 0, got {max_retries}")
-    if not (math.isfinite(timeout) and timeout > 0):
-        raise ConfigError(f"timeout must be a positive number of seconds, got {timeout}")
+def check_remote_settings(
+    max_retries: int, timeout: float, max_in_flight: int, backoff: float = 0.0
+) -> tuple[int, float, int, float]:
+    """The remote client's settings by the number rule, as (max_retries,
+    timeout, max_in_flight, backoff); the INI file sets no backoff. One that
+    cannot work is a ConfigError instead of being clamped or converted."""
+    return (
+        bounded_number(max_retries, "max_retries", 0, error=ConfigError),
+        bounded_number(timeout, "timeout", 0.0, exclusive=True, error=ConfigError),
+        bounded_number(max_in_flight, "max_in_flight", 1, error=ConfigError),
+        bounded_number(backoff, "backoff", 0.0, error=ConfigError),
+    )
 
 
 def _basic_auth(user: str, password: str, where: str) -> str:
@@ -489,11 +494,9 @@ class RemoteScorer:
             raise ConfigError("remote backend needs an endpoint URL")
         self._route = _resolve_endpoint(endpoint)
         self.endpoint = endpoint
-        self.max_retries = int(max_retries)
-        self.backoff = float(backoff)
-        self.timeout = float(timeout)
-        self.max_in_flight = int(max_in_flight)
-        check_remote_settings(self.max_retries, self.timeout, self.max_in_flight)
+        self.max_retries, self.timeout, self.max_in_flight, self.backoff = check_remote_settings(
+            max_retries, timeout, max_in_flight, backoff
+        )
         self.log_path = Path(log_path) if log_path else None
         # The log file appears with its first record; one that could never be
         # written fails here, before any request is sent.

@@ -34,6 +34,7 @@ from .mapmodel import (
     write_scores_csv,
 )
 from .pipeline import load_modifications, update
+from .scoring import bounded_number
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -158,8 +159,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     if not policies:
         raise ConfigError("no policies given")
     ev.parse_policies(policies)
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    bounded_number(args.jobs, "--jobs", 1, error=ConfigError)
     areas = [load_link_area(f) for f in args.area_files]
     report = ev.run_experiment(areas, policies, cfg.dbscan, cfg.icp, jobs=args.jobs)
     out_dir = _output_dir(args)
@@ -249,8 +249,7 @@ def _apply_overrides(args, cfg: PipelineConfig) -> PipelineConfig:
     if getattr(args, "method", None):
         cfg.method = args.method
     if getattr(args, "k_cap", None) is not None:
-        check_k_cap(args.k_cap, "--k-cap")
-        cfg.k_cap = args.k_cap
+        cfg.k_cap = check_k_cap(args.k_cap, "--k-cap")
     if getattr(args, "context", None):
         cfg.use_context(args.context)
     return cfg

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .scoring import exact_int, finite_number
+from .scoring import bounded_number
 
 NOISE = -1
 
@@ -42,14 +42,9 @@ class DbscanParams:
     min_samples: int = 4
 
     def __post_init__(self):
-        epsilon = finite_number(self.epsilon, "epsilon")
-        if epsilon <= 0.0:
-            raise InvalidInputError(f"epsilon must be positive and finite, got {epsilon!r}")
-        min_samples = exact_int(self.min_samples, "min_samples")
-        if min_samples < 1:
-            raise InvalidInputError("min_samples must be >= 1")
+        epsilon = bounded_number(self.epsilon, "epsilon", 0.0, exclusive=True)
         object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "min_samples", min_samples)
+        object.__setattr__(self, "min_samples", bounded_number(self.min_samples, "min_samples", 1))
 
 
 def neighbor_pairs(points: np.ndarray, epsilon: float) -> np.ndarray:

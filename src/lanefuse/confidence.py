@@ -8,12 +8,11 @@ formula everywhere. Inactive factors (per context) contribute nothing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .errors import ConfigError, InvalidInputError
-from .scoring import DEGRADATION_FACTORS, FactorKind, ImageAssessment
+from .scoring import DEGRADATION_FACTORS, FactorKind, ImageAssessment, bounded_number
 
 
 @dataclass(frozen=True)
@@ -25,10 +24,7 @@ class WeightProfile:
     factor_weights: Mapping[FactorKind, float]
 
     def __post_init__(self):
-        if not (math.isfinite(self.lane_weight) and self.lane_weight > 0.0):
-            raise InvalidInputError(
-                f"lane_weight must be positive and finite, got {self.lane_weight!r}"
-            )
+        lane_weight = bounded_number(self.lane_weight, "lane_weight", 0.0, exclusive=True)
         weights = dict(self.factor_weights)
         missing = [f.key for f in DEGRADATION_FACTORS if f not in weights]
         if missing:
@@ -36,8 +32,8 @@ class WeightProfile:
         extra = [f.key for f in weights if f not in DEGRADATION_FACTORS]
         if extra:
             raise InvalidInputError(f"unexpected factor weights: {', '.join(extra)}")
-        if not all(math.isfinite(w) and w >= 0.0 for w in weights.values()):
-            raise InvalidInputError("factor weights must be finite and >= 0")
+        weights = {f: bounded_number(w, f"{f.key} weight", 0.0) for f, w in weights.items()}
+        object.__setattr__(self, "lane_weight", lane_weight)
         object.__setattr__(self, "factor_weights", weights)
 
 

@@ -28,7 +28,7 @@ from .confidence import (
 from .errors import ConfigError, InvalidInputError
 from .evaluation import SCENARIOS_BY_NAME, scenario_from_mapping
 from .registration import IcpParams
-from .scoring import DEGRADATION_FACTORS, FACTOR_BY_KEY, FactorKind
+from .scoring import DEGRADATION_FACTORS, FACTOR_BY_KEY, FactorKind, bounded_number
 
 ENDPOINT_ENV_VAR = "LANEFUSE_ENDPOINT"
 
@@ -79,10 +79,10 @@ class PipelineConfig:
         return endpoint
 
 
-def check_k_cap(k_cap: int | None, name: str) -> None:
-    """Reject a band cap below 1; ``name`` says where the value came from."""
-    if k_cap is not None and k_cap < 1:
-        raise ConfigError(f"{name} must be >= 1")
+def check_k_cap(k_cap: int | None, name: str) -> int | None:
+    """The band cap by the number rule, or None for no cap; a cap below 1 is a
+    ConfigError. ``name`` says where the value came from."""
+    return None if k_cap is None else bounded_number(k_cap, name, 1, error=ConfigError)
 
 
 def _one_of(choices: Collection[str]):
@@ -210,5 +210,5 @@ def load_pipeline_config(path=None) -> PipelineConfig:
     except InvalidInputError as exc:
         raise ConfigError(f"{path}: {exc}")
     check_remote_settings(cfg.max_retries, cfg.timeout, cfg.max_in_flight)
-    check_k_cap(cfg.k_cap, "selection.k_cap")
+    cfg.k_cap = check_k_cap(cfg.k_cap, "selection.k_cap")
     return cfg

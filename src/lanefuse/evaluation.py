@@ -21,6 +21,7 @@ import collections
 import concurrent.futures
 import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -41,7 +42,7 @@ from .fusion import fuse_maps, rank_maps, select_band  # noqa: F401
 from .mapmodel import LaneLine, LinkArea, LocalMap, load_json, reject_unknown_keys
 from .pipeline import Modification, apply_modifications, prior_map, update  # noqa: F401
 from .registration import IcpParams
-from .scoring import FACTOR_BY_KEY, FactorKind, exact_int, finite_number
+from .scoring import FACTOR_BY_KEY, FactorKind, bounded_number, exact_int
 
 CONFIDENCE_THRESHOLD = 7.0  # map-level cutoff for the threshold policy
 
@@ -259,6 +260,16 @@ def scenario_from_mapping(name: str, ranges: Mapping, sigma: float, where: str) 
         raise ConfigError(f"{where}: {exc}")
 
 
+# The numeric fields of a synth config, in the order a document lists them,
+# each with its lower bound and whether that bound is exclusive. numpy's
+# generators take no negative seed.
+_SYNTH_BOUNDS = {
+    "seed": (0, False), "link_areas": (1, False), "maps_per_area": (1, False),
+    "lanes_per_area": (1, False), "lane_spacing": (0.0, True), "images_per_map": (1, False),
+    "lane_length": (0.0, True), "point_spacing": (0.0, True),
+}
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Layout and difficulty of the generated benchmark."""
@@ -276,14 +287,9 @@ class SynthConfig:
     point_spacing: float = 0.2
 
     def __post_init__(self):
-        if self.seed < 0:  # numpy's generators take no negative seed
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
-        for name in ("link_areas", "maps_per_area", "lanes_per_area", "images_per_map"):
-            if getattr(self, name) < 1:
-                raise InvalidInputError(f"{name} must be >= 1")
-        lengths = (self.lane_spacing, self.lane_length, self.point_spacing)
-        if not all(math.isfinite(v) and v > 0 for v in lengths):
-            raise InvalidInputError("spacings and lengths must be positive and finite")
+        for name, (low, exclusive) in _SYNTH_BOUNDS.items():
+            value = bounded_number(getattr(self, name), name, low, exclusive=exclusive)
+            object.__setattr__(self, name, value)
         if not self.degradation_scenarios:
             raise InvalidInputError("need at least one scenario")
         object.__setattr__(
@@ -376,15 +382,6 @@ def synth_generate(
     return areas
 
 
-# The scalar keys of a synth-config document, in the order it is written,
-# each with the checker of its number.
-_SYNTH_KEYS = {
-    "seed": exact_int, "link_areas": exact_int, "maps_per_area": exact_int,
-    "lanes_per_area": exact_int, "lane_spacing": finite_number, "images_per_map": exact_int,
-    "lane_length": finite_number, "point_spacing": finite_number,
-}
-
-
 def _json_range(value, key: str) -> tuple[int, int]:
     """A factor's [lo, hi] score range: a list of two integers."""
     if not (isinstance(value, list) and len(value) == 2):
@@ -397,7 +394,7 @@ def load_synth_config(path) -> SynthConfig:
     data = load_json(path, ConfigError)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: the top level must be a JSON object")
-    reject_unknown_keys(data, (*_SYNTH_KEYS, "scenarios"), path, ConfigError)
+    reject_unknown_keys(data, (*_SYNTH_BOUNDS, "scenarios"), path, ConfigError)
     raw_scenarios = data.get("scenarios", [])
     if not isinstance(raw_scenarios, list):
         raise ConfigError(f"{path}: scenarios must be a list")
@@ -410,16 +407,11 @@ def load_synth_config(path) -> SynthConfig:
         name = str(raw.get("name", f"scenario_{i}"))
         try:
             factors = {key: _json_range(r, key) for key, r in raw.get("factors", {}).items()}
-            sigma = finite_number(raw.get("sigma", 0.0), "sigma")
         except InvalidInputError as exc:
             raise ConfigError(f"{where}: {exc}")
-        scenarios.append(scenario_from_mapping(name, factors, sigma, where))
+        scenarios.append(scenario_from_mapping(name, factors, raw.get("sigma", 0.0), where))
     try:
-        kwargs = {
-            key: check(data[key], key)
-            for key, check in _SYNTH_KEYS.items()
-            if key in data
-        }
+        kwargs = {key: data[key] for key in _SYNTH_BOUNDS if key in data}
         if scenarios:
             kwargs["degradation_scenarios"] = tuple(scenarios)
         return SynthConfig(**kwargs)
@@ -429,7 +421,7 @@ def load_synth_config(path) -> SynthConfig:
 
 def synth_config_to_dict(cfg: SynthConfig) -> dict:
     return {
-        **{key: getattr(cfg, key) for key in _SYNTH_KEYS},
+        **{key: getattr(cfg, key) for key in _SYNTH_BOUNDS},
         "scenarios": [
             {
                 "name": s.name,
@@ -466,12 +458,14 @@ def scripted_modifications(truth: Sequence[LaneLine]) -> list[Modification]:
 
 MapChoice = Callable[[Sequence[tuple[str, float]]], list[str]]
 
-# The policies without a parameter; "seqK" fuses the K best-ranked maps.
+# The policies without a parameter. "seqK" fuses the K best-ranked maps; K is
+# ASCII digits without a leading zero, so each policy has one name.
 _POLICIES: dict[str, MapChoice] = {
     "baseline": lambda ranked: [map_id for map_id, _ in ranked],
     "band": lambda ranked: list(select_band(ranked).selected_map_ids),
     "threshold": lambda ranked: [m for m, avg in ranked if avg >= CONFIDENCE_THRESHOLD],
 }
+_SEQ_POLICY = re.compile(r"seq(0|[1-9][0-9]*)")
 
 
 def parse_policy(name: str) -> MapChoice:
@@ -480,11 +474,9 @@ def parse_policy(name: str) -> MapChoice:
     name = name.strip().lower()
     if name in _POLICIES:
         return _POLICIES[name]
-    if name.startswith("seq"):
-        try:
-            k = int(name[3:])
-        except ValueError:
-            raise ConfigError(f"unknown policy {name!r}")
+    seq = _SEQ_POLICY.fullmatch(name)
+    if seq:
+        k = int(seq[1])
         if k < 1:
             raise ConfigError(f"seq policy needs k >= 1, got {k}")
         return lambda ranked: [map_id for map_id, _ in ranked[:k]]
@@ -602,8 +594,7 @@ def run_experiment(
     ``jobs``, and the first failing area (in input order) raises. ``jobs``
     below 1, a repeated policy and a repeated link id are rejected.
     """
-    if jobs < 1:
-        raise InvalidInputError(f"jobs must be >= 1, got {jobs}")
+    jobs = bounded_number(jobs, "jobs", 1)
     policies = parse_policies(policies)
     areas = list(areas)
     link_ids = [area.link_id for area in areas]

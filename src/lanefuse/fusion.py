@@ -36,6 +36,7 @@ from .errors import (
 )
 from .mapmodel import LaneLine, LinkArea, LocalMap, average_confidence
 from .registration import IcpParams, IcpResult, apply_transform, icp_align
+from .scoring import bounded_number
 
 BAND_FRACTION = 0.1  # band lower bound sits 10% below the best average
 BIN_LENGTH = 1.0  # meters along the cluster axis per emitted polyline point
@@ -74,13 +75,11 @@ def select_band(
     """
     if not ranked:
         raise EmptyInputError("cannot select from an empty ranking")
-    if k_cap is not None and k_cap < 1:
-        raise InvalidInputError("k_cap must be >= 1")
+    if k_cap is not None:
+        k_cap = bounded_number(k_cap, "k_cap", 1)
     c_best = ranked[0][1]
     lower = c_best - BAND_FRACTION * c_best
-    selected = [map_id for map_id, avg in ranked if avg >= lower]
-    if k_cap is not None:
-        selected = selected[:k_cap]
+    selected = [map_id for map_id, avg in ranked if avg >= lower][:k_cap]
     return SelectionResult(
         ranked_map_ids=tuple(map_id for map_id, _ in ranked),
         selected_map_ids=tuple(selected),

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateGeometryError, InvalidInputError
 from .mapmodel import LaneLine, LocalMap
-from .scoring import exact_int, finite_number
+from .scoring import bounded_number
 
 ORTHONORMAL_TOL = 1e-9
 # Meters: far above the rounding of a distance between points a few hundred
@@ -70,14 +70,11 @@ class IcpParams:
     max_correspondence_dist: float = 2.0  # meters
 
     def __post_init__(self):
-        max_iterations = exact_int(self.max_iterations, "max_iterations")
-        if max_iterations <= 0:
-            raise InvalidInputError("max_iterations must be positive")
-        object.__setattr__(self, "max_iterations", max_iterations)
+        object.__setattr__(
+            self, "max_iterations", bounded_number(self.max_iterations, "max_iterations", 1)
+        )
         for name in ("convergence_tol", "max_correspondence_dist"):
-            value = finite_number(getattr(self, name), name)
-            if value <= 0.0:
-                raise InvalidInputError(f"{name} must be positive and finite, got {value!r}")
+            value = bounded_number(getattr(self, name), name, 0.0, exclusive=True)
             object.__setattr__(self, name, value)
 
 

@@ -164,6 +164,23 @@ def finite_number(value, name: str) -> float:
     return number
 
 
+def bounded_number(value, name: str, low, *, exclusive=False, error=InvalidInputError):
+    """A numeric setting read by the number rule and held to its lower bound.
+
+    An int ``low`` makes an integer setting, read by ``exact_int`` (so 3.0 is
+    3); a float ``low`` a real one, read by ``finite_number``. The bound is
+    inclusive unless ``exclusive`` (``low=0.0, exclusive=True`` is a positive
+    setting). A bad value raises ``error``, naming ``name``.
+    """
+    try:
+        number = exact_int(value, name) if isinstance(low, int) else finite_number(value, name)
+    except InvalidInputError as exc:
+        raise error(str(exc)) from None
+    if number < low or (exclusive and number == low):
+        raise error(f"{name} must be {'>' if exclusive else '>='} {low:g}, got {value!r}")
+    return number
+
+
 def _check_score(name: str, value: int) -> int:
     if type(value) is not int:  # the common case skips building the name
         value = exact_int(value, f"{name} score")

@@ -3,6 +3,8 @@ that feeds it."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lanefuse.fusion
 from lanefuse.clustering import NOISE, DbscanParams, dbscan, neighbor_pairs
@@ -13,6 +15,7 @@ from lanefuse.evaluation import (
     apply_modifications,
     evaluate_area,
     prior_map,
+    run_experiment,
     scripted_modifications,
     standard_config,
     synth_generate,
@@ -139,6 +142,38 @@ def test_permutation_invariance_up_to_relabeling():
         assert canonical_labels(unpermuted).tolist() == base.tolist()
 
 
+# Points on a 0.25 m grid: every squared distance is exact, so the k-d trees of
+# two orderings admit the same neighbour pairs, even at exactly epsilon.
+GRID_POINTS = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(GRID_POINTS, st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.integers(1, 6), st.data())
+def test_permutation_keeps_cores_noise_and_border_reach(cells, eps, min_samples, data):
+    # Labels are not equivariant under permutation: a border point within
+    # epsilon of two clusters joins the lower-numbered one, and clusters are
+    # numbered in point order (see the shared_border_* edge cases). What holds:
+    pts = np.array(cells, dtype=float) * 0.25
+    n = len(pts)
+    params = DbscanParams(epsilon=eps, min_samples=min_samples)
+    near = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1) <= eps * eps
+    core = near.sum(axis=1) >= min_samples
+    perm = np.array(data.draw(st.permutations(range(n))), dtype=int)
+    labels = dbscan(pts, params)
+    permuted = np.empty(n, dtype=int)
+    permuted[perm] = dbscan(pts[perm], params)  # back in the original order
+    # the partition of the core points,
+    pairs = set(zip(labels[core].tolist(), permuted[core].tolist()))
+    assert len(pairs) == len(set(labels[core].tolist())) == len(set(permuted[core].tolist()))
+    # the set of noise points,
+    assert np.array_equal(labels == NOISE, permuted == NOISE)
+    assert np.array_equal(labels == NOISE, ~(near & core[None, :]).any(axis=1))
+    # and each border point joins a cluster with a core within epsilon of it.
+    for got in (labels, permuted):
+        for i in np.flatnonzero(~core & (got != NOISE)):
+            assert (near[i] & core & (got == got[i])).any()
+
+
 def test_determinism():
     rng = np.random.default_rng(5)
     pts = rng.uniform(0, 5, size=(100, 2))
@@ -204,6 +239,28 @@ def test_prefix_pools_cluster_alike_with_the_longest_pools_pairs():
         for n in np.cumsum([len(p) for p in pool]):
             shared = pairs[pairs[:, 1] < n]
             assert dbscan(union[:n], params, pairs=shared).tolist() == dbscan(union[:n], params).tolist()
+
+
+def test_dbscan_matches_the_scan_on_every_pool_fusion_clusters(monkeypatch):
+    # Every pool the policies of standard seed 0 fuse, with the neighbour
+    # pairs fuse_selections passes in for it.
+    pools = []
+    real = lanefuse.fusion.dbscan
+
+    def recording(points, params, pairs=None):
+        labels = real(points, params, pairs=pairs)
+        pools.append((points, params, pairs, labels))
+        return labels
+
+    monkeypatch.setattr(lanefuse.fusion, "dbscan", recording)
+    policies = ["baseline", "seq1", "seq3", "seq5", "band"]
+    run_experiment(synth_generate(standard_config(0)), policies)
+    monkeypatch.undo()
+    assert len(pools) == 6 * 5
+    for points, params, pairs, labels in pools:
+        assert pairs is not None
+        want = scan_dbscan(points, params.epsilon, params.min_samples)
+        assert labels.tolist() == want.tolist()
 
 
 # --- align once per area -------------------------------------------------------

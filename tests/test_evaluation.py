@@ -173,6 +173,10 @@ def test_point_errors_match_dense_on_every_synth_pool(monkeypatch):
     assert len(calls) == 3 * 6 * 5
     for points, seg_a, seg_b in calls:
         assert_matches_dense(points, seg_a, seg_b)
+    # Seed 0's calls again at map-frame coordinates, where rounding is coarsest.
+    offset = np.array([500_000.0, 4_000_000.0, 0.0])
+    for points, seg_a, seg_b in calls[: 6 * 5]:
+        assert_matches_dense(points + offset, seg_a + offset, seg_b + offset)
 
 
 def test_point_errors_at_shared_vertex(pair_budget):
@@ -513,10 +517,14 @@ def test_parse_policy_gives_each_policys_map_choice():
     assert ev.parse_policy("seq9")(ranked) == ["a", "b", "c", "d"]
     assert ev.parse_policy("threshold")(ranked) == ["a", "b", "c"]
     assert ev.parse_policy("band")(ranked) == list(ev.select_band(ranked).selected_map_ids)
+    assert ev.parse_policy("seq10")(ranked) == ["a", "b", "c", "d"]
+    # K is ASCII digits without a leading zero, so each policy has one name.
     for name, message in [
         ("x", "unknown policy 'x'"),
         ("seqq", "unknown policy 'seqq'"),
         ("seq0", "seq policy needs k >= 1, got 0"),
+        *[(name, f"unknown policy {name!r}")
+          for name in ("seq03", "seq00", "seq+3", "seq 3", "seq1_0", "seq\u0663", "seq-1", "seq")],
     ]:
         with pytest.raises(ConfigError, match=re.escape(message)):
             ev.parse_policy(name)
@@ -531,6 +539,10 @@ def test_experiment_rejects_a_repeated_link_id_or_policy():
         run_experiment(areas, ["seq1"])
     with pytest.raises(ConfigError, match="policy 'band' given more than once"):
         run_experiment(areas[:1], ["band", "seq1", " BAND"])
+    # seq03 would run seq3 a second time under another name.
+    for names in (["seq3", "seq03"], ["seq10", "seq1_0"], ["seq3", "seq\u0663"]):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown policy {names[1]!r}")):
+            run_experiment(areas[:1], names)
 
 
 def test_table_renders_the_csv_rows_even_for_an_area_named_average():

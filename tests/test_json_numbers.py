@@ -1,11 +1,14 @@
-"""One number rule for every JSON input.
+"""One number rule for every JSON input and every numeric setting.
 
 Each reader of a JSON document (area files, the synth config, modification
 scripts, scorer responses) passes its numbers through ``scoring.exact_int`` or
 ``scoring.finite_number``. A bool, a numeral string, NaN or an infinity is
 rejected with the reader's own error class, and the message names the field.
+Each parameter object and setting check reads its numbers through
+``scoring.bounded_number``, which adds the setting's lower bound.
 """
 
+import argparse
 import json
 import math
 
@@ -14,15 +17,30 @@ import pytest
 from lanefuse.backends import (
     FACTOR_PROMPTS,
     LANE_CLARITY_PROMPT_ID,
+    RemoteScorer,
     ReplayScorer,
+    Scenario,
     ScorerRequest,
+    SyntheticScorer,
 )
-from lanefuse.cli import main
-from lanefuse.confidence import CLEAR_DAY_CONTEXT
-from lanefuse.errors import ConfigError, LanefuseError, MapValidationError, ProtocolError
-from lanefuse.evaluation import load_synth_config
+from lanefuse.cli import cmd_evaluate, main
+from lanefuse.clustering import DbscanParams
+from lanefuse.confidence import CLEAR_DAY_CONTEXT, DEFAULT_WEIGHTS, WeightProfile
+from lanefuse.config import PipelineConfig, check_k_cap
+from lanefuse.errors import (
+    ConfigError,
+    InvalidInputError,
+    LanefuseError,
+    MapParseError,
+    MapValidationError,
+    ProtocolError,
+)
+from lanefuse.evaluation import SynthConfig, load_synth_config, run_experiment
+from lanefuse.fusion import select_band
 from lanefuse.mapmodel import load_link_area
 from lanefuse.pipeline import load_modifications
+from lanefuse.registration import IcpParams
+from lanefuse.scoring import FactorKind
 
 from replaylog import write_replay_log
 
@@ -130,3 +148,109 @@ def test_score_replay_nan_score_exits_3_without_a_traceback(tmp_path, capsys):
     assert main([str(a) for a in args]) == 3
     assert "'score' must be an integer, got nan" in capsys.readouterr().err
     assert not out.exists()
+
+
+# --- numeric settings -----------------------------------------------------------
+
+RAIN = FactorKind.RAIN
+WEIGHTS = DEFAULT_WEIGHTS.factor_weights
+QUIET = Scenario(name="quiet", factor_ranges={})
+URL = "http://127.0.0.1:9/score"
+
+
+def evaluate_jobs(jobs):
+    # The check comes before any area file is read: the one named here does
+    # not exist, so a value that passes the check fails on reading it.
+    args = argparse.Namespace(
+        policies="band", jobs=jobs, area_files=["missing.json"], output_dir="unused"
+    )
+    with pytest.raises(MapParseError, match="missing.json"):
+        cmd_evaluate(args, PipelineConfig())
+
+
+# (where, field, build, lower bound, exclusive, error class). ``build(value)``
+# makes the setting and returns the value it stored, or None where it stores
+# none. An int bound makes an integer setting, and None is no bound.
+SETTINGS = [
+    ("IcpParams", "max_iterations", lambda v: IcpParams(max_iterations=v).max_iterations,
+     1, False, InvalidInputError),
+    ("IcpParams", "convergence_tol", lambda v: IcpParams(convergence_tol=v).convergence_tol,
+     0.0, True, InvalidInputError),
+    ("IcpParams", "max_correspondence_dist",
+     lambda v: IcpParams(max_correspondence_dist=v).max_correspondence_dist,
+     0.0, True, InvalidInputError),
+    ("DbscanParams", "epsilon", lambda v: DbscanParams(epsilon=v).epsilon,
+     0.0, True, InvalidInputError),
+    ("DbscanParams", "min_samples", lambda v: DbscanParams(min_samples=v).min_samples,
+     1, False, InvalidInputError),
+    *[("SynthConfig", field, lambda v, field=field: getattr(SynthConfig(**{field: v}), field),
+       low, low == 0.0, InvalidInputError)
+      for field, low in (("seed", 0), ("link_areas", 1), ("maps_per_area", 1),
+                         ("lanes_per_area", 1), ("images_per_map", 1), ("lane_spacing", 0.0),
+                         ("lane_length", 0.0), ("point_spacing", 0.0))],
+    ("Scenario", "noise_sigma", lambda v: Scenario("s", {}, noise_sigma=v).noise_sigma,
+     0.0, False, InvalidInputError),
+    ("SyntheticScorer", "seed", lambda v: SyntheticScorer(QUIET, seed=v).seed,
+     None, False, InvalidInputError),
+    *[("RemoteScorer", field,
+       lambda v, field=field: getattr(RemoteScorer(URL, **{field: v}), field),
+       low, exclusive, ConfigError)
+      for field, low, exclusive in (("max_retries", 0, False), ("timeout", 0.0, True),
+                                    ("max_in_flight", 1, False), ("backoff", 0.0, False))],
+    ("WeightProfile", "lane_weight", lambda v: WeightProfile("p", v, WEIGHTS).lane_weight,
+     0.0, True, InvalidInputError),
+    ("WeightProfile", "rain weight",
+     lambda v: WeightProfile("p", 1.0, {**WEIGHTS, RAIN: v}).factor_weights[RAIN],
+     0.0, False, InvalidInputError),
+    ("select_band", "k_cap", lambda v: select_band([("a", 9.0), ("b", 8.9)], k_cap=v) and None,
+     1, False, InvalidInputError),
+    ("check_k_cap", "selection.k_cap", lambda v: check_k_cap(v, "selection.k_cap"),
+     1, False, ConfigError),
+    ("run_experiment", "jobs", lambda v: run_experiment([], ["band"], jobs=v) and None,
+     1, False, InvalidInputError),
+    ("cmd_evaluate", "--jobs", evaluate_jobs, 1, False, ConfigError),
+]
+SETTING_IDS = [f"{where}-{field}" for where, field, *_ in SETTINGS]
+
+
+def bad_values(low, exclusive):
+    """What every setting rejects, plus a fraction for an integer setting and
+    the nearest value outside a bound."""
+    values = {**BAD_VALUES, "neg-infinity": -math.inf}
+    if low is None or isinstance(low, int):
+        values["fraction"] = 2.5
+    if isinstance(low, int):
+        values["below"] = low - 1
+    elif low is not None:
+        values["below"] = low if exclusive else -1e-9
+    return values
+
+
+@pytest.mark.parametrize(
+    "field,build,value,error",
+    [
+        pytest.param(field, build, value, error, id=f"{where}-{field}-{label}")
+        for where, field, build, low, exclusive, error in SETTINGS
+        for label, value in bad_values(low, exclusive).items()
+    ],
+)
+def test_setting_number_rule(field, build, value, error):
+    with pytest.raises(LanefuseError) as info:
+        build(value)
+    assert type(info.value) is error
+    assert field in str(info.value)
+
+
+@pytest.mark.parametrize("where,field,build,low,exclusive,error", SETTINGS, ids=SETTING_IDS)
+def test_settings_store_plain_numbers(where, field, build, low, exclusive, error):
+    if low is None or isinstance(low, int):
+        stored = build(3.0)
+        assert stored is None or (type(stored) is int and stored == 3)
+    else:
+        stored = build(3)
+        assert type(stored) is float and stored == 3.0
+
+
+def test_synthetic_scorer_takes_any_integer_seed():
+    # The seed is hashed, not handed to numpy, so `score --seed -1` works.
+    assert SyntheticScorer(QUIET, seed=-1).seed == -1
