@@ -34,7 +34,7 @@ from .mapmodel import (
     write_scores_csv,
 )
 from .pipeline import load_modifications, update
-from .scoring import bounded_number
+from .scoring import bounded_number, exact_int, json_number
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -146,7 +146,7 @@ def cmd_update(args, cfg: PipelineConfig) -> int:
     chosen = set(select_band(rank_maps(area), k_cap=cfg.k_cap).selected_map_ids)
     # The band is pooled in area-file order; evaluate pools in rank order.
     band = [m.map_id for m in area.local_maps if m.map_id in chosen]
-    (fused,) = update(area, mods, [band], cfg.dbscan, cfg.icp)
+    (fused,) = update(area, mods, band, [len(band)], cfg.dbscan, cfg.icp)
     out_dir = _output_dir(args)
     out = out_dir / f"{Path(args.area_file).stem}_fused.json"
     save_local_map(fused, out)
@@ -187,6 +187,14 @@ def cmd_simulate(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
+def integer(text: str) -> int:
+    """An integer flag by the number rule (``3.0`` is 3); else a usage error."""
+    try:
+        return exact_int(json_number(text), "flag")
+    except InvalidInputError:
+        raise ValueError(text) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lanefuse",
@@ -201,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score every image in a map file")
     common(p)
     p.add_argument("map_file")
-    p.add_argument("--seed", type=int, default=0, help="synthetic scorer seed")
+    p.add_argument("--seed", type=integer, default=0, help="synthetic scorer seed")
     p.add_argument("--backend", choices=BACKEND_KINDS)
     p.add_argument("--scenario", help="scenario for the synthetic backend")
     p.add_argument("--replay-log", help="replay log path")
@@ -212,13 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="rank maps and pick the confidence band")
     common(p)
     p.add_argument("area_file")
-    p.add_argument("--k-cap", type=int, default=None)
+    p.add_argument("--k-cap", type=integer, default=None)
 
     p = sub.add_parser("update", help="apply modifications and fuse")
     common(p)
     p.add_argument("area_file")
     p.add_argument("script_file")
-    p.add_argument("--k-cap", type=int, default=None)
+    p.add_argument("--k-cap", type=integer, default=None)
 
     p = sub.add_parser("evaluate", help="run selection policies against truth")
     common(p)
@@ -228,12 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="baseline,seq1,seq3,seq5,band",
         help="comma-separated: baseline, band, seqK, threshold",
     )
-    p.add_argument("--jobs", type=int, default=1, help="parallel link areas")
+    p.add_argument("--jobs", type=integer, default=1, help="parallel link areas")
 
     p = sub.add_parser("simulate", help="generate synthetic link areas")
     common(p)
     p.add_argument("synth_config")
-    p.add_argument("--seed", type=int, default=None, help="override the config's seed")
+    p.add_argument("--seed", type=integer, default=None, help="override the config's seed")
     return parser
 
 

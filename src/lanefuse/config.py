@@ -28,7 +28,7 @@ from .confidence import (
 from .errors import ConfigError, InvalidInputError
 from .evaluation import SCENARIOS_BY_NAME, scenario_from_mapping
 from .registration import IcpParams
-from .scoring import DEGRADATION_FACTORS, FACTOR_BY_KEY, FactorKind, bounded_number
+from .scoring import DEGRADATION_FACTORS, FACTOR_BY_KEY, FactorKind, bounded_number, json_number
 
 ENDPOINT_ENV_VAR = "LANEFUSE_ENDPOINT"
 
@@ -101,9 +101,9 @@ def _factor_set(text: str) -> frozenset[FactorKind]:
     return frozenset(FACTOR_BY_KEY[key.strip()] for key in text.split(",") if key.strip())
 
 
-def _range(text: str) -> tuple[int, int]:
+def _range(text: str) -> tuple[int | float, int | float]:
     lo, sep, hi = text.partition(":")
-    return (int(lo), int(hi)) if sep else (int(lo), int(lo))
+    return json_number(lo), json_number(hi if sep else lo)
 
 
 # Every section and key a pipeline INI may hold, each key with the parser of
@@ -117,14 +117,16 @@ _KEYS = {
     },
     "backend": {
         "endpoint": str, "replay_log": str, "record_log": str,
-        "max_retries": int, "timeout": float, "max_in_flight": int,
+        "max_retries": json_number, "timeout": json_number, "max_in_flight": json_number,
     },
-    "icp": {"max_iterations": int, "convergence_tol": float, "max_correspondence_dist": float},
-    "dbscan": {"epsilon": float, "min_samples": int},
-    "selection": {"k_cap": lambda text: int(text) if text else None},
-    "weights.": {"lane_weight": float, **{f.key: float for f in DEGRADATION_FACTORS}},
+    "icp": dict.fromkeys(
+        ("max_iterations", "convergence_tol", "max_correspondence_dist"), json_number
+    ),
+    "dbscan": {"epsilon": json_number, "min_samples": json_number},
+    "selection": {"k_cap": lambda text: json_number(text) if text else None},
+    "weights.": {"lane_weight": json_number, **{f.key: json_number for f in DEGRADATION_FACTORS}},
     "context.": {"factors": _factor_set},
-    "scenario.": {"sigma": float, **{key: _range for key in FACTOR_BY_KEY}},
+    "scenario.": {"sigma": json_number, **{key: _range for key in FACTOR_BY_KEY}},
 }
 
 
@@ -209,6 +211,7 @@ def load_pipeline_config(path=None) -> PipelineConfig:
         )
     except InvalidInputError as exc:
         raise ConfigError(f"{path}: {exc}")
-    check_remote_settings(cfg.max_retries, cfg.timeout, cfg.max_in_flight)
+    remote = check_remote_settings(cfg.max_retries, cfg.timeout, cfg.max_in_flight)
+    cfg.max_retries, cfg.timeout, cfg.max_in_flight, _ = remote
     cfg.k_cap = check_k_cap(cfg.k_cap, "selection.k_cap")
     return cfg

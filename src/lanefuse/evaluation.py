@@ -456,21 +456,21 @@ def scripted_modifications(truth: Sequence[LaneLine]) -> list[Modification]:
     ]
 
 
-MapChoice = Callable[[Sequence[tuple[str, float]]], list[str]]
+MapCount = Callable[[Sequence[tuple[str, float]]], int]
 
-# The policies without a parameter. "seqK" fuses the K best-ranked maps; K is
-# ASCII digits without a leading zero, so each policy has one name.
-_POLICIES: dict[str, MapChoice] = {
-    "baseline": lambda ranked: [map_id for map_id, _ in ranked],
-    "band": lambda ranked: list(select_band(ranked).selected_map_ids),
-    "threshold": lambda ranked: [m for m, avg in ranked if avg >= CONFIDENCE_THRESHOLD],
+# The policies without a parameter, as counts of best-ranked maps. "seqK" fuses
+# the K best; K is ASCII digits without a leading zero, so each has one name.
+_POLICIES: dict[str, MapCount] = {
+    "baseline": len,
+    "band": lambda ranked: len(select_band(ranked).selected_map_ids),
+    "threshold": lambda ranked: sum(avg >= CONFIDENCE_THRESHOLD for _, avg in ranked),
 }
 _SEQ_POLICY = re.compile(r"seq(0|[1-9][0-9]*)")
 
 
-def parse_policy(name: str) -> MapChoice:
-    """The maps policy ``name`` fuses: a function from the ranking
-    ((map_id, avg), best first) to map ids in rank order."""
+def parse_policy(name: str) -> MapCount:
+    """How many maps policy ``name`` fuses: a function from the ranking
+    ((map_id, avg), best first) to a count k, the policy fusing the top k."""
     name = name.strip().lower()
     if name in _POLICIES:
         return _POLICIES[name]
@@ -479,7 +479,7 @@ def parse_policy(name: str) -> MapChoice:
         k = int(seq[1])
         if k < 1:
             raise ConfigError(f"seq policy needs k >= 1, got {k}")
-        return lambda ranked: [map_id for map_id, _ in ranked[:k]]
+        return lambda ranked: min(k, len(ranked))
     raise ConfigError(f"unknown policy {name!r}")
 
 
@@ -574,7 +574,8 @@ def evaluate_area(
     mods = scripted_modifications(area.ground_truth)
     truth = apply_modifications(LocalMap("truth", area.link_id, area.ground_truth), mods)
     ranked = rank_maps(area)
-    fused = update(area, mods, [parse_policy(p)(ranked) for p in policies], dparams, iparams)
+    counts = [parse_policy(p)(ranked) for p in policies]
+    fused = update(area, mods, [map_id for map_id, _ in ranked], counts, dparams, iparams)
     return {
         policy: PolicyOutcome(policy, None if f is None else ame(f.lane_lines, truth.lane_lines))
         for policy, f in zip(policies, fused)

@@ -4,10 +4,10 @@ A modification script is a JSON list of ``shift``, ``delete`` and ``add``
 operations. ``load_modifications`` parses one, ``apply_modifications``
 applies it to a map, and ``prior_map`` builds the prior map an update edits.
 ``update`` is the one update step behind both callers. It applies a script
-to the prior map and to every local map, then fuses each selection of maps
-onto the modified prior, pooled in the order given: the ``update`` command
-pools its band maps in area-file order, ``evaluate`` each policy's maps in
-rank order.
+to the prior map and to every local map, then fuses the first k maps of one
+pooling order onto the modified prior for each count k: the ``update``
+command pools its band maps in area-file order, ``evaluate`` each policy's
+maps in rank order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .clustering import DbscanParams
 from .errors import ConfigError, EmptyInputError, InvalidInputError, LanefuseError
-from .fusion import fuse_selections, modify_add, modify_delete, modify_shift, resample_polyline
+from .fusion import fuse_prefixes, modify_add, modify_delete, modify_shift, resample_polyline
 from .mapmodel import LaneLine, LinkArea, LocalMap, load_json, reject_unknown_keys
 from .registration import IcpParams
 from .scoring import finite_number
@@ -105,18 +105,16 @@ def prior_map(truth: Sequence[LaneLine], link_id: str) -> LocalMap:
 def update(
     area: LinkArea,
     mods: Sequence[Modification],
-    selections: Sequence[Sequence[str]],
+    order: Sequence[str],
+    counts: Sequence[int],
     dparams: DbscanParams = DbscanParams(),
     iparams: IcpParams = IcpParams(),
 ) -> list[LocalMap | None]:
     """Apply ``mods`` to the area's prior map and to every local map, then
-    fuse each selection (map ids in pooling order) onto the modified prior.
-
-    Each map is aligned once, the first time a selection holds it; an empty
-    selection gives None (see ``fusion.fuse_selections``).
-    """
+    fuse the first k maps of ``order`` (map ids) onto the modified prior for
+    each count k; k = 0 gives None (see ``fusion.fuse_prefixes``)."""
     if area.ground_truth is None:
         raise EmptyInputError(f"link area {area.link_id!r} carries no ground truth to modify")
     prior = apply_modifications(prior_map(area.ground_truth, area.link_id), mods)
     observed = {m.map_id: apply_modifications(m, mods) for m in area.local_maps}
-    return fuse_selections(observed, selections, prior, dparams, iparams)
+    return fuse_prefixes([observed[m] for m in order], counts, prior, dparams, iparams)

@@ -158,7 +158,7 @@ def icp_align(
     """
     from scipy.spatial import cKDTree  # on first use, as in clustering.dbscan
 
-    # Contiguous, so that src and its masked copies give the same products.
+    # Contiguous, so that a row's product is the one a masked copy of src gives.
     src = np.ascontiguousarray(source, dtype=float)
     tgt = np.asarray(target, dtype=float)
     if src.ndim != 2 or src.shape[1] != 3 or tgt.ndim != 2 or tgt.shape[1] != 3:
@@ -201,18 +201,12 @@ def icp_align(
                 f"only {count} correspondences within "
                 f"{params.max_correspondence_dist} m at iteration {iterations}"
             )
-        if count == n:
-            # Every point pairs: src[mask] equals src, so the source is centred
-            # once, and the residual's moved points are the next iteration's.
-            r, t = _fit(*src_centered, matched)
-            moved = src @ r.T + t
-            errs = _row_norms(moved - matched)
-        else:
-            pairs_src = src[mask]
-            pairs_tgt = matched[mask]
-            r, t = _fit(*_centered(pairs_src), pairs_tgt)
-            errs = _row_norms(pairs_src @ r.T + t - pairs_tgt)
-            moved = src @ r.T + t
+        # When every point pairs, the source is centred once and the slices
+        # are views, so the iteration makes no masked copies.
+        pairs = slice(None) if count == n else mask
+        r, t = _fit(*(src_centered if count == n else _centered(src[mask])), matched[pairs])
+        moved = src @ r.T + t
+        errs = _row_norms(moved - matched)[pairs]
         rms = float(np.sqrt(np.mean(errs**2)))
         history.append(rms)
         if abs(prev - rms) < params.convergence_tol:

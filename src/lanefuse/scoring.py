@@ -9,6 +9,7 @@ both discretizes into the lane visibility score and damps the other factors.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -162,6 +163,18 @@ def finite_number(value, name: str) -> float:
     if not math.isfinite(number):
         raise InvalidInputError(f"{name} must be finite, got {value!r}")
     return number
+
+
+def json_number(text: str) -> int | float:
+    """Text (an INI value, a CLI flag) as a JSON number, or ValueError; the
+    setting that takes it decides its type and bound."""
+    try:
+        value = json.loads(text, parse_constant=str)  # NaN and Infinity as strings
+    except ValueError:
+        value = None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError("not a JSON number")
+    return value
 
 
 def bounded_number(value, name: str, low, *, exclusive=False, error=InvalidInputError):

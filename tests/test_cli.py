@@ -476,6 +476,28 @@ def test_flags_only_on_the_commands_that_read_them(tmp_path, command, flag):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [
+        ("simulate", "--seed", "\u0663"),
+        ("simulate", "--seed", "1_0"),
+        ("simulate", "--seed", "2.5"),
+        ("score", "--seed", "+3"),
+        ("evaluate", "--jobs", "\u0662"),
+        ("evaluate", "--jobs", "02"),
+        ("select", "--k-cap", "1_0"),
+        ("update", "--k-cap", "true"),
+    ],
+)
+def test_integer_flags_follow_the_number_rule(tmp_path, capsys, command, flag, value):
+    args = {"update": ["area.json", "mods.json"]}.get(command, ["area.json"])
+    with pytest.raises(SystemExit) as info:
+        run([command, *args, flag, value, "--output-dir", tmp_path / "out"])
+    assert info.value.code == 2
+    assert f"argument {flag}: invalid integer value: {value!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_update_unknown_lane_exits_2(tmp_path):
     areas = simulate(tmp_path, maps_per_area=2)
     script = tmp_path / "bad.json"
@@ -571,12 +593,15 @@ def test_simulate_is_byte_deterministic(tmp_path):
 
 def test_simulate_seed_flag_overrides_config(tmp_path):
     cfg_path = small_synth_config(tmp_path, seed=4, link_areas=1)
-    out1, out2 = tmp_path / "s1", tmp_path / "s2"
+    out1, out2, out3 = tmp_path / "s1", tmp_path / "s2", tmp_path / "s3"
     assert run(["simulate", cfg_path, "--output-dir", out1, "--seed", 99]) == 0
     assert run(["simulate", cfg_path, "--output-dir", out2]) == 0
+    # An integer flag is a JSON number with no fractional part.
+    assert run(["simulate", cfg_path, "--output-dir", out3, "--seed", "99.0"]) == 0
     a = (out1 / "area_000.json").read_bytes()
     b = (out2 / "area_000.json").read_bytes()
     assert a != b
+    assert (out3 / "area_000.json").read_bytes() == a
 
 
 def test_simulate_scores_with_the_pipeline_method(tmp_path):

@@ -20,7 +20,7 @@ from lanefuse.evaluation import (
     standard_config,
     synth_generate,
 )
-from lanefuse.fusion import align, fuse_maps, fuse_points, fuse_selections, rank_maps
+from lanefuse.fusion import align, fuse_maps, rank_maps
 from lanefuse.mapmodel import LocalMap
 from oracles import brute_force_dbscan, canonical_labels, scan_dbscan
 
@@ -243,7 +243,7 @@ def test_prefix_pools_cluster_alike_with_the_longest_pools_pairs():
 
 def test_dbscan_matches_the_scan_on_every_pool_fusion_clusters(monkeypatch):
     # Every pool the policies of standard seed 0 fuse, with the neighbour
-    # pairs fuse_selections passes in for it.
+    # pairs fuse_prefixes passes in for it.
     pools = []
     real = lanefuse.fusion.dbscan
 
@@ -295,9 +295,15 @@ def _aligned_map_ids(area, sources) -> list[str]:
 def test_evaluate_area_aligns_each_chosen_map_once(monkeypatch):
     area = _small_area()
     sources = _record_icp_sources(monkeypatch)
-    evaluate_area(area, ["baseline", "seq1", "seq3", "seq5", "band"])
+    searches = []
+    search = lanefuse.fusion.neighbor_pairs
+    monkeypatch.setattr(
+        lanefuse.fusion, "neighbor_pairs", lambda *args: searches.append(args) or search(*args)
+    )
+    evaluate_area(area, ["baseline", "seq1", "seq3", "seq5", "band", "threshold"])
     ids = _aligned_map_ids(area, sources)
     assert sorted(ids) == sorted(m.map_id for m in area.local_maps)
+    assert len(searches) == 1
 
 
 def test_evaluate_area_never_aligns_unchosen_maps(monkeypatch):
@@ -322,22 +328,3 @@ def test_evaluate_area_matches_fusing_each_policy_from_scratch():
     for policy, k in policies.items():
         fused = fuse_maps([observed[m] for m in ranked[:k]], prior)
         assert outcomes[policy].result == ame(fused.lane_lines, truth.lane_lines)
-
-
-def test_fuse_selections_that_are_not_prefixes_match_each_fused_alone():
-    area = _small_area()
-    prior, observed = _modified(area)
-    target = prior.lane_points()
-    ranked = [map_id for map_id, _ in rank_maps(area)]
-    selections = [ranked[1:3], ranked[:2], [], ranked[:4], ranked[2:3]]
-    fused = fuse_selections(observed, selections, prior)
-    for chosen, got in zip(selections, fused):
-        if not chosen:
-            assert got is None
-            continue
-        pooled = np.vstack([target, *(align(observed[m], target)[0] for m in chosen)])
-        want = fuse_points(pooled, prior)
-        assert got.map_id == want.map_id
-        assert [(l.lane_id, l.points.tolist()) for l in got.lane_lines] == [
-            (l.lane_id, l.points.tolist()) for l in want.lane_lines
-        ]

@@ -128,6 +128,22 @@ sigma = 0.3
         _weights("lane_weight", "inf"),
         _weights("rain", "nan"),
         _weights("fog", "inf"),
+        # Numbers are JSON numbers: ASCII digits, no "_", no NaN or Infinity.
+        "[backend]\nmax_retries = 1_0\n",
+        "[backend]\nmax_in_flight = \u0663\n",
+        "[scenario.x]\nrain = \u0663:\u0665\n",
+        "[selection]\nk_cap = 1_0\n",
+        "[dbscan]\nmin_samples = 04\n",
+        "[dbscan]\nepsilon = .5\n",
+        "[icp]\nconvergence_tol = +1e-6\n",
+        "[backend]\ntimeout = true\n",
+        "[scenario.bad]\nsigma = NaN\n",
+        "[dbscan]\nepsilon = 1e999\n",
+        _weights("rain", "Infinity"),
+        # The objects decide type and bound.
+        "[icp]\nmax_iterations = 3.5\n",
+        "[selection]\nk_cap = 2.5\n",
+        "[scenario.x]\nrain = 2.5:5\n",
     ],
 )
 def test_rejects_bad_values(tmp_path, body):
@@ -135,6 +151,20 @@ def test_rejects_bad_values(tmp_path, body):
     path.write_text(body)
     with pytest.raises(ConfigError):
         load_pipeline_config(path)
+
+
+def test_numbers_are_json_numbers_typed_by_their_setting(tmp_path):
+    path = tmp_path / "n.ini"
+    path.write_text(
+        "[icp]\nmax_iterations = 3.0\nconvergence_tol = 1E-5\n"
+        "[backend]\nmax_retries = 1e1\ntimeout = 5\nmax_in_flight = 2\n"
+        "[selection]\nk_cap = 2.0\n[scenario.x]\nrain = 3.0:5\n"
+    )
+    cfg = load_pipeline_config(path)
+    settings = (cfg.icp.max_iterations, cfg.max_retries, cfg.max_in_flight, cfg.k_cap)
+    assert settings == (3, 10, 2, 2) and all(type(v) is int for v in settings)
+    assert (cfg.icp.convergence_tol, cfg.timeout) == (1e-5, 5.0) and type(cfg.timeout) is float
+    assert cfg.scenarios["x"].range_for(FactorKind.RAIN) == (3, 5)
 
 
 def test_full_weight_section_loads(tmp_path):

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lanefuse.evaluation as ev
 from lanefuse.backends import Scenario
@@ -26,6 +28,7 @@ from lanefuse.evaluation import (
     synth_config_to_dict,
     synth_generate,
 )
+from lanefuse.fusion import BAND_FRACTION
 from lanefuse.mapmodel import LaneLine, LinkArea, LocalMap, Point3, average_confidence
 from lanefuse.scoring import FactorKind
 from oracles import dense_point_errors
@@ -512,12 +515,12 @@ def test_policy_parsing_and_report_shape():
 
 def test_parse_policy_gives_each_policys_map_choice():
     ranked = [("a", 9.0), ("b", 8.8), ("c", 7.0), ("d", 3.0)]
-    assert ev.parse_policy("baseline")(ranked) == ["a", "b", "c", "d"]
-    assert ev.parse_policy(" SEQ2 ")(ranked) == ["a", "b"]
-    assert ev.parse_policy("seq9")(ranked) == ["a", "b", "c", "d"]
-    assert ev.parse_policy("threshold")(ranked) == ["a", "b", "c"]
-    assert ev.parse_policy("band")(ranked) == list(ev.select_band(ranked).selected_map_ids)
-    assert ev.parse_policy("seq10")(ranked) == ["a", "b", "c", "d"]
+    assert ev.parse_policy("baseline")(ranked) == 4
+    assert ev.parse_policy(" SEQ2 ")(ranked) == 2
+    assert ev.parse_policy("seq9")(ranked) == 4
+    assert ev.parse_policy("threshold")(ranked) == 3
+    assert ev.parse_policy("band")(ranked) == len(ev.select_band(ranked).selected_map_ids)
+    assert ev.parse_policy("seq10")(ranked) == 4
     # K is ASCII digits without a leading zero, so each policy has one name.
     for name, message in [
         ("x", "unknown policy 'x'"),
@@ -528,6 +531,31 @@ def test_parse_policy_gives_each_policys_map_choice():
     ]:
         with pytest.raises(ConfigError, match=re.escape(message)):
             ev.parse_policy(name)
+
+
+@st.composite
+def _rankings(draw):
+    """A ranking sorted as rank_maps sorts it, drawn to hold ties and averages
+    of exactly 7.0, 0.9 x best and the band's own lower bound."""
+    best = draw(st.floats(0.0, 10.0))
+    exact = st.sampled_from([best, 0.9 * best, best - BAND_FRACTION * best, 7.0])
+    averages = draw(st.lists(exact | st.floats(0.0, 10.0), max_size=8))
+    scored = [(f"m{i}", avg) for i, avg in enumerate([best, *averages])]
+    return sorted(scored, key=lambda pair: (-pair[1], pair[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rankings(), st.integers(1, 12))
+def test_each_policy_count_is_its_paper_definition(ranked, k):
+    ids = [map_id for map_id, _ in ranked]
+    definitions = {
+        "baseline": ids,
+        f"seq{k}": ids[:k],
+        "band": list(ev.select_band(ranked).selected_map_ids),
+        "threshold": [m for m, avg in ranked if avg >= 7.0],
+    }
+    for policy, maps in definitions.items():
+        assert ids[: ev.parse_policy(policy)(ranked)] == maps
 
 
 def test_experiment_rejects_a_repeated_link_id_or_policy():

@@ -15,6 +15,7 @@ from lanefuse.errors import (
 from lanefuse.evaluation import ame
 from lanefuse.fusion import (
     fuse_maps,
+    fuse_prefixes,
     modify_add,
     modify_delete,
     modify_shift,
@@ -232,6 +233,14 @@ def test_fuse_self_copy_reproduces_lanes():
 def test_fuse_requires_selection():
     with pytest.raises(EmptyInputError):
         fuse_maps([], straight_map(), FUSE_D, FUSE_I)
+    maps = [straight_map("copy")]
+    for counts, message in [
+        ([1, 2], r"counts \[1, 2\] exceed the 1 maps"),
+        ([-1], "count must be >= 0, got -1"),
+        ([True], "count must be an integer, got True"),
+    ]:
+        with pytest.raises(InvalidInputError, match=message):
+            fuse_prefixes(maps, counts, straight_map(), FUSE_D, FUSE_I)
 
 
 def test_fuse_deleted_lane_stays_deleted():

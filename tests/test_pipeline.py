@@ -5,6 +5,7 @@ import dataclasses
 import json
 
 import numpy as np
+import pytest
 
 import lanefuse.fusion
 from lanefuse.cli import main
@@ -97,15 +98,18 @@ def test_update_command_aligns_each_band_map_once(tmp_path, monkeypatch):
     assert sorted(aligned) == sorted(band)
 
 
-def test_update_fuses_each_selection_and_gives_none_for_an_empty_one():
+def test_update_fuses_each_selection_and_gives_none_for_an_empty_one(monkeypatch):
     area = _worst_first_area()
     prior, observed, _ = _modified(area)
     ranked = [map_id for map_id, _ in rank_maps(area)]
     mods = scripted_modifications(area.ground_truth)
-    one, none, two = update(area, mods, [ranked[:1], [], ranked[:2]])
+    one, none, two = update(area, mods, ranked, [1, 0, 2])
     assert none is None
     assert one == fuse_maps([observed[ranked[0]]], prior)
     assert two == fuse_maps([observed[m] for m in ranked[:2]], prior)
+    for name in ("icp_align", "neighbor_pairs"):
+        monkeypatch.setattr(lanefuse.fusion, name, lambda *args, name=name: pytest.fail(name))
+    assert update(area, mods, ranked, [0, 0]) == [None, None]
 
 
 def test_fuse_maps_pools_duplicates_as_given():
