@@ -229,9 +229,14 @@ class Scenario:
         return self.factor_ranges.get(factor, (0, 0))
 
 
-def _rng_for(seed: int, image_id: str, prompt_id: str) -> np.random.Generator:
+def _draw(bounds: tuple[int, int], seed: int, image_id: str, prompt_id: str) -> int:
+    """An integer in the closed range ``bounds``, drawn from a generator seeded
+    by the request. A range of one value needs no generator."""
+    lo, hi = bounds
+    if lo == hi:
+        return lo
     digest = hashlib.sha256(f"{seed}|{image_id}|{prompt_id}".encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "big"))
+    return int(np.random.default_rng(int.from_bytes(digest[:8], "big")).integers(lo, hi + 1))
 
 
 def _clarity_logit(s_l: int) -> float:
@@ -255,16 +260,14 @@ def synthetic_score(
 
     The same (seed, image_id, prompt_id) always yields the same response.
     """
-    rng = _rng_for(seed, image_id, prompt_id)
     if mode == "clarity" or prompt_id == LANE_CLARITY_PROMPT_ID:
-        lo, hi = scenario.range_for(FactorKind.LANE_VISIBILITY)
-        target = int(rng.integers(lo, hi + 1))
+        bounds = scenario.range_for(FactorKind.LANE_VISIBILITY)
+        target = _draw(bounds, seed, image_id, prompt_id)
         return ScorerResponse(mode="clarity", l_clear=_clarity_logit(target), model="synthetic")
     factor = PROMPT_FACTORS.get(prompt_id)
     if factor is None:
         raise ConfigError(f"prompt {prompt_id!r} is not bound to a factor")
-    lo, hi = scenario.range_for(factor)
-    value = int(rng.integers(lo, hi + 1))
+    value = _draw(scenario.range_for(factor), seed, image_id, prompt_id)
     if mode == "direct":
         return ScorerResponse(mode="direct", score=value, model="synthetic")
     logits = [0.0] * 11

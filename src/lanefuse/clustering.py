@@ -13,6 +13,17 @@ lowest-numbered one, the cluster that scan would have reached it from first
 (Ester et al., KDD 1996; Schubert et al., ACM TODS 2017). Labels are
 therefore deterministic for a given point ordering.
 
+The components come from min-label hooking with pointer jumping (Shiloach &
+Vishkin, J. Algorithms 1982), in numpy. Every point starts as its own root.
+Each edge hooks the root of its larger end to that of its smaller end,
+keeping the smallest candidate (``np.minimum.at``); then every point jumps to
+its parent's parent until no pointer moves, so each points at a root. Hook
+and jump repeat on the edges whose two ends still have different roots,
+until none is left. A pointer only ever moves to a lower index, so a root
+is the lowest index of its component; since the graph joins only cores,
+that is the component's lowest core index. Numbering the distinct roots in
+ascending order therefore numbers the clusters as the scan would.
+
 The labels depend only on the set of neighbour pairs, (i, j) with i < j at
 distance <= epsilon, which ``neighbor_pairs`` searches. A caller that holds
 the pairs of a larger pool can pass them in: the pairs of the prefix
@@ -58,6 +69,43 @@ def neighbor_pairs(points: np.ndarray, epsilon: float) -> np.ndarray:
     return cKDTree(points).query_pairs(epsilon, output_type="ndarray")
 
 
+def _lowest_roots(n: int, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """Each of n nodes' component root, the lowest index in its component,
+    for the undirected edges (low[e], high[e]) with low[e] < high[e]."""
+    root = np.arange(n)
+    while len(low):
+        np.minimum.at(root, high, low)  # hook: both ends are roots here
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+        a, b = root[low], root[high]
+        apart = np.flatnonzero(a != b)
+        a, b = a[apart], b[apart]
+        low, high = np.minimum(a, b), np.maximum(a, b)
+    return root
+
+
+def _checked_pairs(pairs, n: int) -> np.ndarray:
+    """``pairs`` as an (m, 2) index array, each row (i, j) with 0 <= i < j < n."""
+    pairs = np.asarray(pairs)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InvalidInputError(f"pairs must be an (m, 2) array, got shape {pairs.shape}")
+    if not np.issubdtype(pairs.dtype, np.integer):
+        raise InvalidInputError(f"pairs must hold integer indices, got dtype {pairs.dtype}")
+    if len(pairs):
+        first, second = pairs[:, 0], pairs[:, 1]
+        if (first >= second).any():
+            raise InvalidInputError("pairs must have i < j in every pair (i, j)")
+        if first.min() < 0 or second.max() >= n:
+            raise InvalidInputError(f"pairs must index the {n} points, from 0 to {n - 1}")
+    # The platform's own index type: bincount takes no uint64, and numpy's
+    # fast paths (np.minimum.at among them) miss a merely equal dtype, such
+    # as an unpickled int64, and run several times slower on it.
+    return np.asarray(pairs, dtype=np.intp)
+
+
 def dbscan(
     points: np.ndarray, params: DbscanParams = DbscanParams(), pairs: np.ndarray | None = None
 ) -> np.ndarray:
@@ -65,11 +113,12 @@ def dbscan(
 
     ``pairs``, when given, must be ``neighbor_pairs(points, params.epsilon)``
     in any order, or that of a larger pool filtered to this prefix (see the
-    module docstring); by default dbscan searches them itself.
+    module docstring); by default dbscan searches them itself. Each pair
+    (i, j) holds integers with 0 <= i < j < len(points) and appears once.
+    The first is checked (``InvalidInputError``). The second is not, since
+    that takes a sort per call; a repeated pair counts twice towards its
+    points' neighbours.
     """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise InvalidInputError("points must be a 2-D array")
@@ -77,34 +126,25 @@ def dbscan(
     if n == 0:
         return np.empty(0, dtype=int)
 
-    pairs = neighbor_pairs(pts, params.epsilon) if pairs is None else np.asarray(pairs)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise InvalidInputError(f"pairs must be an (m, 2) array, got shape {pairs.shape}")
+    pairs = neighbor_pairs(pts, params.epsilon) if pairs is None else _checked_pairs(pairs, n)
     first, second = pairs[:, 0], pairs[:, 1]
     is_core = np.bincount(pairs.ravel(), minlength=n) + 1 >= params.min_samples
 
-    both = is_core[first] & is_core[second]
-    graph = coo_matrix(
-        (np.ones(int(both.sum()), dtype=np.int8), (first[both], second[both])),
-        shape=(n, n),
-    )
-    _, component = connected_components(graph, directed=False)
+    core_first, core_second = is_core[first], is_core[second]
+    both = core_first & core_second
+    root = _lowest_roots(n, first[both], second[both])
 
     labels = np.full(n, NOISE, dtype=int)
     cores = np.flatnonzero(is_core)
-    # np.unique gives each core component's first (= lowest) core index;
-    # ranking the components by it numbers the clusters.
-    _, lowest_core, per_core = np.unique(
-        component[cores], return_index=True, return_inverse=True
-    )
-    rank = np.empty(len(lowest_core), dtype=int)
-    rank[np.argsort(lowest_core)] = np.arange(len(lowest_core))
-    labels[cores] = rank[per_core]
+    # Roots are lowest core indices, so their ascending order is the clusters'.
+    _, labels[cores] = np.unique(root[cores], return_inverse=True)
 
     # Border points: the lowest-ranked cluster among their core neighbors.
     border = np.full(n, n, dtype=int)
-    for core_side, other in ((first, second), (second, first)):
-        edge = is_core[core_side] & ~is_core[other]
+    for core_side, other, edge in (
+        (first, second, core_first & ~core_second),
+        (second, first, core_second & ~core_first),
+    ):
         np.minimum.at(border, other[edge], labels[core_side[edge]])
     reached = border < n
     labels[reached] = border[reached]

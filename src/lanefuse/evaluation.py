@@ -84,7 +84,7 @@ def _candidate_blocks(
     grouped by point and at most _PAIR_BUDGET of them per block, unless a
     block is a single point (at most len(seg_a) pairs).
     """
-    from scipy.spatial import cKDTree  # on first use, as in clustering.dbscan
+    from scipy.spatial import cKDTree  # on first use, as in clustering.neighbor_pairs
 
     mid = (seg_a + seg_b) * 0.5
     half = 0.5 * np.linalg.norm(seg_b - seg_a, axis=1).max()

@@ -156,7 +156,7 @@ def icp_align(
     result flagged unconverged rather than an error. Nearest targets a
     previous search certifies are reused (see the module docstring).
     """
-    from scipy.spatial import cKDTree  # on first use, as in clustering.dbscan
+    from scipy.spatial import cKDTree  # on first use, as in clustering.neighbor_pairs
 
     # Contiguous, so that a row's product is the one a masked copy of src gives.
     src = np.ascontiguousarray(source, dtype=float)

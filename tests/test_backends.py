@@ -1,13 +1,16 @@
 """Backend contract: synthetic determinism, HTTP client behaviour, replay."""
 
 import base64
+import hashlib
 import json
+import math
 import re
 import sys
 import threading
 import time
 import urllib.request
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +93,20 @@ def test_synthetic_respects_ranges_over_seed_sweep():
         assessment = collect_assessment(backend, "img")
         assert assessment.lane_visibility in (2, 3, 4)
         assert assessment.factor_scores[F.BLUR_DAY] in (4, 5, 6)
+
+
+def test_synthetic_answers_are_the_requests_seeded_draw():
+    # Each answer is the draw of a generator seeded by the request's SHA-256;
+    # a range of one value answers that value.
+    fixed = Scenario(name="fixed", factor_ranges={F.LANE_VISIBILITY: (3, 3), F.RAIN: (0, 10)})
+    rain = FACTOR_PROMPTS[F.RAIN]
+    for k in range(30):
+        digest = hashlib.sha256(f"7|img{k}|{rain}".encode()).digest()
+        want = int(np.random.default_rng(int.from_bytes(digest[:8], "big")).integers(0, 11))
+        assert synthetic_score(fixed, 7, f"img{k}", rain).score == want
+        assert synthetic_score(fixed, 7, f"img{k}", FACTOR_PROMPTS[F.FOG]).score == 0
+        clarity = synthetic_score(fixed, 7, f"img{k}", LANE_CLARITY_PROMPT_ID, "clarity")
+        assert clarity.l_clear == math.log(0.3 / 0.7)
 
 
 def test_synthetic_logits_mode_flows_through_softmax():

@@ -122,6 +122,76 @@ def test_shared_border_joins_cluster_with_lowest_core_index():
     assert labels == [1, 0, 0, 0, 0, 0, 1, 1, 1, 1]
 
 
+# --- index orders that stress the components pass ---------------------------
+#
+# Components are found by hooking each edge's larger root to its smaller one
+# and pointer jumping; how deep the trees grow and how many rounds it takes
+# depend on the index order. Raw labels must match the scan in every order.
+
+
+def _chain(order: np.ndarray) -> np.ndarray:
+    """Points 0.4 m apart on a line with a 1 m gap after every 1,000th;
+    point k of the line gets index order[k]. With epsilon 0.5 and
+    min_samples 3, each segment's two ends are border points."""
+    x = 0.4 * np.arange(len(order)) + 0.6 * (np.arange(len(order)) // 1000)
+    pts = np.zeros((len(order), 2))
+    pts[order, 0] = x
+    return pts
+
+
+def _zigzag(n: int) -> np.ndarray:
+    """0, n-1, 1, n-2, ...: neighbours along the line are far apart by index."""
+    ends = np.empty(n, dtype=int)
+    ends[0::2] = np.arange((n + 1) // 2)
+    ends[1::2] = n - 1 - np.arange(n // 2)
+    return np.argsort(ends)
+
+
+def _star(arms: int = 4, length: int = 50) -> np.ndarray:
+    """A centre, whose index is the highest, and chains of points leaving it
+    0.4 m apart along equally spaced directions; arms are interleaved by index."""
+    angles = 2 * np.pi * np.arange(arms) / arms
+    radii = 0.4 * np.arange(1, length + 1)
+    arm_pts = radii[:, None, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    return np.vstack([arm_pts.reshape(-1, 2), [[0.0, 0.0]]])
+
+
+def _interleaved_lanes(n: int = 400) -> np.ndarray:
+    """Two parallel lanes 3 m apart, lane B holding the even indices, with an
+    isolated point last."""
+    along = 0.4 * np.arange(n // 2)
+    pts = np.empty((n, 2))
+    pts[0::2] = np.column_stack([along, np.full(n // 2, 3.0)])
+    pts[1::2] = np.column_stack([along, np.zeros(n // 2)])
+    return np.vstack([pts, [[50.0, 50.0]]])
+
+
+HOOKING_ORDERS = {
+    "chain_reversed": (_chain(np.arange(5000)[::-1]), DbscanParams(0.5, 3)),
+    "chain_shuffled": (_chain(np.random.default_rng(4).permutation(5000)), DbscanParams(0.5, 3)),
+    "chain_zigzag": (_chain(_zigzag(5000)), DbscanParams(0.5, 3)),
+    "star_centre_last": (_star(), DbscanParams(0.5, 2)),
+    "interleaved_lanes": (_interleaved_lanes(), DbscanParams(0.5, 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOOKING_ORDERS))
+def test_index_orders_match_the_scan_exactly(case):
+    pts, params = HOOKING_ORDERS[case]
+    got = dbscan(pts, params)
+    assert got.tolist() == scan_dbscan(pts, params.epsilon, params.min_samples).tolist()
+
+
+def test_hooking_cases_cover_clusters_borders_and_noise():
+    chain = dbscan(*HOOKING_ORDERS["chain_zigzag"])
+    assert set(chain.tolist()) == set(range(5))  # the five segments, ends as borders
+    assert dbscan(*HOOKING_ORDERS["star_centre_last"]).tolist() == [0] * 201
+    lanes = dbscan(*HOOKING_ORDERS["interleaved_lanes"])
+    assert lanes[0:-1:2].tolist() == [0] * 200  # lane B holds index 0
+    assert lanes[1:-1:2].tolist() == [1] * 200
+    assert lanes[-1] == NOISE
+
+
 def test_permutation_invariance_up_to_relabeling():
     rng = np.random.default_rng(11)
     pts = np.vstack(
@@ -219,6 +289,25 @@ def test_pairs_must_be_an_m_by_2_array():
     pts = np.zeros((3, 2))
     with pytest.raises(InvalidInputError, match="pairs"):
         dbscan(pts, DbscanParams(), pairs=np.array([0, 1]))
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[[0, 12]], [[-1, 3]], [[0.5, 1.0]], [[2, 2]], [[3, 1]], [[0, 1], [0, 10]]],
+    ids=["past_the_end", "negative", "not_integer", "self_pair", "reversed", "one_bad_of_two"],
+)
+def test_pairs_must_be_integer_indices_with_i_below_j(pairs):
+    pts = np.arange(20.0).reshape(10, 2)
+    with pytest.raises(InvalidInputError, match="pairs"):
+        dbscan(pts, DbscanParams(epsilon=0.5, min_samples=2), pairs=np.array(pairs))
+
+
+def test_pairs_of_any_integer_dtype_cluster_alike():
+    pts, params = HOOKING_ORDERS["interleaved_lanes"]
+    pairs = neighbor_pairs(pts, params.epsilon)
+    want = dbscan(pts, params).tolist()
+    for dtype in (np.int32, np.uint16, np.uint64):
+        assert dbscan(pts, params, pairs=pairs.astype(dtype)).tolist() == want
 
 
 def _modified(area):

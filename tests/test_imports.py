@@ -1,9 +1,11 @@
 """Each command loads only the libraries it runs.
 
-scipy serves the geometry stages (ICP, DBSCAN, AME); a process that runs
-none must not pay for importing it. The remote scorer speaks HTTP through the
-standard library, so requests and urllib3 are loaded by no command. Every
-check runs in a fresh interpreter, since this one has long loaded them.
+scipy serves the geometry stages' k-d trees (ICP, DBSCAN's neighbour pairs,
+the AME search); a process that runs none must not pay for importing it.
+DBSCAN's components are numpy, so no command loads scipy's sparse graph
+module. The remote scorer speaks HTTP through the standard library, so
+requests and urllib3 are loaded by no command. Every check runs in a fresh
+interpreter, since this one has long loaded them.
 """
 
 import dataclasses
@@ -19,7 +21,7 @@ from lanefuse.evaluation import standard_config, synth_config_to_dict, synth_gen
 from lanefuse.mapmodel import save_link_area
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-WATCHED = ("scipy", "scipy.spatial", "requests", "urllib3")
+WATCHED = ("scipy", "scipy.spatial", "scipy.sparse.csgraph", "requests", "urllib3")
 SMALL = dataclasses.replace(
     standard_config(0), link_areas=1, maps_per_area=3, images_per_map=2, lane_length=20.0
 )
@@ -73,6 +75,7 @@ def test_evaluate_loads_scipy(tmp_path, area):
     args = ["evaluate", area, "--policies", "band", "--output-dir", "out"]
     loaded = loaded_after(cli(args), tmp_path)
     assert {"scipy", "scipy.spatial"} <= set(loaded)
+    assert "scipy.sparse.csgraph" not in loaded  # DBSCAN's components are numpy
 
 
 def test_remote_scorer_loads_none_of_scipy_requests_urllib3(tmp_path):
