@@ -11,8 +11,8 @@ integer score, or the lane-clarity logit.
 from __future__ import annotations
 
 import base64
-import concurrent.futures
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -364,54 +364,226 @@ def _tls_context() -> ssl.SSLContext:
         raise ConfigError(f"CA bundle {bundle}: {exc}")
 
 
+# http.client's limits on a reply: the longest line, and the most lines in
+# a header block, its blank end line included.
+_MAX_LINE = 65536
+_MAX_HEADER_LINES = 100
+
+
+def _host_header(host: str, port: int, default_port: int) -> str:
+    """The Host value http.client sends to ``host``:``port``: an IPv6 address
+    in brackets without its zone, the port unless it is the scheme's."""
+    if ":" in host:
+        host = f"[{host.partition('%')[0]}]"
+    return host if port == default_port else f"{host}:{port}"
+
+
+def _ascii_host(name: str, endpoint: str) -> str:
+    """``name`` as it goes into the Host header: IDNA when it is not ASCII."""
+    if name.isascii():
+        return name
+    try:
+        return name.encode("idna").decode("ascii")
+    except UnicodeError as exc:
+        raise ConfigError(f"endpoint {endpoint!r}: host {name!r} has no IDNA form: {exc}")
+
+
+class _Connection:
+    """One keep-alive connection. ``http.client`` opens it, with TLS and the
+    CONNECT tunnel where the route has them; each request is then one write
+    to its socket, and every reply is read from one buffered reader."""
+
+    def __init__(self, opener: http.client.HTTPConnection):
+        self._opener = opener
+        self._reader = None
+
+    @property
+    def sock(self):
+        """The open socket, or None once closed (or before the first request)."""
+        return self._opener.sock
+
+    def close(self) -> None:
+        if self._reader is not None:
+            self._reader.close()
+            self._reader = None
+        self._opener.close()
+
+    def request(self, message: bytes) -> tuple[bool, int, dict[bytes, bytes]]:
+        """Send ``message``, opening the connection first if it is closed,
+        and read the reply's head after any 1xx replies: whether it is
+        HTTP/1.0, its status and its header fields (lower-cased names, the
+        first of repeated ones)."""
+        if self._reader is None:
+            self._opener.connect()
+            self._reader = self._opener.sock.makefile("rb")
+        self._opener.sock.sendall(message)
+        status = 100
+        while status < 200:
+            line = self._line("status line")
+            version, _, rest = line.partition(b" ")
+            code = rest[:3]
+            status = int(code) if code.isdigit() and len(code) == 3 else 0
+            if not version.startswith(b"HTTP/1.") or status < 100 or rest[3:4] not in b" \r\n":
+                import http.client
+
+                if not line:
+                    raise http.client.RemoteDisconnected(
+                        "Remote end closed connection without response"
+                    )
+                raise http.client.BadStatusLine(line.decode("latin-1"))
+            fields = self._fields()
+        return version == b"HTTP/1.0", status, fields
+
+    def read_body(self, http_10: bool, status: int, fields: dict[bytes, bytes]) -> bytes:
+        """The reply's body, framed by chunked coding, Content-Length or the
+        end of the connection; the connection is closed after a reply that
+        ends it, says ``Connection: close`` or is HTTP/1.0."""
+        close = http_10 or b"close" in fields.get(b"connection", b"").lower()
+        coding = fields.get(b"transfer-encoding")
+        length = fields.get(b"content-length")
+        if status in (204, 304):
+            body = b""
+        elif coding is not None and coding.rpartition(b",")[2].strip().lower() == b"chunked":
+            body = self._chunked()
+        elif coding is None and length is not None:
+            if not length.isdigit():
+                import http.client
+
+                raise http.client.HTTPException(f"bad Content-Length {length!r}")
+            body = self._exactly(int(length))
+        else:
+            body, close = self._reader.read(), True
+        if close:
+            self.close()
+        return body
+
+    def _line(self, kind: str) -> bytes:
+        line = self._reader.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            import http.client
+
+            raise http.client.LineTooLong(kind)
+        return line
+
+    def _fields(self) -> dict[bytes, bytes]:
+        """Header (or trailer) fields up to the blank line that ends them."""
+        fields: dict[bytes, bytes] = {}
+        for _ in range(_MAX_HEADER_LINES):
+            line = self._line("header line")
+            if line in (b"\r\n", b"\n", b""):
+                return fields
+            name, _, value = line.partition(b":")
+            fields.setdefault(name.strip().lower(), value.strip())
+        import http.client
+
+        raise http.client.HTTPException(f"got more than {_MAX_HEADER_LINES} headers")
+
+    def _exactly(self, size: int) -> bytes:
+        """``size`` bytes, read a MiB at a time: memory grows with the bytes
+        that arrive, not with the size a reply declares."""
+        parts, left = [], size
+        while left:
+            part = self._reader.read(min(left, 1 << 20))
+            if not part:
+                import http.client
+
+                raise http.client.IncompleteRead(b"".join(parts), left)
+            parts.append(part)
+            left -= len(part)
+        return b"".join(parts)
+
+    def _chunked(self) -> bytes:
+        import http.client
+
+        chunks = []
+        while True:
+            size = self._line("chunk size").partition(b";")[0].strip()
+            if not size or size.strip(b"0123456789abcdefABCDEF"):
+                raise http.client.IncompleteRead(b"".join(chunks))
+            size = int(size, 16)
+            if size == 0:
+                self._fields()  # the trailer
+                return b"".join(chunks)
+            chunk = self._exactly(size + 2)
+            if chunk[-2:] != b"\r\n":
+                raise http.client.IncompleteRead(b"".join(chunks))
+            chunks.append(chunk[:-2])
+
+
 @dataclass(frozen=True)
 class _Route:
     """How every request to one endpoint is sent: where to connect, the
-    request target and the headers. Resolved once, by ``_resolve_endpoint``."""
+    request target, the Host value and the other headers. Resolved once, by
+    ``_resolve_endpoint``; the request head around each Content-Length value
+    is built here, once."""
 
     host: str
-    port: int | None
+    port: int
     target: str
+    authority: str
     headers: Mapping[str, str]
     tls: ssl.SSLContext | None = None
-    tunnel: tuple[str, int | None, dict[str, str]] | None = None
+    tunnel: tuple[str, int, dict[str, str]] | None = None
 
-    def connect(self, timeout: float) -> http.client.HTTPConnection:
+    def __post_init__(self):
+        # The head http.client sends: request line, Host, Accept-Encoding,
+        # Content-Length, then the route's headers.
+        start = (
+            f"POST {self.target} HTTP/1.1\r\nHost: {self.authority}\r\n"
+            "Accept-Encoding: identity\r\nContent-Length: "
+        )
+        end = "".join(f"\r\n{name}: {value}" for name, value in self.headers.items())
+        head = (start.encode("latin-1"), f"{end}\r\n\r\n".encode("latin-1"))
+        object.__setattr__(self, "_head", head)
+
+    def connect(self, timeout: float) -> _Connection:
         """A new keep-alive connection; its socket opens with the first request."""
         import http.client
 
         if self.tls is None:
-            conn = http.client.HTTPConnection(self.host, self.port, timeout=timeout)
+            opener = http.client.HTTPConnection(self.host, self.port, timeout=timeout)
         else:
-            conn = http.client.HTTPSConnection(
+            opener = http.client.HTTPSConnection(
                 self.host, self.port, timeout=timeout, context=self.tls
             )
         if self.tunnel is not None:
-            conn.set_tunnel(*self.tunnel)
-        return conn
+            opener.set_tunnel(*self.tunnel)
+        return _Connection(opener)
 
-    def post(self, conn: http.client.HTTPConnection, body: bytes) -> tuple[int, str]:
-        """POST ``body`` on ``conn`` and read the whole reply: its status and
-        body text. A kept-alive connection that the server has closed is
-        reopened once, without counting as an attempt."""
+    def message(self, body: bytes) -> bytes:
+        """The request that POSTs ``body``: its head, then the body."""
+        start, end = self._head
+        return b"%s%d%s%s" % (start, len(body), end, body)
+
+    def post(self, conn: _Connection, body: bytes) -> tuple[int, str]:
+        """POST ``body`` on ``conn`` in one write and read the whole reply:
+        its status and body text. A kept-alive connection that the server
+        has closed is reopened once, without counting as an attempt."""
+        message = self.message(body)
         reused = conn.sock is not None
         try:
-            conn.request("POST", self.target, body, self.headers)
-            reply = conn.getresponse()
+            http_10, status, fields = conn.request(message)
         except ConnectionError:
             if not reused:
                 raise
             conn.close()
-            conn.request("POST", self.target, body, self.headers)
-            reply = conn.getresponse()
-        raw = reply.read()
+            http_10, status, fields = conn.request(message)
+        raw = conn.read_body(http_10, status, fields)
         # The body's declared charset, else UTF-8; undecodable bytes become U+FFFD.
-        charset = reply.headers.get_content_charset() or "utf-8"
         try:
-            text = raw.decode(charset, errors="replace")
+            text = raw.decode(_charset(fields.get(b"content-type", b"")), errors="replace")
         except LookupError:
             text = raw.decode("utf-8", errors="replace")
-        return reply.status, text
+        return status, text
+
+
+def _charset(content_type: bytes) -> str:
+    """The ``charset`` parameter of a Content-Type value, else UTF-8."""
+    for parameter in content_type.split(b";")[1:]:
+        name, _, value = parameter.partition(b"=")
+        if name.strip().lower() == b"charset":
+            return value.strip().strip(b'"').decode("latin-1") or "utf-8"
+    return "utf-8"
 
 
 def _resolve_endpoint(endpoint: str) -> _Route:
@@ -447,15 +619,20 @@ def _resolve_endpoint(endpoint: str) -> _Route:
     if credentials:
         headers["Authorization"] = _basic_auth(*credentials, where=f"endpoint {host}")
     tls = _tls_context() if parts.scheme == "https" else None
+    # Every port explicit: given none, http.client reads an IPv6 address's
+    # last group as the port.
+    default_port = 80 if tls is None else 443
+    port = default_port if port is None else port
+    authority = _host_header(_ascii_host(host, endpoint), port, default_port)
     proxy = None
     if not urllib.request.proxy_bypass(host):
         proxies = urllib.request.getproxies()
         proxy = proxies.get(parts.scheme) or proxies.get("all")
     if not proxy:
-        return _Route(host, port, target, headers, tls)
+        return _Route(host, port, target, authority, headers, tls)
     proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
     try:
-        proxy_port = proxy_parts.port
+        proxy_port = 80 if proxy_parts.port is None else proxy_parts.port
     except ValueError as exc:
         raise ConfigError(f"proxy {proxy!r} for {endpoint!r} is not a valid URL: {exc}")
     if proxy_parts.scheme != "http" or not proxy_parts.hostname:
@@ -467,10 +644,13 @@ def _resolve_endpoint(endpoint: str) -> _Route:
             *proxy_credentials, where=f"proxy {proxy_parts.hostname}"
         )
     if tls is None:
-        absolute = f"http://{parts.netloc.rpartition('@')[2]}{target}"
-        return _Route(proxy_parts.hostname, proxy_port, absolute, {**headers, **proxy_headers})
+        netloc = _ascii_host(parts.netloc.rpartition("@")[2], endpoint)
+        return _Route(
+            proxy_parts.hostname, proxy_port, f"http://{netloc}{target}", netloc,
+            {**headers, **proxy_headers},
+        )
     tunnel = (host, port, proxy_headers)
-    return _Route(proxy_parts.hostname, proxy_port, target, headers, tls, tunnel)
+    return _Route(proxy_parts.hostname, proxy_port, target, authority, headers, tls, tunnel)
 
 
 class RemoteScorer:
@@ -508,9 +688,7 @@ class RemoteScorer:
         if self.log_path is not None and not self.log_path.parent.is_dir():
             raise ConfigError(f"record log {self.log_path}: no directory {self.log_path.parent}")
 
-    def _exchange(
-        self, request: ScorerRequest, conn: http.client.HTTPConnection
-    ) -> tuple[ScorerResponse, str]:
+    def _exchange(self, request: ScorerRequest, conn: _Connection) -> tuple[ScorerResponse, str]:
         """POST one request on ``conn`` with retries; returns the parsed
         response and the raw body. Writes nothing, so worker threads can run
         it, each on its own connection."""
@@ -553,49 +731,58 @@ class RemoteScorer:
         return self.score_many([request])[0]
 
     def score_many(self, requests_: Sequence[ScorerRequest]) -> list[ScorerResponse]:
-        """At most ``max_in_flight`` requests at once, each worker on its own
-        keep-alive connection; responses come back, and log records are
-        written, in request order. Every connection is closed on return.
+        """Up to ``max_in_flight`` worker threads, each on its own keep-alive
+        connection, take the requests in order; responses come back, and log
+        records are written, in request order. Every connection is closed on
+        return.
 
         If a request fails, the records before it are logged, requests not yet
-        started are cancelled and its error is raised.
+        started are dropped and its error is raised.
         """
         requests_ = list(requests_)
-        if not requests_:
-            return []
-        # Requests after a failed one are skipped: their answers go unused.
-        first_failed = len(requests_)
+        done: list[tuple[ScorerResponse, str] | None] = [None] * len(requests_)
+        errors: dict[int, BaseException] = {}
         lock = threading.Lock()
-        worker = threading.local()
-        conns: list[http.client.HTTPConnection] = []
+        taken = 0  # requests handed to a worker; the next one is requests_[taken]
 
-        def exchange(index: int):
-            nonlocal first_failed
-            if index > first_failed:
-                return None  # never read: an earlier request's error is raised
-            conn = getattr(worker, "conn", None)
-            if conn is None:
-                conn = worker.conn = self._route.connect(self.timeout)
-                with lock:
-                    conns.append(conn)
+        def work() -> None:
+            nonlocal taken
+            conn = None
             try:
-                return self._exchange(requests_[index], conn)
-            except BaseException:
+                while True:
+                    with lock:
+                        # Indices are taken in order, so every request before
+                        # a failed one is already taken: finish those only.
+                        if taken == len(requests_) or errors:
+                            return
+                        index = taken
+                        taken += 1
+                    if conn is None:
+                        conn = self._route.connect(self.timeout)
+                    done[index] = self._exchange(requests_[index], conn)
+            except BaseException as exc:  # raised again by score_many
                 with lock:
-                    first_failed = min(first_failed, index)
-                raise
+                    errors[index] = exc
+            finally:
+                if conn is not None:
+                    conn.close()
 
-        done: list[tuple[ScorerResponse, str]] = []
-        pool = concurrent.futures.ThreadPoolExecutor(min(self.max_in_flight, len(requests_)))
+        count = min(self.max_in_flight, len(requests_))
+        workers = [threading.Thread(target=work) for _ in range(count)]
+        for worker in workers:
+            worker.start()
         try:
-            futures = [pool.submit(exchange, i) for i in range(len(requests_))]
-            for future in futures:
-                done.append(future.result())
+            for worker in workers:
+                worker.join()
         finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-            for conn in conns:
-                conn.close()
-            self._log(zip(requests_, (text for _, text in done)))
+            with lock:
+                taken = len(requests_)  # after an interrupt, no worker starts another
+            for worker in workers:
+                worker.join()
+            answered = itertools.takewhile(lambda exchange: exchange is not None, done)
+            self._log((request, text) for request, (_, text) in zip(requests_, answered))
+        if errors:
+            raise errors[min(errors)]
         return [parsed for parsed, _ in done]
 
     def _log(self, exchanges: Iterable[tuple[ScorerRequest, str]]) -> None:

@@ -591,9 +591,10 @@ def run_experiment(
 ) -> EvaluationReport:
     """Evaluate every policy on every area; areas are independent.
 
-    ``jobs`` threads evaluate the areas. The report is the same for every
-    ``jobs``, and the first failing area (in input order) raises. ``jobs``
-    below 1, a repeated policy and a repeated link id are rejected.
+    ``jobs`` threads evaluate the areas; one job is a plain loop in this
+    thread. The report is the same for every ``jobs``, and the first failing
+    area (in input order) raises. ``jobs`` below 1, a repeated policy and a
+    repeated link id are rejected.
     """
     jobs = bounded_number(jobs, "jobs", 1)
     policies = parse_policies(policies)
@@ -602,12 +603,8 @@ def run_experiment(
     repeated = [link_id for link_id, n in collections.Counter(link_ids).items() if n > 1]
     if repeated:
         raise InvalidInputError(f"link id {repeated[0]!r} appears in more than one area")
+    args = (areas, itertools.repeat(policies), itertools.repeat(dparams), itertools.repeat(iparams))
+    if jobs == 1:
+        return EvaluationReport(policies, dict(zip(link_ids, map(evaluate_area, *args))))
     with concurrent.futures.ThreadPoolExecutor(jobs) as pool:
-        outcomes = pool.map(
-            evaluate_area,
-            areas,
-            itertools.repeat(policies),
-            itertools.repeat(dparams),
-            itertools.repeat(iparams),
-        )
-        return EvaluationReport(policies, dict(zip(link_ids, outcomes)))
+        return EvaluationReport(policies, dict(zip(link_ids, pool.map(evaluate_area, *args))))

@@ -4,8 +4,8 @@ A modification script is a JSON list of ``shift``, ``delete`` and ``add``
 operations. ``load_modifications`` parses one, ``apply_modifications``
 applies it to a map, and ``prior_map`` builds the prior map an update edits.
 ``update`` is the one update step behind both callers. It applies a script
-to the prior map and to every local map, then fuses the first k maps of one
-pooling order onto the modified prior for each count k: the ``update``
+to the prior map and to the maps it fuses, then fuses the first k maps of
+one pooling order onto the modified prior for each count k: the ``update``
 command pools its band maps in area-file order, ``evaluate`` each policy's
 maps in rank order.
 """
@@ -23,7 +23,7 @@ from .errors import ConfigError, EmptyInputError, InvalidInputError, LanefuseErr
 from .fusion import fuse_prefixes, modify_add, modify_delete, modify_shift, resample_polyline
 from .mapmodel import LaneLine, LinkArea, LocalMap, load_json, reject_unknown_keys
 from .registration import IcpParams
-from .scoring import finite_number
+from .scoring import bounded_number, finite_number
 
 PRIOR_MAP_SPACING = 2.0  # meters between control points of the prior map
 
@@ -110,11 +110,14 @@ def update(
     dparams: DbscanParams = DbscanParams(),
     iparams: IcpParams = IcpParams(),
 ) -> list[LocalMap | None]:
-    """Apply ``mods`` to the area's prior map and to every local map, then
-    fuse the first k maps of ``order`` (map ids) onto the modified prior for
-    each count k; k = 0 gives None (see ``fusion.fuse_prefixes``)."""
+    """Apply ``mods`` to the area's prior map and to the first ``max(counts)``
+    maps of ``order`` (map ids), the ones fused, then fuse the first k maps
+    of ``order`` onto the modified prior for each count k; k = 0 gives None
+    (see ``fusion.fuse_prefixes``)."""
     if area.ground_truth is None:
         raise EmptyInputError(f"link area {area.link_id!r} carries no ground truth to modify")
     prior = apply_modifications(prior_map(area.ground_truth, area.link_id), mods)
-    observed = {m.map_id: apply_modifications(m, mods) for m in area.local_maps}
-    return fuse_prefixes([observed[m] for m in order], counts, prior, dparams, iparams)
+    counts = [bounded_number(k, "count", 0) for k in counts]
+    by_id = {m.map_id: m for m in area.local_maps}
+    fused = [apply_modifications(by_id[m], mods) for m in order[: max(counts, default=0)]]
+    return fuse_prefixes(fused, counts, prior, dparams, iparams)

@@ -1,10 +1,11 @@
 """Shared fixtures: a stub scorer service on 127.0.0.1, over http or https,
-and a CONNECT proxy."""
+a raw-reply server and a CONNECT proxy."""
 
 import contextlib
 import json
 import select
 import socket
+import socketserver
 import ssl
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -132,15 +133,84 @@ def stub_server():
         yield f"http://127.0.0.1:{port}/score", StubHandler
 
 
+def _tls_wrap(sock):
+    """``sock`` serving TLS with the certificate in ``TLS_CERT``."""
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(TLS_CERT, TLS_KEY)
+    return context.wrap_socket(sock, server_side=True)
+
+
 @pytest.fixture
 def tls_stub_server():
     """The stub behind TLS, with the certificate in ``TLS_CERT``."""
     _reset_stub()
-    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-    context.load_cert_chain(TLS_CERT, TLS_KEY)
-    wrap = lambda sock: context.wrap_socket(sock, server_side=True)  # noqa: E731
-    with _serve(StubHandler, wrap) as port:
+    with _serve(StubHandler, _tls_wrap) as port:
         yield f"https://127.0.0.1:{port}/score", StubHandler
+
+
+def ok_reply(body) -> tuple[bytes, bool]:
+    """``default_behavior``'s answer as a plain HTTP/1.1 reply with a
+    Content-Length, keeping the connection open."""
+    payload = json.dumps(default_behavior(body)[1]).encode()
+    head = f"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {len(payload)}"
+    return f"{head}\r\n\r\n".encode() + payload, False
+
+
+class RawHandler(socketserver.StreamRequestHandler):
+    """Reads each request, its head and then a Content-Length body, and
+    answers with the bytes ``reply(body)`` returns, verbatim, in one write;
+    ``reply`` also says whether to close the connection after them.
+    ``requests`` keeps the bytes of every request, ``connections`` counts
+    the connections accepted."""
+
+    reply = staticmethod(ok_reply)
+    requests = []
+    connections = 0
+    lock = threading.Lock()
+
+    def setup(self):
+        super().setup()
+        with self.lock:
+            type(self).connections += 1
+
+    def handle(self):
+        cls = type(self)
+        try:
+            while True:
+                head = []
+                while not head or head[-1] != b"\r\n":
+                    head.append(self.rfile.readline(1 << 16))
+                    if not head[-1]:
+                        return
+                fields = dict(line.split(b":", 1) for line in head[1:-1])
+                body = self.rfile.read(int(fields.get(b"Content-Length", 0)))
+                with cls.lock:
+                    cls.requests.append(b"".join(head) + body)
+                data, close = cls.reply(json.loads(body))
+                self.wfile.write(data)
+                if close:
+                    return
+        except OSError:  # the client hung up, say after a reply it could not read
+            return
+
+
+def _raw_server(wrap, scheme):
+    RawHandler.reply = staticmethod(ok_reply)
+    RawHandler.requests = []
+    RawHandler.connections = 0
+    with _serve(RawHandler, wrap) as port:
+        yield f"{scheme}://127.0.0.1:{port}/score", RawHandler
+
+
+@pytest.fixture
+def raw_server():
+    yield from _raw_server(None, "http")
+
+
+@pytest.fixture
+def tls_raw_server():
+    """``raw_server`` behind TLS, with the certificate in ``TLS_CERT``."""
+    yield from _raw_server(_tls_wrap, "https")
 
 
 class ConnectProxyHandler(BaseHTTPRequestHandler):

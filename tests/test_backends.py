@@ -1,10 +1,13 @@
 """Backend contract: synthetic determinism, HTTP client behaviour, replay."""
 
 import base64
+import dataclasses
 import hashlib
+import http.client
 import json
 import math
 import re
+import socket
 import sys
 import threading
 import time
@@ -30,6 +33,7 @@ from lanefuse.backends import (
     parse_response,
     synthetic_score,
 )
+from lanefuse.cli import main
 from lanefuse.confidence import CLEAR_DAY_CONTEXT, with_confidence
 from lanefuse.errors import (
     ConfigError,
@@ -38,9 +42,11 @@ from lanefuse.errors import (
     ResponseValidationError,
     TransportError,
 )
+from lanefuse.evaluation import standard_config, synth_generate
+from lanefuse.mapmodel import save_link_area
 from lanefuse.scoring import FactorKind
 
-from conftest import TLS_CERT
+from conftest import TLS_CERT, ok_reply
 from replaylog import write_replay_log
 
 F = FactorKind
@@ -424,6 +430,218 @@ def test_remote_logs_the_body_decoded_by_its_charset(
     resp = RemoteScorer(url, log_path=log).score(ScorerRequest(image="a.jpg", prompt_id="Q2"))
     assert resp.model == "s\u00e9"
     assert json.loads(log.read_text(encoding="utf-8"))["body"] == _ACCENTED_BODY
+
+
+# --- reply framing -------------------------------------------------------------
+
+
+def _payload(body) -> bytes:
+    return ok_reply(body)[0].partition(b"\r\n\r\n")[2]
+
+
+def _framed(status_line: bytes, fields: bytes = b"", interim: bytes = b""):
+    """Replies with a Content-Length: ``interim`` replies first, then
+    ``status_line`` and the header ``fields``."""
+
+    def reply(body):
+        payload = _payload(body)
+        head = b"%s\r\n%sContent-Length: %d\r\n\r\n" % (status_line, fields, len(payload))
+        return interim + head + payload, False
+
+    return reply
+
+
+def _chunked(body):
+    payload = _payload(body)
+    chunks = b"5;ext=1\r\n%s\r\n%x\r\n%s\r\n" % (payload[:5], len(payload) - 5, payload[5:])
+    head = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+    return head + chunks + b"0\r\nX-Trailer: t\r\n\r\n", False
+
+
+def _line_of(size: int) -> bytes:
+    """A header line of ``size`` bytes, CRLF included."""
+    return b"X-Long: " + b"a" * (size - 10) + b"\r\n"
+
+
+# Each framing the client reads, and how many connections 11 requests on
+# one worker open: one kept alive, or one per reply that ends its connection.
+FRAMINGS = {
+    "content-length": (ok_reply, 1),
+    "chunked": (_chunked, 1),
+    "close-delimited": (lambda body: (b"HTTP/1.1 200 OK\r\n\r\n" + _payload(body), True), 11),
+    "http-1.0": (_framed(b"HTTP/1.0 200 OK"), 11),
+    "100-continue": (_framed(b"HTTP/1.1 200 OK", interim=b"HTTP/1.1 100 Continue\r\n\r\n"), 1),
+    "connection-close": (_framed(b"HTTP/1.1 200 OK", b"Connection: close\r\n"), 11),
+    "longest-header-line": (_framed(b"HTTP/1.1 200 OK", _line_of(65536)), 1),
+    "99-header-lines": (_framed(b"HTTP/1.1 200 OK", b"X: y\r\n" * 98), 1),
+}
+# Replies the client cannot frame: each spends an attempt.
+UNREADABLE = {
+    "65537-byte-header-line": _framed(b"HTTP/1.1 200 OK", _line_of(65537)),
+    "garbled-status-line": _framed(b"HTTP/1.1 OK 200"),
+}
+
+
+@pytest.fixture
+def one_image(tmp_path):
+    """An area file with one map of one image: 11 requests to score."""
+    config = dataclasses.replace(
+        standard_config(0), link_areas=1, maps_per_area=1, images_per_map=1, lane_length=20.0
+    )
+    (area,) = synth_generate(config)
+    save_link_area(area, tmp_path / "area.json")
+    return tmp_path / "area.json"
+
+
+def _score_remote(area, url, max_retries=0):
+    """``lanefuse score`` against ``url`` on one worker: its exit code and
+    its scores CSV (None on failure)."""
+    config = area.parent / "remote.ini"
+    config.write_text(
+        f"[backend]\nendpoint = {url}\nmax_in_flight = 1\nmax_retries = {max_retries}\n"
+    )
+    out = area.parent / "out"
+    code = main(["score", str(area), "--config", str(config), "--backend", "remote",
+                 "--output-dir", str(out)])
+    scores = out / "area_scores.csv"
+    return code, scores.read_bytes() if code == 0 and scores.exists() else None
+
+
+@pytest.mark.parametrize("framing", FRAMINGS)
+def test_remote_reads_every_reply_framing(one_image, raw_server, framing):
+    url, handler = raw_server
+    code, reference = _score_remote(one_image, url)
+    assert code == 0
+    handler.requests, handler.connections = [], 0
+    handler.reply, connections = FRAMINGS[framing]
+    assert _score_remote(one_image, url) == (0, reference)
+    assert len(handler.requests) == 11  # no retry
+    assert handler.connections == connections  # an ended connection is reopened
+
+
+@pytest.mark.parametrize("unreadable", UNREADABLE)
+def test_remote_retries_a_reply_it_cannot_frame(one_image, raw_server, unreadable):
+    url, handler = raw_server
+    replies = iter([UNREADABLE[unreadable]])
+    handler.reply = lambda body: next(replies, ok_reply)(body)
+    code, scores = _score_remote(one_image, url, max_retries=1)
+    assert code == 0 and scores is not None
+    assert len(handler.requests) == 12  # one retry
+    assert handler.connections == 2  # ... on a new connection
+    handler.requests, handler.reply = [], UNREADABLE[unreadable]
+    assert _score_remote(one_image, url, max_retries=1) == (3, None)
+    assert len(handler.requests) == 2  # both attempts, then exit 3
+
+
+@pytest.mark.parametrize(
+    "reply, error",
+    [
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 5x\r\n\r\n", "bad Content-Length"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "IncompleteRead"),
+        (b"HTTP/1.1 200 OK\r\n" + b"X: y\r\n" * 100 + b"\r\n", "more than 100 headers"),
+        (b"HTTP/2 200\r\n\r\n", "attempts: HTTP/2 200"),
+    ],
+    ids=["content-length", "chunk-size", "header-count", "version"],
+)
+def test_remote_malformed_framing_is_a_transport_error(raw_server, reply, error):
+    url, handler = raw_server
+    handler.reply = lambda body: (reply, True)
+    with pytest.raises(TransportError, match=error):
+        RemoteScorer(url, max_retries=0).score(ScorerRequest(image="a.jpg", prompt_id="Q2"))
+
+
+def _post_with_http_client(route, body: bytes) -> None:
+    """POST ``body`` on the route the way ``http.client`` sends a request."""
+    if route.tls is None:
+        conn = http.client.HTTPConnection(route.host, route.port, timeout=5)
+    else:
+        conn = http.client.HTTPSConnection(route.host, route.port, timeout=5, context=route.tls)
+    if route.tunnel is not None:
+        conn.set_tunnel(*route.tunnel)
+    try:
+        conn.request("POST", route.target, body, dict(route.headers))
+        conn.getresponse().read()
+    finally:
+        conn.close()
+
+
+def _assert_head_as_http_client_sends(scorer, handler):
+    assert scorer.score(ScorerRequest(image="a.jpg", prompt_id="Q12")).score == 7
+    (sent,) = handler.requests
+    _post_with_http_client(scorer._route, sent.partition(b"\r\n\r\n")[2])
+    assert handler.requests == [sent, sent]
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    [
+        "http://Example.COM/score",
+        "http://example.com:80/a%20b/score?q=1",
+        "https://example.com/score",
+        "https://example.com:443/score",
+        "https://example.com:8443/score",
+        "http://[::1]:8080/score",
+        "http://[::1]/score",
+        "http://b\u00fccher.example/score",
+    ],
+)
+def test_remote_request_bytes_are_http_clients_for_every_host_form(clean_tls_env, endpoint):
+    # http.client writes the head, then the body, through send(); nothing
+    # connects, since send is replaced.
+    route = backends._resolve_endpoint(endpoint)
+    kind = http.client.HTTPConnection if route.tls is None else http.client.HTTPSConnection
+    conn = kind(route.host, route.port, **({} if route.tls is None else {"context": route.tls}))
+    sent = []
+    conn.send = sent.append
+    conn.request("POST", route.target, b'{"k": 1}', dict(route.headers))
+    assert route.message(b'{"k": 1}') == b"".join(sent)
+    assert (conn.host, conn.port) == (route.host, route.port)  # an IPv6 host is kept whole
+
+
+def test_remote_request_is_one_write_of_http_clients_bytes(tmp_path, no_proxy_env, raw_server):
+    url, handler = raw_server
+    port = int(url.rpartition(":")[2].removesuffix("/score"))
+    no_proxy_env.setenv("NETRC", str(tmp_path / "none"))
+    scorer = RemoteScorer(url.replace("//", "//ann:pw@"), max_in_flight=1)
+    writes = []
+    sendall = socket.socket.sendall
+
+    def counting(sock, data, *args):
+        if sock.getpeername()[1] == port:  # a client write, not the server's
+            writes.append(len(data))
+        return sendall(sock, data, *args)
+
+    no_proxy_env.setattr(socket.socket, "sendall", counting)
+    scorer.score_many([ScorerRequest(image=f"img{i}", prompt_id="Q12") for i in range(5)])
+    assert len(writes) == 5 == len(handler.requests)
+    assert writes == [len(sent) for sent in handler.requests]
+    handler.requests = []
+    _assert_head_as_http_client_sends(scorer, handler)
+    assert b"Authorization: Basic " in handler.requests[0]
+
+
+def test_remote_proxied_request_is_the_one_http_client_sends(tmp_path, no_proxy_env, raw_server):
+    url, handler = raw_server
+    no_proxy_env.setenv("NETRC", str(tmp_path / "none"))
+    no_proxy_env.setenv("http_proxy", url.removesuffix("/score").replace("//", "//bob:pw@"))
+    # Nothing listens on port 9: only the proxy (the raw server) can answer.
+    scorer = RemoteScorer("http://ann:pw@127.0.0.1:9/score", max_retries=0)
+    _assert_head_as_http_client_sends(scorer, handler)
+    assert handler.requests[0].startswith(b"POST http://127.0.0.1:9/score HTTP/1.1\r\n")
+    assert b"Proxy-Authorization: Basic " in handler.requests[0]
+
+
+def test_remote_tunnelled_request_is_the_one_http_client_sends(
+    tmp_path, clean_tls_env, tls_raw_server, connect_proxy
+):
+    url, handler = tls_raw_server
+    proxy, proxy_handler = connect_proxy
+    clean_tls_env.setenv("NETRC", str(tmp_path / "none"))
+    clean_tls_env.setenv("REQUESTS_CA_BUNDLE", str(TLS_CERT))
+    clean_tls_env.setenv("https_proxy", proxy.replace("//", "//bob:pw@"))
+    scorer = RemoteScorer(url, max_retries=0)
+    _assert_head_as_http_client_sends(scorer, handler)
+    assert len(proxy_handler.tunnels) == 2
 
 
 def test_remote_reads_proxy_environment_only_at_construction(monkeypatch, stub_server):

@@ -20,6 +20,7 @@ from lanefuse.backends import (
 from lanefuse.cli import main
 from lanefuse.confidence import gcs
 from lanefuse.evaluation import SCENARIOS_BY_NAME, ame, standard_config, synth_config_to_dict
+from lanefuse.fusion import rank_maps, select_band
 from lanefuse.mapmodel import area_to_dict, load_link_area, load_local_map
 from lanefuse.scoring import DEGRADATION_FACTORS, FactorKind
 
@@ -571,6 +572,25 @@ def test_evaluate_repeated_policy_exits_1_before_reading_areas(tmp_path, capsys)
     assert run(args) == 1
     assert "policy 'band' given more than once" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_evaluate_band_ignores_k_cap(tmp_path):
+    # select and update cap the band at [selection] k_cap; evaluate's band
+    # policy fuses the whole band, so at k_cap = 1 it still differs from seq1.
+    areas = simulate(tmp_path, maps_per_area=5)
+    assert len(select_band(rank_maps(load_link_area(areas[0]))).selected_map_ids) >= 2
+    config = tmp_path / "cap.ini"
+    config.write_text("[selection]\nk_cap = 1\n")
+    outputs = []
+    for extra in ([], ["--config", config]):
+        out = tmp_path / f"eval{len(extra)}"
+        args = ["evaluate", areas[0], "--policies", "band,seq1", "--output-dir", out, *extra]
+        assert run(args) == 0
+        outputs.append((out / "evaluation.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    band, seq1 = list(csv.DictReader(outputs[1].decode().splitlines()))[:2]
+    assert (band["policy"], seq1["policy"]) == ("band", "seq1")
+    assert band["e_ame"] != seq1["e_ame"]
 
 
 def test_evaluate_jobs_parallel_matches_serial(tmp_path):

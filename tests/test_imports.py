@@ -4,8 +4,9 @@ scipy serves the geometry stages' k-d trees (ICP, DBSCAN's neighbour pairs,
 the AME search); a process that runs none must not pay for importing it.
 DBSCAN's components are numpy, so no command loads scipy's sparse graph
 module. The remote scorer speaks HTTP through the standard library, so
-requests and urllib3 are loaded by no command. Every check runs in a fresh
-interpreter, since this one has long loaded them.
+requests and urllib3 are loaded by no command, and only the remote backend
+loads the network stack (http.client, urllib.request, ssl). Every check
+runs in a fresh interpreter, since this one has long loaded them.
 """
 
 import dataclasses
@@ -21,7 +22,8 @@ from lanefuse.evaluation import standard_config, synth_config_to_dict, synth_gen
 from lanefuse.mapmodel import save_link_area
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-WATCHED = ("scipy", "scipy.spatial", "scipy.sparse.csgraph", "requests", "urllib3")
+NETWORK = ("http.client", "urllib.request", "ssl")
+WATCHED = ("scipy", "scipy.spatial", "scipy.sparse.csgraph", "requests", "urllib3", *NETWORK)
 SMALL = dataclasses.replace(
     standard_config(0), link_areas=1, maps_per_area=3, images_per_map=2, lane_length=20.0
 )
@@ -73,11 +75,17 @@ def test_commands_without_geometry_or_remote_load_neither(tmp_path, area, args):
 
 def test_evaluate_loads_scipy(tmp_path, area):
     args = ["evaluate", area, "--policies", "band", "--output-dir", "out"]
-    loaded = loaded_after(cli(args), tmp_path)
-    assert {"scipy", "scipy.spatial"} <= set(loaded)
-    assert "scipy.sparse.csgraph" not in loaded  # DBSCAN's components are numpy
+    # Not scipy.sparse.csgraph: DBSCAN's components are numpy. Nor the network.
+    assert sorted(loaded_after(cli(args), tmp_path)) == ["scipy", "scipy.spatial"]
+
+
+def test_update_loads_scipy_but_not_the_network(tmp_path, area):
+    (tmp_path / "script.json").write_text("[]")
+    args = ["update", area, "script.json", "--output-dir", "out"]
+    assert sorted(loaded_after(cli(args), tmp_path)) == ["scipy", "scipy.spatial"]
 
 
 def test_remote_scorer_loads_none_of_scipy_requests_urllib3(tmp_path):
+    # It does load the network stack, which no other command loads.
     code = "from lanefuse.backends import RemoteScorer\nRemoteScorer('http://127.0.0.1:9/score')"
-    assert loaded_after(code, tmp_path) == []
+    assert sorted(loaded_after(code, tmp_path)) == sorted(NETWORK)

@@ -78,6 +78,23 @@ def test_update_pools_file_order_and_evaluate_pools_rank_order(tmp_path):
     assert band_result == ame(by_rank.lane_lines, truth.lane_lines)
 
 
+def test_update_modifies_only_the_maps_it_fuses(tmp_path):
+    # The script shifts lane_00, which the worst-ranked map lacks; that map
+    # is not in the band, so update neither edits nor reads it.
+    area = _worst_first_area()
+    ranked = rank_maps(area)
+    worst = ranked[-1][0]
+    assert worst not in select_band(ranked).selected_map_ids
+    maps = [
+        m if m.map_id != worst
+        else dataclasses.replace(m, lane_lines=[l for l in m.lane_lines if l.lane_id != "lane_00"])
+        for m in area.local_maps
+    ]
+    (tmp_path / "whole").mkdir()
+    fused = _update_cli(tmp_path, LinkArea(area.link_id, maps, area.ground_truth))
+    assert fused == _update_cli(tmp_path / "whole", area)
+
+
 def test_update_command_aligns_each_band_map_once(tmp_path, monkeypatch):
     area = _worst_first_area()
     _, observed, _ = _modified(area)
