@@ -81,6 +81,13 @@ def _make_backend(cfg: PipelineConfig, seed: int):
     )
 
 
+def _import_geometry() -> None:
+    """Import scipy's k-d trees once the inputs have loaded, so that a traced
+    run times the import (about 0.3 s) here and not in the first ICP call.
+    Only update and evaluate call this; no other command loads scipy."""
+    import scipy.spatial  # noqa: F401
+
+
 def cmd_score(args, cfg: PipelineConfig) -> int:
     area = load_link_area(args.map_file)
     backend = _make_backend(cfg, args.seed)
@@ -143,6 +150,7 @@ def cmd_select(args, cfg: PipelineConfig) -> int:
 def cmd_update(args, cfg: PipelineConfig) -> int:
     area = load_link_area(args.area_file)
     mods = load_modifications(Path(args.script_file))
+    _import_geometry()
     chosen = set(select_band(rank_maps(area), k_cap=cfg.k_cap).selected_map_ids)
     # The band is pooled in area-file order; evaluate pools in rank order.
     band = [m.map_id for m in area.local_maps if m.map_id in chosen]
@@ -161,6 +169,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     ev.parse_policies(policies)
     bounded_number(args.jobs, "--jobs", 1, error=ConfigError)
     areas = [load_link_area(f) for f in args.area_files]
+    _import_geometry()
     report = ev.run_experiment(areas, policies, cfg.dbscan, cfg.icp, jobs=args.jobs)
     out_dir = _output_dir(args)
     csv_path = out_dir / "evaluation.csv"

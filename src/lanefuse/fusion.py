@@ -246,9 +246,13 @@ def fuse_points(
     if len(pooled) == 0:
         raise EmptyFusionError("no lane points to fuse")
     labels = dbscan(pooled, dparams, pairs=pairs)
+    # A stable sort keeps each cluster's points in pool order; noise (-1)
+    # sorts first and is dropped.
+    by_label = pooled[np.argsort(labels, kind="stable")]
+    ends = np.cumsum(np.bincount(labels + 1))
     lanes: list[LaneLine] = []
-    for cluster_id in range(int(labels.max()) + 1):
-        polyline = cluster_polyline(pooled[labels == cluster_id])
+    for members in np.split(by_label, ends[:-1])[1:]:
+        polyline = cluster_polyline(members)
         if len(polyline) < 2:
             continue
         lanes.append(LaneLine(lane_id=f"fused_{len(lanes):03d}", points=polyline))

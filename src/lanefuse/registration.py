@@ -19,10 +19,22 @@ every iteration matches exactly the targets a full search would, and the
 results are bit-identical to it. A tie (d1 == d2) never passes the test, and
 its nearest index comes from a one-neighbour search, which breaks ties as a
 full search does.
+
+The loop is written for few numpy calls per iteration, since on maps of a
+few hundred points their overhead, not their arithmetic, sets the cost.
+Every source point is searched once before the first iteration. Each row
+then keeps its anchor p0, its matched target, its gap |p - target| under
+the latest fit and half its slack, (d2 - d1 - REUSE_MARGIN) / 2, so the
+reuse test is drift < half (halving is exact). An iteration searches only
+the rows that fail it and updates their four entries; it gates on the kept
+gaps, fits, then moves every point and measures every gap once, and the RMS
+residual is read from those gaps. A certified row's gap is therefore
+always under the current fit, even as the fit carries it across the gate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -95,13 +107,15 @@ def _row_norms(d: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[:, 0] + sq[:, 1] + sq[:, 2])
 
 
-def _check_spread(points: np.ndarray, label: str) -> None:
+def _centered_spread(points: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """``_centered(points)``, once the points are known to span a plane."""
     if len(points) < 3:
         raise DegenerateGeometryError(f"{label} has fewer than 3 points; cannot align")
-    centered = points - points.mean(axis=0)
+    centered, centroid = _centered(points)
     s = np.linalg.svd(centered, compute_uv=False)
     if s[1] <= 1e-12 * max(1.0, s[0]):
         raise DegenerateGeometryError(f"{label} points are collinear; cannot align")
+    return centered, centroid
 
 
 def estimate_rigid_transform(
@@ -118,8 +132,13 @@ def estimate_rigid_transform(
     return _fit(*_centered(src), tgt)
 
 
+def _centroid(points: np.ndarray) -> np.ndarray:
+    # The sum and division np.mean(points, axis=0) makes, without its overhead.
+    return np.add.reduce(points, 0) / len(points)
+
+
 def _centered(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    centroid = points.mean(axis=0)
+    centroid = _centroid(points)
     return points - centroid, centroid
 
 
@@ -127,18 +146,27 @@ def _fit(
     centered_src: np.ndarray, c_src: np.ndarray, tgt: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """estimate_rigid_transform's fit from the source already centred."""
-    c_tgt = tgt.mean(axis=0)
+    c_tgt = _centroid(tgt)
     h = centered_src.T @ (tgt - c_tgt)
     u, _, vt = np.linalg.svd(h)
-    d = np.sign(np.linalg.det(vt.T @ u.T))
-    if d == 0.0:
-        d = 1.0
-    r = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
+    r = vt.T @ u.T
+    if np.linalg.det(r) < 0.0:  # a reflection: flip the least singular axis
+        r = vt.T @ np.diag([1.0, 1.0, -1.0]) @ u.T
     # Re-orthonormalize to keep the transform invariant within 1e-9.
     uu, _, vvt = np.linalg.svd(r)
     r = uu @ vvt
     t = c_tgt - r @ c_src
     return r, t
+
+
+def _nearest_two(tree, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's distances to its two nearest targets, (m, 2), and the
+    index of the nearest, as a one-neighbour search would pick it."""
+    dist, idx = tree.query(points, k=2)
+    tie = dist[:, 0] == dist[:, 1]
+    if tie.any():  # a two-neighbour search orders tied targets differently
+        idx[tie, 0] = tree.query(points[tie])[1]
+    return dist, idx[:, 0]
 
 
 def icp_align(
@@ -163,51 +191,51 @@ def icp_align(
     tgt = np.asarray(target, dtype=float)
     if src.ndim != 2 or src.shape[1] != 3 or tgt.ndim != 2 or tgt.shape[1] != 3:
         raise InvalidInputError("point sets must be (n, 3) arrays")
-    _check_spread(src, "source")
-    _check_spread(tgt, "target")
+    src_centered = _centered_spread(src, "source")
+    _centered_spread(tgt, "target")
 
     tree = cKDTree(tgt)
     n = len(src)
-    # Per source point: where its neighbours were last searched from (p0),
-    # the nearest target's index (j) and d2 - d1 - REUSE_MARGIN. A slack of
-    # -inf fails the reuse test, so the first iteration searches every point.
-    anchor = np.zeros((n, 3))
-    nearest = np.zeros(n, dtype=np.intp)
-    slack = np.full(n, -np.inf)
-    src_centered = _centered(src)
-    r, t = np.eye(3), np.zeros(3)
-    moved = src @ r.T + t
+    gate = params.max_correspondence_dist
+    # Per source point: where it was last searched from, its nearest target,
+    # its distance to that target under the current fit, and half its slack.
+    dist, nearest = _nearest_two(tree, src)
+    anchor = src.copy()
+    matched = tgt[nearest]
+    gap = dist[:, 0]
+    half = (dist[:, 1] - gap - REUSE_MARGIN) / 2
+    moved = src
     history: list[float] = []
     prev = np.inf
     converged = False
     iterations = 0
 
     for iterations in range(1, params.max_iterations + 1):
-        drift = _row_norms(moved - anchor)
-        stale = np.flatnonzero(~(2.0 * drift < slack))
-        if len(stale):
-            dist, idx = tree.query(moved[stale], k=2)
-            tie = dist[:, 0] == dist[:, 1]
-            if tie.any():  # a two-neighbour search orders tied targets differently
-                idx[tie, 0] = tree.query(moved[stale[tie]])[1]
-            anchor[stale] = moved[stale]
-            nearest[stale] = idx[:, 0]
-            slack[stale] = dist[:, 1] - dist[:, 0] - REUSE_MARGIN
-        matched = tgt[nearest]
-        mask = _row_norms(moved - matched) <= params.max_correspondence_dist
-        count = int(mask.sum())
+        if iterations > 1:
+            stale = np.flatnonzero(~(_row_norms(moved - anchor) < half))
+            if len(stale):
+                at = moved[stale]
+                dist, nearest = _nearest_two(tree, at)
+                anchor[stale] = at
+                matched[stale] = tgt[nearest]
+                gap[stale] = dist[:, 0]
+                half[stale] = (dist[:, 1] - dist[:, 0] - REUSE_MARGIN) / 2
+        mask = gap <= gate
+        count = int(np.count_nonzero(mask))
         if count < 3:
             raise DegenerateGeometryError(
-                f"only {count} correspondences within "
-                f"{params.max_correspondence_dist} m at iteration {iterations}"
+                f"only {count} correspondences within {gate} m at iteration {iterations}"
             )
-        # When every point pairs, the source is centred once and the slices
-        # are views, so the iteration makes no masked copies.
-        pairs = slice(None) if count == n else mask
-        r, t = _fit(*(src_centered if count == n else _centered(src[mask])), matched[pairs])
+        # When every point pairs, the fit takes the source centred before
+        # the loop, and the iteration makes no masked copies.
+        if count == n:
+            r, t = _fit(*src_centered, matched)
+        else:
+            r, t = _fit(*_centered(src[mask]), matched[mask])
         moved = src @ r.T + t
-        errs = _row_norms(moved - matched)[pairs]
-        rms = float(np.sqrt(np.mean(errs**2)))
+        gap = _row_norms(moved - matched)
+        errs = gap if count == n else gap[mask]
+        rms = math.sqrt(np.add.reduce(errs * errs) / count)  # as np.mean(errs**2) sums
         history.append(rms)
         if abs(prev - rms) < params.convergence_tol:
             converged = True

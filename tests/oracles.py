@@ -80,6 +80,26 @@ def scan_dbscan(points: np.ndarray, eps: float, min_samples: int) -> np.ndarray:
     return labels
 
 
+def dense_neighbor_pairs(points: np.ndarray, eps: float, block: int = 512) -> np.ndarray:
+    """Reference neighbour pairs, sorted: every (i, j), i < j, whose distance
+    is <= eps. With the points sorted by x, each block of rows takes the
+    dense distances, summed (dx² + dy²) + dz² as np.linalg.norm sums them,
+    to every later point up to 2 eps beyond the block in x; a point past
+    that is farther than eps from every row."""
+    order = np.argsort(points[:, 0], kind="stable")
+    pts = points[order]
+    found = []
+    for start in range(0, len(pts), block):
+        rows = pts[start : start + block]
+        later = pts[start : np.searchsorted(pts[:, 0], rows[-1, 0] + 2 * eps, side="right")]
+        sq = sum((rows[:, None, k] - later[None, :, k]) ** 2 for k in range(3))
+        i, j = np.nonzero(np.sqrt(sq) <= eps)
+        keep = i < j
+        found.append(order[np.column_stack([i[keep], j[keep]]) + start])
+    pairs = np.sort(np.vstack(found), axis=1)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
 def full_search_icp(source: np.ndarray, target: np.ndarray, params) -> IcpResult:
     """Reference ICP: every iteration searches the k-d tree for every source
     point, with no reuse of earlier searches."""

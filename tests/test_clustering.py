@@ -22,7 +22,7 @@ from lanefuse.evaluation import (
 )
 from lanefuse.fusion import align, fuse_maps, rank_maps
 from lanefuse.mapmodel import LocalMap
-from oracles import brute_force_dbscan, canonical_labels, scan_dbscan
+from oracles import brute_force_dbscan, canonical_labels, dense_neighbor_pairs, scan_dbscan
 
 
 def test_two_well_separated_groups():
@@ -350,6 +350,37 @@ def test_dbscan_matches_the_scan_on_every_pool_fusion_clusters(monkeypatch):
         assert pairs is not None
         want = scan_dbscan(points, params.epsilon, params.min_samples)
         assert labels.tolist() == want.tolist()
+
+
+def _largest_pools(config: SynthConfig) -> list[np.ndarray]:
+    """The pool each area's policies search neighbour pairs in, one per area."""
+    unions = []
+    real = lanefuse.fusion.neighbor_pairs
+
+    def recording(points, epsilon):
+        unions.append(points)
+        return real(points, epsilon)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lanefuse.fusion, "neighbor_pairs", recording)
+        run_experiment(synth_generate(config), ["baseline", "seq1", "seq3", "seq5", "band"])
+    return unions
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(standard_config(0), id="0"),
+        pytest.param(standard_config(1), id="1"),
+        pytest.param(SynthConfig(seed=0, link_areas=1, lane_length=160.0), id="160m"),
+    ],
+)
+def test_neighbor_pairs_match_dense_distances_on_fused_pools(config):
+    eps = DbscanParams().epsilon
+    for union in _largest_pools(config):
+        pairs = neighbor_pairs(union, eps)
+        got = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        assert got.tolist() == dense_neighbor_pairs(union, eps).tolist()
 
 
 # --- align once per area -------------------------------------------------------

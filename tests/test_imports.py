@@ -85,6 +85,41 @@ def test_update_loads_scipy_but_not_the_network(tmp_path, area):
     assert sorted(loaded_after(cli(args), tmp_path)) == ["scipy", "scipy.spatial"]
 
 
+# Wraps the first stage of update (select_band) and of evaluate
+# (run_experiment) to note whether scipy's k-d trees are loaded by then.
+FIRST_STAGE_PROBE = """
+import lanefuse.cli, lanefuse.evaluation
+loaded = []
+def noting(stage):
+    def wrapper(*args, **kwargs):
+        loaded.append("scipy.spatial" in sys.modules)
+        return stage(*args, **kwargs)
+    return wrapper
+lanefuse.cli.select_band = noting(lanefuse.cli.select_band)
+lanefuse.evaluation.run_experiment = noting(lanefuse.evaluation.run_experiment)
+"""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["update", "{area}", "script.json", "--output-dir", "out"],
+        ["evaluate", "{area}", "--policies", "band", "--output-dir", "out"],
+    ],
+    ids=["update", "evaluate"],
+)
+def test_geometry_commands_import_scipy_before_their_first_stage(tmp_path, area, args):
+    # So a traced run does not time the import inside the first ICP call.
+    (tmp_path / "script.json").write_text("[]")
+    code = FIRST_STAGE_PROBE + cli([a.format(area=area) for a in args]) + "\nassert loaded == [True]"
+    assert "scipy.spatial" in loaded_after(code, tmp_path)
+
+
+def test_geometry_commands_import_scipy_only_once_the_inputs_load(tmp_path):
+    code = "from lanefuse.cli import main\nassert main(['evaluate', 'missing.json']) == 2"
+    assert loaded_after(code, tmp_path) == []
+
+
 def test_remote_scorer_loads_none_of_scipy_requests_urllib3(tmp_path):
     # It does load the network stack, which no other command loads.
     code = "from lanefuse.backends import RemoteScorer\nRemoteScorer('http://127.0.0.1:9/score')"

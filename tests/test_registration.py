@@ -171,8 +171,16 @@ def assert_same_icp(result, reference):
     assert result.converged == reference.converged
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_icp_matches_full_search_on_every_experiment_call(seed, monkeypatch):
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(standard_config(0), id="0"),
+        pytest.param(standard_config(1), id="1"),
+        # 14 calls on 160 m lanes, one of which runs all 50 iterations.
+        pytest.param(SynthConfig(seed=0, link_areas=2, lane_length=160.0), id="160m"),
+    ],
+)
+def test_icp_matches_full_search_on_every_experiment_call(config, monkeypatch):
     calls = []
     icp = lanefuse.fusion.icp_align
 
@@ -182,9 +190,10 @@ def test_icp_matches_full_search_on_every_experiment_call(seed, monkeypatch):
         return result
 
     monkeypatch.setattr(lanefuse.fusion, "icp_align", recording)
-    for area in synth_generate(standard_config(seed)):
+    areas = synth_generate(config)
+    for area in areas:
         evaluate_area(area, POLICIES)
-    assert len(calls) == sum(len(a.local_maps) for a in synth_generate(standard_config(seed)))
+    assert len(calls) == sum(len(a.local_maps) for a in areas)
     for source, target, params, result in calls:
         assert_same_icp(result, full_search_icp(source, target, params))
 
@@ -216,6 +225,19 @@ def _partial_gate(rng):
     return src, tgt, IcpParams()
 
 
+def _certified_gate_crossings(rng):
+    # Targets 10 m apart, so every nearest target stays certified while the
+    # source slides about 0.6 m back onto them. Rows 2.5 m off their target
+    # enter the 2 m gate on the way and rows 1.7 m off leave it, so each
+    # iteration must gate on distances under the latest fit, not the last search.
+    grid = np.array([[10.0 * i, 10.0 * k, 0.0] for i in range(10) for k in range(10)])
+    tgt = grid + rng.normal(scale=0.05, size=grid.shape)
+    src = tgt + [0.8, 0.0, 0.0] + rng.normal(scale=0.01, size=tgt.shape)
+    src[::10] += [1.7, 0.0, 0.0]
+    src[5::10] -= [2.5, 0.0, 0.0]
+    return src, tgt, IcpParams()
+
+
 def _one_iteration(rng):
     tgt = cloud(rng, 200)
     return _shifted_copy(rng, tgt), tgt, IcpParams(max_iterations=1)
@@ -228,7 +250,8 @@ def _map_frame(rng):
 
 
 @pytest.mark.parametrize(
-    "case", [_ties, _midpoint_ties, _partial_gate, _one_iteration, _map_frame]
+    "case",
+    [_ties, _midpoint_ties, _partial_gate, _certified_gate_crossings, _one_iteration, _map_frame],
 )
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_icp_matches_full_search_on_targeted_cases(case, seed):
