@@ -1,18 +1,12 @@
 """Map-update error metric, synthetic fixtures, and the policy experiment.
 
 The error metric is an RMSE over estimated lane points against the nearest
-ground-truth segment; for lane lines only the lateral (perpendicular in the
-xy-plane) component counts. The nearest segment is found with a k-d tree over
-segment midpoints: a point's nearest segment is no farther than its nearest
-midpoint (distance d0), so only segments whose midpoints lie within d0 plus
-the largest half segment length are measured. The search is exact, keeps
-argmin's lowest-index choice among segments at equal 3D distance, and works
-through the points in blocks of bounded size, so memory is linear in the
-number of points and segments. The synthetic generator stands in for real
-crowdsourced drives: ground-truth lanes per link area, local maps that
-observe them under scenario-dependent noise, and image confidences produced
-by the actual scoring stack so confidence and geometric error correlate by
-construction.
+ground-truth segment (registration.nearest_segment_errors); for lane lines
+only the lateral (perpendicular in the xy-plane) component counts. The
+synthetic generator stands in for real crowdsourced drives: ground-truth
+lanes per link area, local maps that observe them under scenario-dependent
+noise, and image confidences produced by the actual scoring stack so
+confidence and geometric error correlate by construction.
 """
 
 from __future__ import annotations
@@ -23,7 +17,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,14 +35,10 @@ from .errors import ConfigError, EmptyInputError, InvalidInputError
 from .fusion import fuse_maps, rank_maps, select_band  # noqa: F401
 from .mapmodel import LaneLine, LinkArea, LocalMap, load_json, reject_unknown_keys
 from .pipeline import Modification, apply_modifications, prior_map, update  # noqa: F401
-from .registration import IcpParams
+from .registration import IcpParams, lane_segments, nearest_segment_errors
 from .scoring import FACTOR_BY_KEY, FactorKind, bounded_number, exact_int
 
 CONFIDENCE_THRESHOLD = 7.0  # map-level cutoff for the threshold policy
-
-# Most (point, segment) pairs the AME search measures at once; each pair costs
-# a few hundred bytes of temporaries.
-_PAIR_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -60,91 +50,6 @@ class AmeResult:
     def __post_init__(self):
         if self.e_ame < 0.0:
             raise InvalidInputError("e_ame must be >= 0")
-
-
-def _segment_arrays(lanes: Sequence[LaneLine]) -> tuple[np.ndarray, np.ndarray]:
-    starts, ends = [], []
-    for lane in lanes:
-        pts = lane.points_array()
-        starts.append(pts[:-1])
-        ends.append(pts[1:])
-    return np.vstack(starts), np.vstack(ends)
-
-
-def _candidate_blocks(
-    points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Every segment that can be nearest to each point, in blocks of points.
-
-    A point's nearest segment is no farther than the nearest segment
-    midpoint, at distance d0, and a segment within d0 of the point has its
-    midpoint within d0 + (largest half length); the slack absorbs rounding
-    at the coordinates of a local metric frame. Yields (point index,
-    segment index, candidates per point) for consecutive points, the pairs
-    grouped by point and at most _PAIR_BUDGET of them per block, unless a
-    block is a single point (at most len(seg_a) pairs).
-    """
-    from scipy.spatial import cKDTree  # on first use, as in clustering.neighbor_pairs
-
-    mid = (seg_a + seg_b) * 0.5
-    half = 0.5 * np.linalg.norm(seg_b - seg_a, axis=1).max()
-    tree = cKDTree(mid)
-    d0, _ = tree.query(points)
-    radius = d0 + half + 1e-9 * (1.0 + d0)
-    counts = tree.query_ball_point(points, radius, return_length=True)
-    ends = np.cumsum(counts)
-    start = 0
-    while start < len(points):
-        base = ends[start] - counts[start]
-        stop = max(start + 1, int(np.searchsorted(ends, base + _PAIR_BUDGET, "right")))
-        lists = tree.query_ball_point(points[start:stop], radius[start:stop])
-        lens = counts[start:stop]
-        seg = np.fromiter(
-            itertools.chain.from_iterable(lists), dtype=np.intp, count=int(lens.sum())
-        )
-        yield np.repeat(np.arange(start, stop), lens), seg, lens
-        start = stop
-
-
-def _point_errors(
-    points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray, lateral_only: bool
-) -> np.ndarray:
-    """Distance from each point to its nearest segment.
-
-    Matching always uses the full 3D distance, and among segments at equal
-    distance the lowest index wins; with lateral_only the error term is
-    recomputed in the xy-plane against the matched segment. Only the
-    candidate pairs of _candidate_blocks are measured, so memory stays
-    linear in the number of points and segments.
-    """
-    d = seg_b - seg_a  # (m, 3)
-    dd = np.einsum("ij,ij->i", d, d)
-    dd = np.where(dd < 1e-18, 1.0, dd)
-    nearest = np.empty(len(points), dtype=np.intp)
-    dist3 = np.empty(len(points))
-    for pt, seg, lens in _candidate_blocks(points, seg_a, seg_b):
-        rel = points[pt] - seg_a[seg]  # (k, 3)
-        t = np.clip(np.einsum("kj,kj->k", rel, d[seg]) / dd[seg], 0.0, 1.0)
-        proj = seg_a[seg] + t[:, None] * d[seg]
-        dist = np.linalg.norm(points[pt] - proj, axis=1)
-        # Sorted by point, then distance, then segment: each point's group
-        # starts with its nearest segment of lowest index, as argmin picks.
-        first = np.lexsort((seg, dist, pt))[np.cumsum(lens) - lens]
-        nearest[pt[first]] = seg[first]
-        dist3[pt[first]] = dist[first]
-    if not lateral_only:
-        return dist3
-
-    # Segments may degenerate in the xy projection (vertical climbs); treat
-    # those as their start point.
-    a2 = seg_a[nearest, :2]
-    d2 = d[nearest, :2]
-    dd2 = np.einsum("ij,ij->i", d2, d2)
-    p2 = points[:, :2]
-    t2 = np.einsum("ij,ij->i", p2 - a2, d2) / np.where(dd2 < 1e-18, 1.0, dd2)
-    t2 = np.where(dd2 < 1e-18, 0.0, np.clip(t2, 0.0, 1.0))
-    proj2 = a2 + t2[:, None] * d2
-    return np.linalg.norm(p2 - proj2, axis=1)
 
 
 def ame(
@@ -160,14 +65,12 @@ def ame(
     """
     if not estimated or not truth:
         raise EmptyInputError("ame needs non-empty estimated and truth lane sets")
-    est_pts = np.vstack([lane.points_array() for lane in estimated])
-    seg_a, seg_b = _segment_arrays(truth)
-    errors = _point_errors(est_pts, seg_a, seg_b, lateral_only)
+    est_pts = np.vstack([lane.points for lane in estimated])
+    errors = nearest_segment_errors(est_pts, *lane_segments(truth), lateral_only)
     if symmetric:
-        truth_pts = np.vstack([lane.points_array() for lane in truth])
-        rev_a, rev_b = _segment_arrays(estimated)
+        truth_pts = np.vstack([lane.points for lane in truth])
         errors = np.concatenate(
-            [errors, _point_errors(truth_pts, rev_a, rev_b, lateral_only)]
+            [errors, nearest_segment_errors(truth_pts, *lane_segments(estimated), lateral_only)]
         )
     return AmeResult(
         e_ame=float(np.sqrt(np.mean(errors**2))),
@@ -328,11 +231,11 @@ def _noisy_map_lanes(
     shift = rng.uniform(-0.25, 0.25, size=2)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     rot = np.array([[cos_t, -sin_t], [sin_t, cos_t]])
-    all_pts = np.vstack([lane.points_array() for lane in truth])
+    all_pts = np.vstack([lane.points for lane in truth])
     center = all_pts[:, :2].mean(axis=0)
     lanes = []
     for lane in truth:
-        pts = lane.points_array().copy()
+        pts = lane.points.copy()
         pts[:, :2] += rng.normal(0.0, sigma, size=(len(pts), 2))
         pts[:, :2] = (pts[:, :2] - center) @ rot.T + center + shift
         lanes.append(LaneLine(lane.lane_id, pts))
@@ -404,7 +307,9 @@ def load_synth_config(path) -> SynthConfig:
         if not isinstance(raw, dict) or not isinstance(raw.get("factors", {}), dict):
             raise ConfigError(f"{where}: must be an object whose factors are an object")
         reject_unknown_keys(raw, ("name", "sigma", "factors"), where, ConfigError)
-        name = str(raw.get("name", f"scenario_{i}"))
+        name = raw.get("name", f"scenario_{i}")
+        if not isinstance(name, str):
+            raise ConfigError(f"{where}: name must be a string, got {name!r}")
         try:
             factors = {key: _json_range(r, key) for key, r in raw.get("factors", {}).items()}
         except InvalidInputError as exc:

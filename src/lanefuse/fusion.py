@@ -148,8 +148,8 @@ def modify_add(
     """
     a = _require_lane(local_map, lane_a)
     b = _require_lane(local_map, lane_b)
-    pts_a = a.points_array()
-    pts_b = b.points_array()
+    pts_a = a.points
+    pts_b = b.points
     count = max(len(pts_a), len(pts_b))
     pts_a = resample_polyline(pts_a, count)
     pts_b = resample_polyline(pts_b, count)

@@ -99,6 +99,8 @@ class LaneLine:
         return self.lane_id == other.lane_id and np.array_equal(self.points, other.points)
 
     def points_array(self) -> np.ndarray:
+        """``points``, kept because perfbench/tracing.py wraps it; ROADMAP item 11
+        removes it together with that span of the benchmark."""
         return self.points
 
 
@@ -118,7 +120,7 @@ class LocalMap:
 
     def lane_points(self) -> np.ndarray:
         """All lane points pooled into one (n, 3) array."""
-        arrays = [lane.points_array() for lane in self.lane_lines]
+        arrays = [lane.points for lane in self.lane_lines]
         if not arrays:
             return np.empty((0, 3))
         return np.vstack(arrays)
@@ -278,7 +280,7 @@ def _lane_from_dict(ctx: _Ctx, data: dict) -> LaneLine:
 
 def _image_from_dict(ctx: _Ctx, data: dict) -> ImageAssessment:
     image_id = _need(ctx, data, "image_id", str)
-    raw_scores = data.get("factor_scores") or {}
+    raw_scores = data.get("factor_scores", {})
     if not isinstance(raw_scores, dict):
         ctx.fail(f"image {image_id!r}: 'factor_scores' must be an object")
     scores: dict[FactorKind, int] = {}

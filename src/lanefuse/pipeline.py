@@ -90,7 +90,7 @@ def prior_map(truth: Sequence[LaneLine], link_id: str) -> LocalMap:
     """The prior HD map: exact truth geometry at control-point spacing."""
     lanes = []
     for lane in truth:
-        pts = lane.points_array()
+        pts = lane.points
         seg = np.linalg.norm(np.diff(pts, axis=0), axis=1).sum()
         count = max(2, int(round(seg / PRIOR_MAP_SPACING)) + 1)
         lanes.append(LaneLine(lane.lane_id, resample_polyline(pts, count)))

@@ -30,12 +30,23 @@ the rows that fail it and updates their four entries; it gates on the kept
 gaps, fits, then moves every point and measures every gap once, and the RMS
 residual is read from those gaps. A certified row's gap is therefore
 always under the current fit, even as the fit carries it across the gate.
+
+nearest_segment_errors measures points against polylines, for the AME, by
+an exact nearest-segment search. A k-d tree over segment midpoints bounds
+it: a point's nearest segment is no farther than its nearest midpoint
+(distance d0), so only segments whose midpoints lie within d0 plus the
+largest half segment length are measured. The search keeps argmin's
+lowest-index choice among segments at equal 3D distance and works through
+the points in blocks of at most PAIR_BUDGET pairs, so memory is linear in
+the number of points and segments.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +58,9 @@ ORTHONORMAL_TOL = 1e-9
 # Meters: far above the rounding of a distance between points a few hundred
 # meters apart, far below any distance the data resolves.
 REUSE_MARGIN = 1e-9
+# Most (point, segment) pairs the nearest-segment search measures at once;
+# each pair costs a few hundred bytes of temporaries.
+PAIR_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -254,7 +268,89 @@ def icp_align(
 def apply_transform(transform: RigidTransform, local_map: LocalMap) -> LocalMap:
     """Map every lane point through the transform; ids and images unchanged."""
     lanes = [
-        LaneLine(lane.lane_id, transform.apply(lane.points_array()))
+        LaneLine(lane.lane_id, transform.apply(lane.points))
         for lane in local_map.lane_lines
     ]
     return replace(local_map, lane_lines=lanes)
+
+
+def lane_segments(lanes: Sequence[LaneLine]) -> tuple[np.ndarray, np.ndarray]:
+    """The start and end points of every segment of the lanes, lane by lane."""
+    starts = np.vstack([lane.points[:-1] for lane in lanes])
+    return starts, np.vstack([lane.points[1:] for lane in lanes])
+
+
+def _candidate_blocks(
+    points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every segment that can be nearest to each point, in blocks of points.
+
+    A point's nearest segment is no farther than the nearest segment
+    midpoint, at distance d0, and a segment within d0 of the point has its
+    midpoint within d0 + (largest half length); the slack absorbs rounding
+    at the coordinates of a local metric frame. Yields (point index,
+    segment index, candidates per point) for consecutive points, the pairs
+    grouped by point and at most PAIR_BUDGET of them per block, unless a
+    block is a single point (at most len(seg_a) pairs).
+    """
+    from scipy.spatial import cKDTree  # on first use, as in clustering.neighbor_pairs
+
+    mid = (seg_a + seg_b) * 0.5
+    half = 0.5 * _row_norms(seg_b - seg_a).max()
+    tree = cKDTree(mid)
+    d0, _ = tree.query(points)
+    radius = d0 + half + 1e-9 * (1.0 + d0)
+    counts = tree.query_ball_point(points, radius, return_length=True)
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(points):
+        base = ends[start] - counts[start]
+        stop = max(start + 1, int(np.searchsorted(ends, base + PAIR_BUDGET, "right")))
+        lists = tree.query_ball_point(points[start:stop], radius[start:stop])
+        lens = counts[start:stop]
+        seg = np.fromiter(
+            itertools.chain.from_iterable(lists), dtype=np.intp, count=int(lens.sum())
+        )
+        yield np.repeat(np.arange(start, stop), lens), seg, lens
+        start = stop
+
+
+def nearest_segment_errors(
+    points: np.ndarray, seg_a: np.ndarray, seg_b: np.ndarray, lateral_only: bool
+) -> np.ndarray:
+    """Distance from each point to its nearest segment.
+
+    Matching always uses the full 3D distance, and among segments at equal
+    distance the lowest index wins; with lateral_only the error term is
+    recomputed in the xy-plane against the matched segment. Only the
+    candidate pairs of _candidate_blocks are measured, so memory stays
+    linear in the number of points and segments.
+    """
+    d = seg_b - seg_a  # (m, 3)
+    dd = np.einsum("ij,ij->i", d, d)
+    dd = np.where(dd < 1e-18, 1.0, dd)
+    nearest = np.empty(len(points), dtype=np.intp)
+    dist3 = np.empty(len(points))
+    for pt, seg, lens in _candidate_blocks(points, seg_a, seg_b):
+        rel = points[pt] - seg_a[seg]  # (k, 3)
+        t = np.clip(np.einsum("kj,kj->k", rel, d[seg]) / dd[seg], 0.0, 1.0)
+        proj = seg_a[seg] + t[:, None] * d[seg]
+        dist = _row_norms(points[pt] - proj)
+        # Sorted by point, then distance, then segment: each point's group
+        # starts with its nearest segment of lowest index, as argmin picks.
+        first = np.lexsort((seg, dist, pt))[np.cumsum(lens) - lens]
+        nearest[pt[first]] = seg[first]
+        dist3[pt[first]] = dist[first]
+    if not lateral_only:
+        return dist3
+
+    # Segments may degenerate in the xy projection (vertical climbs); treat
+    # those as their start point.
+    a2 = seg_a[nearest, :2]
+    d2 = d[nearest, :2]
+    dd2 = np.einsum("ij,ij->i", d2, d2)
+    p2 = points[:, :2]
+    t2 = np.einsum("ij,ij->i", p2 - a2, d2) / np.where(dd2 < 1e-18, 1.0, dd2)
+    t2 = np.where(dd2 < 1e-18, 0.0, np.clip(t2, 0.0, 1.0))
+    proj2 = a2 + t2[:, None] * d2
+    return np.linalg.norm(p2 - proj2, axis=1)

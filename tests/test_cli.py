@@ -3,12 +3,15 @@
 import csv
 import json
 import math
+import tempfile
 import time
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lanefuse.backends import (
     FACTOR_PROMPTS,
@@ -19,7 +22,13 @@ from lanefuse.backends import (
 )
 from lanefuse.cli import main
 from lanefuse.confidence import gcs
-from lanefuse.evaluation import SCENARIOS_BY_NAME, ame, standard_config, synth_config_to_dict
+from lanefuse.evaluation import (
+    SCENARIOS_BY_NAME,
+    ame,
+    standard_config,
+    synth_config_to_dict,
+    synth_generate,
+)
 from lanefuse.fusion import rank_maps, select_band
 from lanefuse.mapmodel import area_to_dict, load_link_area, load_local_map
 from lanefuse.scoring import DEGRADATION_FACTORS, FactorKind
@@ -819,3 +828,98 @@ def test_non_finite_parameters_exit_1(tmp_path, capsys, command, source, body):
         args = [command, path]
     assert run([*args, "--output-dir", tmp_path / "out"]) == 1
     assert "finite" in capsys.readouterr().err
+
+
+# --- the exit-code contract under generated area edits ------------------------
+
+
+def _offset(lanes, dx, dy):
+    return [{**lane, "points": [[x + dx, y + dy, z] for x, y, z in lane["points"]]} for lane in lanes]
+
+
+def _offset_area(doc, index):
+    doc["ground_truth"] = _offset(doc["ground_truth"], 1e12, 1e12)
+    for local_map in doc["local_maps"]:
+        local_map["lane_lines"] = _offset(local_map["lane_lines"], 1e12, 1e12)
+
+
+def _map_edit(edit):
+    """An edit of the lane list of local map ``index``."""
+
+    def apply(doc, index):
+        local_map = doc["local_maps"][index]
+        local_map["lane_lines"] = edit(local_map["lane_lines"])
+
+    return apply
+
+
+AREA_EDITS = {
+    "shift_1km": _map_edit(lambda lanes: _offset(lanes, 1000.0, 0.0)),
+    "no_lanes": _map_edit(lambda lanes: []),
+    "one_lane": _map_edit(lambda lanes: lanes[:1]),
+    "lane_1mm": _map_edit(
+        lambda lanes: [{**lanes[0], "points": [[0.0, 0.0, 0.0], [0.001, 0.0, 0.0]]}, *lanes[1:]]
+    ),
+    "vertical_lane": _map_edit(
+        lambda lanes: [
+            {**lanes[0], "points": [[5.0, 0.0, 0.0], [5.0, 0.0, 1.0], [5.0, 0.0, 2.0]]}, *lanes[1:]
+        ]
+    ),
+    "offset_1e12": _offset_area,  # every map and the ground truth
+}
+EXIT_CODES = {0, 1, 2, 3}
+
+
+@pytest.fixture(scope="module")
+def fuzz_area():
+    import dataclasses
+
+    cfg = dataclasses.replace(
+        standard_config(0), link_areas=1, maps_per_area=3, images_per_map=1, lane_length=20.0
+    )
+    (area,) = synth_generate(cfg)
+    return area_to_dict(area)
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+
+
+@given(
+    edits=st.lists(
+        st.tuples(st.sampled_from(sorted(AREA_EDITS)), st.integers(0, 2)), min_size=1, max_size=3
+    )
+)
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@example(edits=[("shift_1km", 0)])
+@example(edits=[("no_lanes", 1)])
+@example(edits=[("one_lane", 2)])
+@example(edits=[("vertical_lane", 0)])
+@example(edits=[("offset_1e12", 0)])
+def test_edited_areas_keep_the_exit_code_contract(fuzz_area, edits):
+    doc = json.loads(json.dumps(fuzz_area))
+    for name, index in edits:
+        AREA_EDITS[name](doc, index)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        area, script = work / "area.json", work / "script.json"
+        area.write_text(json.dumps(doc))
+        script.write_text("[]")
+        commands = {
+            "update": ["update", area, script],
+            "evaluate": ["evaluate", area, "--policies", "baseline,seq1,band"],
+        }
+        for command, args in commands.items():
+            first, again = work / f"{command}-1", work / f"{command}-2"
+            code = run([*args, "--output-dir", first])
+            assert code in EXIT_CODES
+            if code != 0:
+                assert _outputs(first) == {}, (command, edits)
+                continue
+            assert run([*args, "--output-dir", again]) == 0
+            assert _outputs(first) == _outputs(again), (command, edits)
+            if command == "update":
+                load_local_map(first / "area_fused.json")
+            else:
+                rows = list(csv.reader((first / "evaluation.csv").read_text().splitlines()))
+                assert rows[0] == ["area", "policy", "e_ame", "n_points"] and len(rows) == 7

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lanefuse.evaluation as ev
+import lanefuse.registration as reg
 from lanefuse.backends import Scenario
 from lanefuse.confidence import gcs
 from lanefuse.errors import ConfigError, EmptyInputError, InvalidInputError
@@ -128,12 +129,12 @@ def pair_budget(request, monkeypatch):
     """Run with the shipped pair budget and with one so small that most
     blocks hold a single point with more candidates than the budget."""
     if request.param == "tiny":
-        monkeypatch.setattr(ev, "_PAIR_BUDGET", 3)
+        monkeypatch.setattr(reg, "PAIR_BUDGET", 3)
 
 
 def assert_matches_dense(points, seg_a, seg_b):
     for lateral_only in (True, False):
-        got = ev._point_errors(points, seg_a, seg_b, lateral_only)
+        got = reg.nearest_segment_errors(points, seg_a, seg_b, lateral_only)
         want = dense_point_errors(points, seg_a, seg_b, lateral_only)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -161,13 +162,13 @@ def test_point_errors_random_polylines_match_dense(seed, pair_budget):
 
 def test_point_errors_match_dense_on_every_synth_pool(monkeypatch):
     calls = []
-    search = ev._point_errors
+    search = ev.nearest_segment_errors
 
     def recording(points, seg_a, seg_b, lateral_only):
         calls.append((points, seg_a, seg_b))
         return search(points, seg_a, seg_b, lateral_only)
 
-    monkeypatch.setattr(ev, "_point_errors", recording)
+    monkeypatch.setattr(ev, "nearest_segment_errors", recording)
     for seed in range(3):
         run_experiment(
             synth_generate(standard_config(seed)), ["baseline", "seq1", "seq3", "seq5", "band"]
@@ -196,9 +197,9 @@ def test_point_errors_3d_tie_takes_lowest_index(above_first, pair_budget):
     beside = [[-1, 1, 0], [1, 1, 0]]
     seg_a, seg_b = segments(*((above, beside) if above_first else (beside, above)))
     origin = np.zeros((1, 3))
-    lateral = ev._point_errors(origin, seg_a, seg_b, lateral_only=True)
+    lateral = reg.nearest_segment_errors(origin, seg_a, seg_b, lateral_only=True)
     assert lateral.tolist() == [0.0 if above_first else 1.0]
-    assert ev._point_errors(origin, seg_a, seg_b, lateral_only=False).tolist() == [1.0]
+    assert reg.nearest_segment_errors(origin, seg_a, seg_b, lateral_only=False).tolist() == [1.0]
     assert_matches_dense(origin, seg_a, seg_b)
 
 
@@ -241,8 +242,8 @@ def test_ame_symmetric_matches_dense(pair_budget):
         tru = np.vstack([l.points_array() for l in truth])
         errors = np.concatenate(
             [
-                dense_point_errors(est, *ev._segment_arrays(truth), lateral_only),
-                dense_point_errors(tru, *ev._segment_arrays(estimated), lateral_only),
+                dense_point_errors(est, *reg.lane_segments(truth), lateral_only),
+                dense_point_errors(tru, *reg.lane_segments(estimated), lateral_only),
             ]
         )
         assert result.n_points == len(errors)
@@ -286,17 +287,17 @@ def test_ame_far_points_stay_within_pair_budget(monkeypatch):
     truth = km_lanes(0.0)
     estimated = km_lanes(1100.0, length=400.0, count=1)
     blocks = []
-    candidate_blocks = ev._candidate_blocks
+    candidate_blocks = reg._candidate_blocks
 
     def counting(*args):
         for block in candidate_blocks(*args):
             blocks.append(len(block[1]))
             yield block
 
-    monkeypatch.setattr(ev, "_candidate_blocks", counting)
+    monkeypatch.setattr(reg, "_candidate_blocks", counting)
     result, peak = traced_peak(lambda: ame(estimated, truth))
     assert result.e_ame == pytest.approx(1100.0 - 10.5, abs=1e-9)
-    assert len(blocks) > 2 and max(blocks) <= ev._PAIR_BUDGET
+    assert len(blocks) > 2 and max(blocks) <= reg.PAIR_BUDGET
     assert peak < AME_MEMORY_BOUND
 
 
@@ -420,6 +421,16 @@ def test_synth_config_numbers_must_be_json_numbers(tmp_path, doc, key):
     path.write_text(json.dumps(doc))
     with pytest.raises(ConfigError, match=key):
         load_synth_config(path)
+
+
+@pytest.mark.parametrize("name", [None, 7, True, ["a"]], ids=["null", "int", "bool", "list"])
+def test_synth_config_scenario_name_must_be_a_string(tmp_path, name):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({"scenarios": [{"name": "ok"}, {"name": name}]}))
+    with pytest.raises(ConfigError, match=r"scenarios\[1\]: name must be a string"):
+        load_synth_config(path)
+    path.write_text(json.dumps({"scenarios": [{"name": "ok"}, {}]}))
+    assert [s.name for s in load_synth_config(path).degradation_scenarios] == ["ok", "scenario_1"]
 
 
 def test_synth_config_reads_integral_floats_as_integers(tmp_path):

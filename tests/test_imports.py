@@ -6,9 +6,12 @@ DBSCAN's components are numpy, so no command loads scipy's sparse graph
 module. The remote scorer speaks HTTP through the standard library, so
 requests and urllib3 are loaded by no command, and only the remote backend
 loads the network stack (http.client, urllib.request, ssl). Every check
-runs in a fresh interpreter, since this one has long loaded them.
+runs in a fresh interpreter, since this one has long loaded them. The
+package's import layering is checked here too, from the source.
 """
 
+import ast
+import collections
 import dataclasses
 import json
 import os
@@ -124,3 +127,33 @@ def test_remote_scorer_loads_none_of_scipy_requests_urllib3(tmp_path):
     # It does load the network stack, which no other command loads.
     code = "from lanefuse.backends import RemoteScorer\nRemoteScorer('http://127.0.0.1:9/score')"
     assert sorted(loaded_after(code, tmp_path)) == sorted(NETWORK)
+
+
+def lanefuse_imports(path: Path) -> set[str]:
+    """The lanefuse modules a source file imports, by short name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = ".".join(filter(None, ["lanefuse" if node.level else "", node.module]))
+            dotted = [f"{package}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        names.update(d.split(".")[1] for d in dotted if d.startswith("lanefuse."))
+    return names
+
+
+def test_layering():
+    """Only the package, the CLI and the INI reader import the experiment
+    module, only the CLI imports the INI reader, and nothing imports the CLI.
+    So the stages never import evaluation: geometry they share with the AME
+    lives in registration, with no second copy and no import cycle."""
+    importers = collections.defaultdict(set)
+    for path in (SRC / "lanefuse").glob("*.py"):
+        for name in lanefuse_imports(path):
+            importers[name].add(path.stem)
+    assert "cli" in importers["evaluation"]  # the scan sees relative imports
+    assert importers["evaluation"] <= {"__init__", "cli", "config"}
+    assert importers["config"] <= {"cli"}
+    assert importers["cli"] == set()

@@ -312,12 +312,17 @@ def test_load_rejects_image_scores_that_are_not_integers(tmp_path, key, value, m
 
 
 def test_load_rejects_factor_scores_that_are_not_an_object(tmp_path):
-    doc = area_to_dict(area())
-    doc["local_maps"][0]["images"][0]["factor_scores"] = [1]
-    path = tmp_path / "bad.json"
+    # Empty and false values too: only a missing key means no scores.
+    for value in ([1], "x", 5, [], 0, False, "", None):
+        doc = area_to_dict(area())
+        doc["local_maps"][0]["images"][0]["factor_scores"] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapParseError, match="'factor_scores' must be an object"):
+            load_link_area(path)
+    del doc["local_maps"][0]["images"][0]["factor_scores"]
     path.write_text(json.dumps(doc))
-    with pytest.raises(MapParseError, match="'factor_scores' must be an object"):
-        load_link_area(path)
+    assert load_link_area(path).local_maps[0].images[0].factor_scores == {}
 
 
 def _edit_area(tmp_path, edit):
