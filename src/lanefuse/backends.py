@@ -177,7 +177,9 @@ def parse_response(data: dict, expected_mode: str, *, source: str = "backend") -
         raise ProtocolError(
             f"{source}: response mode {mode!r} does not match request mode {expected_mode!r}"
         )
-    model = str(data.get("model", ""))
+    model = data.get("model", "")
+    if not isinstance(model, str):
+        raise ProtocolError(f"{source}: 'model' must be a string, got {model!r}")
     try:
         latency = finite_number(data.get("latency_ms", 0.0), "'latency_ms'")
         if mode == "direct":
@@ -258,9 +260,11 @@ def synthetic_score(
 ) -> ScorerResponse:
     """Deterministic fake scorer: draws inside the scenario's declared ranges.
 
-    The same (seed, image_id, prompt_id) always yields the same response.
+    The same (seed, image_id, prompt_id) always yields the same response. A
+    clarity request gets the lane-clarity answer; a direct or logits request
+    must name a factor's prompt.
     """
-    if mode == "clarity" or prompt_id == LANE_CLARITY_PROMPT_ID:
+    if mode == "clarity":
         bounds = scenario.range_for(FactorKind.LANE_VISIBILITY)
         target = _draw(bounds, seed, image_id, prompt_id)
         return ScorerResponse(mode="clarity", l_clear=_clarity_logit(target), model="synthetic")
@@ -294,17 +298,19 @@ class SyntheticScorer:
 # --- remote scorer ----------------------------------------------------------
 
 
+RETRY_BACKOFF = 0.2  # seconds before the first retry; each later retry waits twice as long
+
+
 def check_remote_settings(
-    max_retries: int, timeout: float, max_in_flight: int, backoff: float = 0.0
-) -> tuple[int, float, int, float]:
+    max_retries: int, timeout: float, max_in_flight: int
+) -> tuple[int, float, int]:
     """The remote client's settings by the number rule, as (max_retries,
-    timeout, max_in_flight, backoff); the INI file sets no backoff. One that
-    cannot work is a ConfigError instead of being clamped or converted."""
+    timeout, max_in_flight). One that cannot work is a ConfigError instead of
+    being clamped or converted."""
     return (
         bounded_number(max_retries, "max_retries", 0, error=ConfigError),
         bounded_number(timeout, "timeout", 0.0, exclusive=True, error=ConfigError),
         bounded_number(max_in_flight, "max_in_flight", 1, error=ConfigError),
-        bounded_number(backoff, "backoff", 0.0, error=ConfigError),
     )
 
 
@@ -658,9 +664,9 @@ class RemoteScorer:
 
     POSTs one JSON body per (image, prompt) over keep-alive connections and
     retries transient failures (connection errors, timeouts, 5xx) with
-    exponential backoff, at most ``max_retries`` times. When ``log_path`` is
-    set every successful exchange is appended to a JSONL replay log, raw body
-    included, in request order.
+    exponential backoff from ``RETRY_BACKOFF``, at most ``max_retries``
+    times. When ``log_path`` is set every successful exchange is appended to
+    a JSONL replay log, raw body included, in request order.
     """
 
     def __init__(
@@ -668,7 +674,6 @@ class RemoteScorer:
         endpoint: str,
         *,
         max_retries: int = 3,
-        backoff: float = 0.2,
         timeout: float = 10.0,
         max_in_flight: int = 4,
         log_path=None,
@@ -677,8 +682,8 @@ class RemoteScorer:
             raise ConfigError("remote backend needs an endpoint URL")
         self._route = _resolve_endpoint(endpoint)
         self.endpoint = endpoint
-        self.max_retries, self.timeout, self.max_in_flight, self.backoff = check_remote_settings(
-            max_retries, timeout, max_in_flight, backoff
+        self.max_retries, self.timeout, self.max_in_flight = check_remote_settings(
+            max_retries, timeout, max_in_flight
         )
         self.log_path = Path(log_path) if log_path else None
         # The log file appears with its first record; one that could never be
@@ -706,7 +711,7 @@ class RemoteScorer:
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                time.sleep(RETRY_BACKOFF * (2 ** (attempt - 1)))
             try:
                 status, text = self._route.post(conn, body)
             except (OSError, http.client.HTTPException) as exc:

@@ -19,7 +19,6 @@ from .scoring import DEGRADATION_FACTORS, FactorKind, ImageAssessment, bounded_n
 class WeightProfile:
     """Lane weight plus one weight per degradation factor."""
 
-    profile_name: str
     lane_weight: float
     factor_weights: Mapping[FactorKind, float]
 
@@ -40,7 +39,6 @@ class WeightProfile:
 # Production weighting: lane visibility dominates at 1.0, the common
 # degradations share 0.2, rare sandstorms get 0.1.
 DEFAULT_WEIGHTS = WeightProfile(
-    profile_name="default",
     lane_weight=1.0,
     factor_weights={
         FactorKind.BLUR_DAY: 0.2,
@@ -62,7 +60,6 @@ class ContextProfile:
     """Which degradation factors are relevant under the current conditions."""
 
     active_factors: frozenset[FactorKind]
-    description: str = ""
 
     def __post_init__(self):
         object.__setattr__(
@@ -75,9 +72,7 @@ class ContextProfile:
         return factor in self.active_factors
 
 
-ALL_FACTORS_CONTEXT = ContextProfile(
-    active_factors=frozenset(DEGRADATION_FACTORS), description="all"
-)
+ALL_FACTORS_CONTEXT = ContextProfile(active_factors=frozenset(DEGRADATION_FACTORS))
 
 # Daytime clear-weather collection: weather factors and night blur are
 # irrelevant and would only invite spurious deductions.
@@ -90,7 +85,6 @@ CLEAR_DAY_CONTEXT = ContextProfile(
             FactorKind.OCCLUSION,
         }
     ),
-    description="clear-day",
 )
 
 BUILTIN_CONTEXTS = {

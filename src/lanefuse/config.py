@@ -171,13 +171,13 @@ def _profiles(sections, path):
             lane_weight = values.pop("lane_weight", 1.0)
             try:
                 weights[name] = WeightProfile(
-                    name, lane_weight, {FACTOR_BY_KEY[k]: w for k, w in values.items()}
+                    lane_weight, {FACTOR_BY_KEY[k]: w for k, w in values.items()}
                 )
             except InvalidInputError as exc:
                 raise ConfigError(f"{path}: bad weight profile [{section}]: {exc}")
         elif kind == "context":
             factors = values.get("factors", frozenset(DEGRADATION_FACTORS))
-            contexts[name] = ContextProfile(active_factors=factors, description=name)
+            contexts[name] = ContextProfile(active_factors=factors)
         elif kind == "scenario":
             sigma = values.pop("sigma", 0.0)
             scenarios[name] = scenario_from_mapping(name, values, sigma, f"{path}: [{section}]")
@@ -212,6 +212,6 @@ def load_pipeline_config(path=None) -> PipelineConfig:
     except InvalidInputError as exc:
         raise ConfigError(f"{path}: {exc}")
     remote = check_remote_settings(cfg.max_retries, cfg.timeout, cfg.max_in_flight)
-    cfg.max_retries, cfg.timeout, cfg.max_in_flight, _ = remote
+    cfg.max_retries, cfg.timeout, cfg.max_in_flight = remote
     cfg.k_cap = check_k_cap(cfg.k_cap, "selection.k_cap")
     return cfg

@@ -45,7 +45,6 @@ CONFIDENCE_THRESHOLD = 7.0  # map-level cutoff for the threshold policy
 class AmeResult:
     e_ame: float
     n_points: int
-    lateral_only: bool
 
     def __post_init__(self):
         if self.e_ame < 0.0:
@@ -72,11 +71,7 @@ def ame(
         errors = np.concatenate(
             [errors, nearest_segment_errors(truth_pts, *lane_segments(estimated), lateral_only)]
         )
-    return AmeResult(
-        e_ame=float(np.sqrt(np.mean(errors**2))),
-        n_points=int(len(errors)),
-        lateral_only=lateral_only,
-    )
+    return AmeResult(e_ame=float(np.sqrt(np.mean(errors**2))), n_points=int(len(errors)))
 
 
 # --- synthetic data ----------------------------------------------------------
@@ -402,7 +397,6 @@ def parse_policies(names: Iterable[str]) -> list[str]:
 
 @dataclass
 class PolicyOutcome:
-    policy: str
     result: AmeResult | None  # None when the policy selected no maps
 
     @property
@@ -482,7 +476,7 @@ def evaluate_area(
     counts = [parse_policy(p)(ranked) for p in policies]
     fused = update(area, mods, [map_id for map_id, _ in ranked], counts, dparams, iparams)
     return {
-        policy: PolicyOutcome(policy, None if f is None else ame(f.lane_lines, truth.lane_lines))
+        policy: PolicyOutcome(None if f is None else ame(f.lane_lines, truth.lane_lines))
         for policy, f in zip(policies, fused)
     }
 

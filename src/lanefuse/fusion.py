@@ -39,17 +39,9 @@ BIN_LENGTH = 1.0  # meters along the cluster axis per emitted polyline point
 
 @dataclass(frozen=True)
 class SelectionResult:
-    ranked_map_ids: tuple[str, ...]
     selected_map_ids: tuple[str, ...]
     c_best: float
     lower_bound: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "ranked_map_ids", tuple(self.ranked_map_ids))
-        object.__setattr__(self, "selected_map_ids", tuple(self.selected_map_ids))
-        prefix = self.ranked_map_ids[: len(self.selected_map_ids)]
-        if prefix != self.selected_map_ids:
-            raise InvalidInputError("selected maps must be a prefix of the ranking")
 
 
 def rank_maps(area: LinkArea) -> list[tuple[str, float]]:
@@ -74,13 +66,8 @@ def select_band(
         k_cap = bounded_number(k_cap, "k_cap", 1)
     c_best = ranked[0][1]
     lower = c_best - BAND_FRACTION * c_best
-    selected = [map_id for map_id, avg in ranked if avg >= lower][:k_cap]
-    return SelectionResult(
-        ranked_map_ids=tuple(map_id for map_id, _ in ranked),
-        selected_map_ids=tuple(selected),
-        c_best=c_best,
-        lower_bound=lower,
-    )
+    selected = tuple(map_id for map_id, avg in ranked if avg >= lower)[:k_cap]
+    return SelectionResult(selected_map_ids=selected, c_best=c_best, lower_bound=lower)
 
 
 # --- modification tasks -----------------------------------------------------
@@ -188,18 +175,18 @@ def _principal_axis_xy(points: np.ndarray) -> np.ndarray:
     return axis
 
 
-def cluster_polyline(points: np.ndarray, bin_length: float = BIN_LENGTH) -> np.ndarray:
+def cluster_polyline(points: np.ndarray) -> np.ndarray:
     """Condense one cluster into a polyline.
 
     Points are projected onto the cluster's principal axis, grouped into
-    fixed-length bins along it, and each non-empty bin contributes its 3D
+    ``BIN_LENGTH`` bins along it, and each non-empty bin contributes its 3D
     centroid, ordered along the axis. Clusters shorter than two bins give
     fewer than two points and should be discarded by the caller.
     """
     pts = np.asarray(points, dtype=float)
     axis = _principal_axis_xy(pts)
     coords = pts[:, :2] @ axis
-    bins = np.floor((coords - coords.min()) / bin_length).astype(int)
+    bins = np.floor((coords - coords.min()) / BIN_LENGTH).astype(int)
     # bincount adds each bin's points in index order, as a masked mean does,
     # so the centroids are bit-identical to pts[bins == b].mean(axis=0).
     counts = np.bincount(bins)

@@ -59,6 +59,13 @@ DEGRADED = Scenario(
 )
 
 
+@pytest.fixture(autouse=True)
+def fast_retries(monkeypatch):
+    # Production waits RETRY_BACKOFF (0.2 s) before the first retry; these
+    # tests retry on purpose and need not wait that long.
+    monkeypatch.setattr(backends, "RETRY_BACKOFF", 0.001)
+
+
 def test_catalog_invariants():
     assert len(PROMPT_TEXTS) == 12
     assert set(FACTOR_PROMPTS) == set(FactorKind)
@@ -115,6 +122,20 @@ def test_synthetic_answers_are_the_requests_seeded_draw():
         assert clarity.l_clear == math.log(0.3 / 0.7)
 
 
+def test_synthetic_answers_the_clarity_probe_only_in_clarity_mode():
+    # The remote and replay backends reject an answer whose mode differs from
+    # the request's, so the synthetic one must not give one either.
+    for mode in ("direct", "logits"):
+        with pytest.raises(ConfigError, match="'LC' is not bound to a factor"):
+            synthetic_score(DEGRADED, 1, "img", LANE_CLARITY_PROMPT_ID, mode)
+        with pytest.raises(ConfigError, match="'LC' is not bound to a factor"):
+            SyntheticScorer(DEGRADED, seed=1).score(
+                ScorerRequest(image="img", prompt_id=LANE_CLARITY_PROMPT_ID, mode=mode)
+            )
+    clarity = synthetic_score(DEGRADED, 1, "img", LANE_CLARITY_PROMPT_ID, "clarity")
+    assert clarity.mode == "clarity"
+
+
 def test_synthetic_logits_mode_flows_through_softmax():
     resp = synthetic_score(DEGRADED, 1, "img", "Q2", mode="logits")
     assert resp.logits is not None
@@ -140,7 +161,7 @@ def test_collect_assessments_of_a_batch_equal_one_image_at_a_time(images, seed, 
 
 def test_remote_direct_roundtrip(stub_server):
     url, handler = stub_server
-    scorer = RemoteScorer(url, backoff=0.01)
+    scorer = RemoteScorer(url)
     resp = scorer.score(ScorerRequest(image="a.jpg", prompt_id="Q12", mode="direct"))
     assert resp.score == 7
     assert resp.model == "stub"
@@ -150,7 +171,7 @@ def test_remote_direct_roundtrip(stub_server):
 
 def test_remote_logits_forwarded_unmodified(stub_server):
     url, _ = stub_server
-    scorer = RemoteScorer(url, backoff=0.01)
+    scorer = RemoteScorer(url)
     resp = scorer.score(ScorerRequest(image="a.jpg", prompt_id="Q2", mode="logits"))
     assert resp.logits.values[8] == 50.0
 
@@ -158,7 +179,7 @@ def test_remote_logits_forwarded_unmodified(stub_server):
 def test_remote_out_of_range_score_is_validation_error(stub_server):
     url, handler = stub_server
     handler.behaviors["Q2"] = lambda body: (200, {"mode": "direct", "score": 14})
-    scorer = RemoteScorer(url, backoff=0.01)
+    scorer = RemoteScorer(url)
     with pytest.raises(ResponseValidationError):
         scorer.score(ScorerRequest(image="a.jpg", prompt_id="Q2"))
 
@@ -167,7 +188,7 @@ def test_remote_malformed_response_is_protocol_error(stub_server):
     url, handler = stub_server
     handler.behaviors["Q3"] = lambda body: (200, {"mode": "direct"})
     handler.behaviors["Q4"] = lambda body: (200, {"mode": "logits", "score": 3})
-    scorer = RemoteScorer(url, backoff=0.01)
+    scorer = RemoteScorer(url)
     with pytest.raises(ProtocolError):
         scorer.score(ScorerRequest(image="a.jpg", prompt_id="Q3"))
     with pytest.raises(ProtocolError):  # mode mismatch
@@ -185,7 +206,7 @@ def test_remote_retries_transient_failures_then_succeeds(stub_server):
         return 200, {"mode": "direct", "score": 4}
 
     handler.behaviors["Q5"] = flaky
-    scorer = RemoteScorer(url, backoff=0.001)
+    scorer = RemoteScorer(url)
     resp = scorer.score(ScorerRequest(image="a.jpg", prompt_id="Q5"))
     assert resp.score == 4
     assert len(attempts) == 3
@@ -194,14 +215,14 @@ def test_remote_retries_transient_failures_then_succeeds(stub_server):
 def test_remote_gives_up_after_max_retries(stub_server):
     url, handler = stub_server
     handler.behaviors["Q6"] = lambda body: (500, {"error": "down"})
-    scorer = RemoteScorer(url, max_retries=2, backoff=0.001)
+    scorer = RemoteScorer(url, max_retries=2)
     with pytest.raises(TransportError):
         scorer.score(ScorerRequest(image="a.jpg", prompt_id="Q6"))
     assert len([c for c in handler.calls if c["prompt_id"] == "Q6"]) == 3
 
 
 def test_remote_unreachable_endpoint_is_transport_error():
-    scorer = RemoteScorer("http://127.0.0.1:9/score", max_retries=1, backoff=0.001, timeout=0.2)
+    scorer = RemoteScorer("http://127.0.0.1:9/score", max_retries=1, timeout=0.2)
     with pytest.raises(TransportError):
         scorer.score(ScorerRequest(image="a.jpg", prompt_id="Q2"))
 
@@ -210,7 +231,7 @@ def test_remote_score_many_in_order(stub_server):
     url, handler = stub_server
     handler.behaviors["Q2"] = lambda body: (200, {"mode": "direct", "score": 2})
     handler.behaviors["Q3"] = lambda body: (200, {"mode": "direct", "score": 3})
-    scorer = RemoteScorer(url, max_in_flight=3, backoff=0.01)
+    scorer = RemoteScorer(url, max_in_flight=3)
     reqs = [
         ScorerRequest(image="a.jpg", prompt_id="Q2"),
         ScorerRequest(image="a.jpg", prompt_id="Q3"),
@@ -403,7 +424,7 @@ def test_remote_server_error_on_a_kept_alive_connection_spends_a_retry(stub_serv
     with pytest.raises(TransportError, match="server error 503"):
         RemoteScorer(url, max_retries=0, max_in_flight=1).score_many(reqs)
     attempts.clear()
-    out = RemoteScorer(url, max_retries=1, backoff=0.001, max_in_flight=1).score_many(reqs)
+    out = RemoteScorer(url, max_retries=1, max_in_flight=1).score_many(reqs)
     assert [r.score for r in out] == [4, 4, 4]
     assert attempts == ["img0", "img1", "img1", "img2"]
 
@@ -815,7 +836,7 @@ def test_remote_rejects_unusable_settings(setting, match):
 def test_record_then_replay_matches_live(tmp_path, stub_server):
     url, _ = stub_server
     log = tmp_path / "log.jsonl"
-    scorer = RemoteScorer(url, log_path=log, backoff=0.01)
+    scorer = RemoteScorer(url, log_path=log)
     request = ScorerRequest(image="a.jpg", prompt_id="Q12", mode="direct")
     clarity_req = ScorerRequest(image="a.jpg", prompt_id=LANE_CLARITY_PROMPT_ID, mode="clarity")
     live = scorer.score(request)
@@ -830,7 +851,7 @@ def test_record_then_replay_matches_live(tmp_path, stub_server):
 def test_full_pipeline_identical_live_vs_replay(tmp_path, stub_server):
     url, _ = stub_server
     log = tmp_path / "log.jsonl"
-    live_backend = RemoteScorer(url, log_path=log, backoff=0.01)
+    live_backend = RemoteScorer(url, log_path=log)
     live = with_confidence(collect_assessment(live_backend, "img1"))
     replayed = with_confidence(collect_assessment(ReplayScorer(log), "img1"))
     assert replayed == live
@@ -856,12 +877,28 @@ def test_non_numeric_latency_is_protocol_error(tmp_path, stub_server, latency):
     handler.behaviors["Q2"] = lambda _: (200, body)
     request = ScorerRequest(image="a.jpg", prompt_id="Q2")
     with pytest.raises(ProtocolError, match="'latency_ms' must be a number"):
-        RemoteScorer(url, backoff=0.01).score(request)
+        RemoteScorer(url).score(request)
     log = tmp_path / "log.jsonl"
     write_replay_log(log, [(request, body)])
     with pytest.raises(ProtocolError, match="'latency_ms' must be a number"):
         ReplayScorer(log).score(request)
     assert parse_response({**body, "latency_ms": 12}, "direct").latency_ms == 12.0
+
+
+@pytest.mark.parametrize("model", [None, 7, True, ["m"], {"m": 1}], ids=repr)
+def test_non_string_model_is_protocol_error(tmp_path, stub_server, model):
+    url, handler = stub_server
+    body = {"mode": "direct", "score": 3, "model": model}
+    handler.behaviors["Q2"] = lambda _: (200, body)
+    request = ScorerRequest(image="a.jpg", prompt_id="Q2")
+    with pytest.raises(ProtocolError, match="'model' must be a string"):
+        RemoteScorer(url).score(request)
+    log = tmp_path / "log.jsonl"
+    write_replay_log(log, [(request, body)])
+    with pytest.raises(ProtocolError, match="'model' must be a string"):
+        ReplayScorer(log).score(request)
+    assert parse_response({**body, "model": "m"}, "direct").model == "m"
+    assert parse_response({"mode": "direct", "score": 3}, "direct").model == ""
 
 
 def test_parse_response_rejects_unknown_mode():
@@ -940,7 +977,7 @@ def test_collect_assessments_request_layout():
 
 def test_remote_unknown_prompt_id_is_config_error_before_any_post(stub_server):
     url, handler = stub_server
-    scorer = RemoteScorer(url, backoff=0.01)
+    scorer = RemoteScorer(url)
     with pytest.raises(ConfigError, match="unknown prompt id 'Q13'"):
         scorer.score(ScorerRequest(image="a.jpg", prompt_id="Q13"))
     with pytest.raises(ConfigError, match="unknown prompt id 'Q13'"):

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 import tempfile
 import time
 import zlib
@@ -20,7 +21,7 @@ from lanefuse.backends import (
     ScorerRequest,
     synthetic_score,
 )
-from lanefuse.cli import main
+from lanefuse.cli import COMMANDS, main
 from lanefuse.confidence import gcs
 from lanefuse.evaluation import (
     SCENARIOS_BY_NAME,
@@ -486,6 +487,29 @@ def test_flags_only_on_the_commands_that_read_them(tmp_path, command, flag):
     assert info.value.code == 2
 
 
+def _readme_synopsis() -> dict[str, set[str]]:
+    """The long options the README's ``## CLI`` synopsis gives each command."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    flags: dict[str, set[str]] = {}
+    for line in section.split("```")[1].splitlines():
+        if line.startswith("lanefuse "):
+            command = line.split()[1]
+            flags[command] = set()
+        if line.strip():
+            flags[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    return flags
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_lists_exactly_the_readme_flags(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == _readme_synopsis()[command] | {"--config", "--output-dir", "--help"}
+
+
 @pytest.mark.parametrize(
     "command,flag,value",
     [
@@ -857,12 +881,16 @@ AREA_EDITS = {
     "shift_1km": _map_edit(lambda lanes: _offset(lanes, 1000.0, 0.0)),
     "no_lanes": _map_edit(lambda lanes: []),
     "one_lane": _map_edit(lambda lanes: lanes[:1]),
+    # These two replace the first lane, or give a map without lanes one.
     "lane_1mm": _map_edit(
-        lambda lanes: [{**lanes[0], "points": [[0.0, 0.0, 0.0], [0.001, 0.0, 0.0]]}, *lanes[1:]]
+        lambda lanes: [
+            {"lane_id": "lane_00", "points": [[0.0, 0.0, 0.0], [0.001, 0.0, 0.0]]}, *lanes[1:]
+        ]
     ),
     "vertical_lane": _map_edit(
         lambda lanes: [
-            {**lanes[0], "points": [[5.0, 0.0, 0.0], [5.0, 0.0, 1.0], [5.0, 0.0, 2.0]]}, *lanes[1:]
+            {"lane_id": "lane_00", "points": [[5.0, 0.0, 0.0], [5.0, 0.0, 1.0], [5.0, 0.0, 2.0]]},
+            *lanes[1:],
         ]
     ),
     "offset_1e12": _offset_area,  # every map and the ground truth
@@ -883,6 +911,25 @@ def fuzz_area():
 
 def _outputs(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+
+
+def _run_twice(commands, work: Path, case) -> dict[str, Path]:
+    """Run each command into a fresh output directory and hold it to the
+    exit-code contract: a documented code and no exception; after a non-zero
+    exit, no file; after exit 0, the same bytes again on a rerun. Returns the
+    output directory of each command that exited 0."""
+    done = {}
+    for command, args in commands.items():
+        first, again = work / f"{command}-1", work / f"{command}-2"
+        code = run([*args, "--output-dir", first])
+        assert code in EXIT_CODES
+        if code != 0:
+            assert _outputs(first) == {}, (command, case)
+            continue
+        assert run([*args, "--output-dir", again]) == 0
+        assert _outputs(first) == _outputs(again), (command, case)
+        done[command] = first
+    return done
 
 
 @given(
@@ -909,17 +956,131 @@ def test_edited_areas_keep_the_exit_code_contract(fuzz_area, edits):
             "update": ["update", area, script],
             "evaluate": ["evaluate", area, "--policies", "baseline,seq1,band"],
         }
-        for command, args in commands.items():
-            first, again = work / f"{command}-1", work / f"{command}-2"
-            code = run([*args, "--output-dir", first])
-            assert code in EXIT_CODES
-            if code != 0:
-                assert _outputs(first) == {}, (command, edits)
-                continue
-            assert run([*args, "--output-dir", again]) == 0
-            assert _outputs(first) == _outputs(again), (command, edits)
-            if command == "update":
-                load_local_map(first / "area_fused.json")
-            else:
-                rows = list(csv.reader((first / "evaluation.csv").read_text().splitlines()))
-                assert rows[0] == ["area", "policy", "e_ame", "n_points"] and len(rows) == 7
+        done = _run_twice(commands, work, edits)
+        if "update" in done:
+            load_local_map(done["update"] / "area_fused.json")
+        if "evaluate" in done:
+            rows = list(csv.reader((done["evaluate"] / "evaluation.csv").read_text().splitlines()))
+            assert rows[0] == ["area", "policy", "e_ame", "n_points"] and len(rows) == 7
+
+
+# --- the exit-code contract under generated script and INI edits --------------
+
+SCRIPT = [
+    {"op": "shift", "lane_id": "lane_00", "dx": 0.5, "dy": 0.0},
+    {"op": "delete", "lane_id": "lane_01"},
+    {"op": "add", "lane_a": "lane_02", "lane_b": "lane_03", "offset": 0.25},
+]
+
+
+def _operation_edit(edit):
+    """An edit of operation ``index``; a script that is no longer a list
+    stays as it is."""
+
+    def apply(doc, index):
+        if isinstance(doc, list):
+            edit(doc[index])
+        return doc
+
+    return apply
+
+
+def _id_edit(operation):
+    operation["lane_id" if "lane_id" in operation else "lane_a"] = 7
+
+
+# A number edit of an operation without that field adds a key it does not take.
+BAD_SCRIPT_NUMBERS = {"nan": math.nan, "infinity": math.inf, "bool": True, "numeral": "0.5"}
+SCRIPT_EDITS = {
+    "unknown_op": _operation_edit(lambda operation: operation.update(op="rotate")),
+    "missing_op": _operation_edit(lambda operation: operation.pop("op")),
+    "extra_key": _operation_edit(lambda operation: operation.update(note="x")),
+    "number_lane_id": _operation_edit(_id_edit),
+    **{
+        f"{field}_{label}": _operation_edit(
+            lambda operation, field=field, value=value: operation.update({field: value})
+        )
+        for field in ("dx", "dy", "offset")
+        for label, value in BAD_SCRIPT_NUMBERS.items()
+    },
+    "not_a_list": lambda doc, index: {"operations": doc},
+}
+
+
+@given(
+    edits=st.lists(
+        st.tuples(st.sampled_from(sorted(SCRIPT_EDITS)), st.integers(0, 2)), min_size=1, max_size=3
+    )
+)
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@example(edits=[])
+@example(edits=[("dx_nan", 0)])
+@example(edits=[("offset_numeral", 2)])
+@example(edits=[("not_a_list", 0)])
+def test_edited_scripts_keep_the_exit_code_contract(fuzz_area, edits):
+    doc = json.loads(json.dumps(SCRIPT))
+    for name, index in edits:
+        doc = SCRIPT_EDITS[name](doc, index)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        area, script = work / "area.json", work / "script.json"
+        area.write_text(json.dumps(fuzz_area))
+        script.write_text(json.dumps(doc))
+        done = _run_twice({"update": ["update", area, script]}, work, edits)
+        if "update" in done:
+            load_local_map(done["update"] / "area_fused.json")
+
+
+INI = {
+    "pipeline": {"method": "dpcs"},
+    "icp": {"max_iterations": "50", "convergence_tol": "1e-6", "max_correspondence_dist": "2.0"},
+    "dbscan": {"epsilon": "0.5", "min_samples": "4"},
+    "selection": {"k_cap": "2"},
+}
+NUMBER_KEYS = [(section, key) for section in ("icp", "dbscan", "selection") for key in INI[section]]
+BAD_NUMBERS = ["nan", "inf", "-1", "0", "2.5", "true", "1_0", '"3"', "abc", "1e400", ""]
+
+
+def _ini_text(sections) -> str:
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in items.items())
+        for name, items in sections.items()
+    )
+
+
+ini_edits = st.one_of(
+    st.tuples(st.just("unknown_section"), st.sampled_from(["icpp", "weights", "context."])),
+    st.tuples(st.just("unknown_key"), st.sampled_from(sorted(INI))),
+    st.tuples(st.just("bad_number"), st.sampled_from(NUMBER_KEYS), st.sampled_from(BAD_NUMBERS)),
+    st.tuples(st.just("default"), st.sampled_from(["k_cap", "epsilon"])),
+)
+
+
+@given(edits=st.lists(ini_edits, min_size=1, max_size=3))
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@example(edits=[])
+@example(edits=[("bad_number", ("icp", "max_iterations"), "nan")])
+@example(edits=[("default", "k_cap")])
+def test_edited_configs_keep_the_exit_code_contract(fuzz_area, edits):
+    sections = json.loads(json.dumps(INI))
+    for kind, *what in edits:
+        if kind == "unknown_section":
+            sections.setdefault(what[0], {})["x"] = "1"
+        elif kind == "unknown_key":
+            sections[what[0]]["typo"] = "1"
+        elif kind == "bad_number":
+            (section, key), value = what
+            sections[section][key] = value
+        else:  # a [DEFAULT] key is copied into every section
+            sections = {"DEFAULT": {what[0]: "1"}, **sections}
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        area, script, config = work / "area.json", work / "script.json", work / "lanefuse.ini"
+        area.write_text(json.dumps(fuzz_area))
+        script.write_text(json.dumps(SCRIPT))
+        config.write_text(_ini_text(sections))
+        commands = {
+            "select": ["select", area, "--config", config],
+            "update": ["update", area, script, "--config", config],
+        }
+        _run_twice(commands, work, edits)

@@ -138,7 +138,7 @@ def test_context_gating_equals_zero_weight():
     )
     weights = {f: w for f, w in DEFAULT_WEIGHTS.factor_weights.items()}
     weights[F.RAIN] = 0.0
-    no_rain_weights = WeightProfile("no-rain", 1.0, weights)
+    no_rain_weights = WeightProfile(1.0, weights)
     for _ in range(100):
         scores = {f: int(rng.integers(0, 11)) for f in DEGRADATION_FACTORS}
         a = make(scores, int(rng.integers(0, 11)))
@@ -164,9 +164,9 @@ def test_with_confidence_computes_each_method_of_the_table():
 
 def test_weight_profile_validation():
     with pytest.raises(InvalidInputError):
-        WeightProfile("p", 0.0, DEFAULT_WEIGHTS.factor_weights)
+        WeightProfile(0.0, DEFAULT_WEIGHTS.factor_weights)
     with pytest.raises(InvalidInputError):
-        WeightProfile("p", 1.0, {F.RAIN: 0.2})  # missing the rest
+        WeightProfile(1.0, {F.RAIN: 0.2})  # missing the rest
 
 
 def test_profiles_roundtrip_through_file(tmp_path):

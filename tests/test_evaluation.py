@@ -47,7 +47,6 @@ def test_ame_identity_is_zero():
     truth = [straight_lane(), straight_lane("t1", 3.5)]
     result = ame(truth, truth)
     assert result.e_ame == 0.0
-    assert result.lateral_only
 
 
 def test_ame_uniform_lateral_offset():
@@ -118,7 +117,7 @@ def test_ame_empty_inputs():
     with pytest.raises(EmptyInputError):
         ame([straight_lane()], [])
     with pytest.raises(Exception):
-        AmeResult(e_ame=-0.1, n_points=1, lateral_only=True)
+        AmeResult(e_ame=-0.1, n_points=1)
 
 
 # --- nearest-segment search against the dense oracle -------------------------
@@ -585,13 +584,12 @@ def test_experiment_rejects_a_repeated_link_id_or_policy():
 
 
 def test_table_renders_the_csv_rows_even_for_an_area_named_average():
-    def outcome(policy, e_ame):
-        result = None if e_ame is None else AmeResult(e_ame, 10, True)
-        return ev.PolicyOutcome(policy, result)
+    def outcome(e_ame):
+        return ev.PolicyOutcome(None if e_ame is None else AmeResult(e_ame, 10))
 
     report = ev.EvaluationReport(policies=["baseline", "band"])
-    report.rows["average"] = {"baseline": outcome("baseline", 0.5), "band": outcome("band", None)}
-    report.rows["b"] = {"baseline": outcome("baseline", 0.25), "band": outcome("band", 0.125)}
+    report.rows["average"] = {"baseline": outcome(0.5), "band": outcome(None)}
+    report.rows["b"] = {"baseline": outcome(0.25), "band": outcome(0.125)}
     assert report.format_table() == (
         "   link area      baseline          band\n"
         "     average      0.500000           n/a\n"

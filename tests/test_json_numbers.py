@@ -196,11 +196,11 @@ SETTINGS = [
        lambda v, field=field: getattr(RemoteScorer(URL, **{field: v}), field),
        low, exclusive, ConfigError)
       for field, low, exclusive in (("max_retries", 0, False), ("timeout", 0.0, True),
-                                    ("max_in_flight", 1, False), ("backoff", 0.0, False))],
-    ("WeightProfile", "lane_weight", lambda v: WeightProfile("p", v, WEIGHTS).lane_weight,
+                                    ("max_in_flight", 1, False))],
+    ("WeightProfile", "lane_weight", lambda v: WeightProfile(v, WEIGHTS).lane_weight,
      0.0, True, InvalidInputError),
     ("WeightProfile", "rain weight",
-     lambda v: WeightProfile("p", 1.0, {**WEIGHTS, RAIN: v}).factor_weights[RAIN],
+     lambda v: WeightProfile(1.0, {**WEIGHTS, RAIN: v}).factor_weights[RAIN],
      0.0, False, InvalidInputError),
     ("select_band", "k_cap", lambda v: select_band([("a", 9.0), ("b", 8.9)], k_cap=v) and None,
      1, False, InvalidInputError),
