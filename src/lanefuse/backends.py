@@ -4,8 +4,8 @@ All three expose one contract: ``score_many(Sequence[ScorerRequest]) ->
 list[ScorerResponse]``, answers in request order; ``score(request)`` is a
 batch of one.
 A request pairs an image reference with a prompt from the fixed catalog and
-asks for one of three answer shapes: the 11 score-level logits, a direct
-integer score, or the lane-clarity logit.
+asks for one of two answer shapes: a direct integer score for a factor's
+prompt, or the lane-clarity logit for the clarity probe.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .scoring import (
     DEGRADATION_FACTORS,
     FactorKind,
     ImageAssessment,
-    LogitVector,
     assess_image,
     bounded_number,
     exact_int,
@@ -134,7 +133,7 @@ _REQUEST_PROMPTS: dict[str, str] = {**PROMPT_TEXTS, LANE_CLARITY_PROMPT_ID: LANE
 
 PROMPT_FACTORS: dict[str, FactorKind] = {v: k for k, v in FACTOR_PROMPTS.items()}
 
-MODES = ("logits", "direct", "clarity")
+MODES = ("direct", "clarity")
 
 
 @dataclass(frozen=True)
@@ -155,17 +154,9 @@ class ScorerRequest:
 class ScorerResponse:
     mode: str
     score: int | None = None
-    logits: LogitVector | None = None
     l_clear: float | None = None
     model: str = ""
     latency_ms: float = 0.0
-
-    def payload(self) -> int | LogitVector | float:
-        if self.mode == "direct":
-            return self.score
-        if self.mode == "logits":
-            return self.logits
-        return self.l_clear
 
 
 def parse_response(data: dict, expected_mode: str, *, source: str = "backend") -> ScorerResponse:
@@ -187,12 +178,6 @@ def parse_response(data: dict, expected_mode: str, *, source: str = "backend") -
             if not 0 <= score <= 10:
                 raise ResponseValidationError(f"{source}: score {score} outside 0..10")
             return ScorerResponse(mode=mode, score=score, model=model, latency_ms=latency)
-        if mode == "logits":
-            raw = data.get("logits")
-            if not isinstance(raw, list):
-                raise ProtocolError(f"{source}: logits response needs a 'logits' list")
-            logits = LogitVector(raw)
-            return ScorerResponse(mode=mode, logits=logits, model=model, latency_ms=latency)
         if mode == "clarity":
             l_clear = finite_number(data.get("l_clear"), "'l_clear'")
             return ScorerResponse(mode=mode, l_clear=l_clear, model=model, latency_ms=latency)
@@ -261,22 +246,20 @@ def synthetic_score(
     """Deterministic fake scorer: draws inside the scenario's declared ranges.
 
     The same (seed, image_id, prompt_id) always yields the same response. A
-    clarity request gets the lane-clarity answer; a direct or logits request
-    must name a factor's prompt.
+    clarity request gets the lane-clarity answer; a direct request must name
+    a factor's prompt. Any other mode is an InvalidInputError.
     """
     if mode == "clarity":
         bounds = scenario.range_for(FactorKind.LANE_VISIBILITY)
         target = _draw(bounds, seed, image_id, prompt_id)
         return ScorerResponse(mode="clarity", l_clear=_clarity_logit(target), model="synthetic")
+    if mode != "direct":
+        raise InvalidInputError(f"unknown request mode {mode!r}")
     factor = PROMPT_FACTORS.get(prompt_id)
     if factor is None:
         raise ConfigError(f"prompt {prompt_id!r} is not bound to a factor")
     value = _draw(scenario.range_for(factor), seed, image_id, prompt_id)
-    if mode == "direct":
-        return ScorerResponse(mode="direct", score=value, model="synthetic")
-    logits = [0.0] * 11
-    logits[value] = 50.0  # effectively one-hot after softmax
-    return ScorerResponse(mode="logits", logits=LogitVector(logits), model="synthetic")
+    return ScorerResponse(mode="direct", score=value, model="synthetic")
 
 
 class SyntheticScorer:
@@ -890,7 +873,7 @@ def collect_assessments(
     assessments = []
     for i, (image_id, timestamp) in enumerate(images):
         *answers, clarity = responses[i * per_image : (i + 1) * per_image]
-        outputs = {factor: answer.payload() for factor, answer in zip(factors, answers)}
+        outputs = {factor: answer.score for factor, answer in zip(factors, answers)}
         assessments.append(
             assess_image(image_id, outputs, clarity.l_clear, timestamp=timestamp, factors=factors)
         )

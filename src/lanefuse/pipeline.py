@@ -113,11 +113,16 @@ def update(
     """Apply ``mods`` to the area's prior map and to the first ``max(counts)``
     maps of ``order`` (map ids), the ones fused, then fuse the first k maps
     of ``order`` onto the modified prior for each count k; k = 0 gives None
-    (see ``fusion.fuse_prefixes``)."""
+    (see ``fusion.fuse_prefixes``). An id in ``order`` that the area lacks,
+    or that repeats, is an InvalidInputError."""
     if area.ground_truth is None:
         raise EmptyInputError(f"link area {area.link_id!r} carries no ground truth to modify")
+    by_id = {m.map_id: m for m in area.local_maps}
+    for index, map_id in enumerate(order):
+        if map_id not in by_id or map_id in order[:index]:
+            fault = "repeats in the order" if map_id in by_id else "is not in the area"
+            raise InvalidInputError(f"link area {area.link_id!r}: map {map_id!r} {fault}")
     prior = apply_modifications(prior_map(area.ground_truth, area.link_id), mods)
     counts = [bounded_number(k, "count", 0) for k in counts]
-    by_id = {m.map_id: m for m in area.local_maps}
     fused = [apply_modifications(by_id[m], mods) for m in order[: max(counts, default=0)]]
     return fuse_prefixes(fused, counts, prior, dparams, iparams)

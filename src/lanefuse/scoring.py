@@ -1,10 +1,10 @@
-"""Per-image scoring: logits over score levels -> calibrated factor scores.
+"""Per-image scoring: factor answers and lane clarity -> calibrated scores.
 
-Raw backend outputs come in two shapes: an 11-logit vector over the score
-levels 0..10, or a direct integer score. Logit vectors run through softmax,
-visibility-weighted expectation and a ceiling step; direct scores are taken
-as-is. Lane-marking clarity is a separate sigmoid-calibrated confidence that
-both discretizes into the lane visibility score and damps the other factors.
+The scorer backends answer each factor with a direct integer score, taken
+as-is. A library caller may pass an 11-logit vector over the score levels
+0..10 instead; it runs through softmax, an expectation damped by the
+visibility weight and a ceiling step. Lane-marking clarity is a separate
+sigmoid-calibrated confidence that discretizes into the lane visibility score.
 """
 
 from __future__ import annotations

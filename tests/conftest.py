@@ -92,8 +92,6 @@ class StubHandler(BaseHTTPRequestHandler):
 def default_behavior(body):
     if body["mode"] == "direct":
         return 200, {"mode": "direct", "score": 7, "model": "stub"}
-    if body["mode"] == "logits":
-        return 200, {"mode": "logits", "logits": [0.0] * 8 + [50.0] + [0.0] * 2}
     return 200, {"mode": "clarity", "l_clear": 1.5}
 
 

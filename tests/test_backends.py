@@ -34,9 +34,10 @@ from lanefuse.backends import (
     synthetic_score,
 )
 from lanefuse.cli import main
-from lanefuse.confidence import CLEAR_DAY_CONTEXT, with_confidence
+from lanefuse.confidence import CLEAR_DAY_CONTEXT, dpcs_detail, with_confidence
 from lanefuse.errors import (
     ConfigError,
+    InvalidInputError,
     ProtocolError,
     ReplayMissError,
     ResponseValidationError,
@@ -125,21 +126,37 @@ def test_synthetic_answers_are_the_requests_seeded_draw():
 def test_synthetic_answers_the_clarity_probe_only_in_clarity_mode():
     # The remote and replay backends reject an answer whose mode differs from
     # the request's, so the synthetic one must not give one either.
-    for mode in ("direct", "logits"):
-        with pytest.raises(ConfigError, match="'LC' is not bound to a factor"):
-            synthetic_score(DEGRADED, 1, "img", LANE_CLARITY_PROMPT_ID, mode)
-        with pytest.raises(ConfigError, match="'LC' is not bound to a factor"):
-            SyntheticScorer(DEGRADED, seed=1).score(
-                ScorerRequest(image="img", prompt_id=LANE_CLARITY_PROMPT_ID, mode=mode)
-            )
+    with pytest.raises(ConfigError, match="'LC' is not bound to a factor"):
+        synthetic_score(DEGRADED, 1, "img", LANE_CLARITY_PROMPT_ID, "direct")
+    with pytest.raises(ConfigError, match="'LC' is not bound to a factor"):
+        SyntheticScorer(DEGRADED, seed=1).score(
+            ScorerRequest(image="img", prompt_id=LANE_CLARITY_PROMPT_ID)
+        )
     clarity = synthetic_score(DEGRADED, 1, "img", LANE_CLARITY_PROMPT_ID, "clarity")
     assert clarity.mode == "clarity"
 
 
-def test_synthetic_logits_mode_flows_through_softmax():
-    resp = synthetic_score(DEGRADED, 1, "img", "Q2", mode="logits")
-    assert resp.logits is not None
-    assert max(resp.logits.values) == 50.0
+def test_a_request_asks_for_a_direct_score_or_the_clarity_logit():
+    assert backends.MODES == ("direct", "clarity")
+    assert {f.name for f in dataclasses.fields(backends.ScorerResponse)} == {
+        "mode", "score", "l_clear", "model", "latency_ms"
+    }
+    with pytest.raises(InvalidInputError, match="unknown request mode 'logits'"):
+        ScorerRequest(image="img", prompt_id="Q2", mode="logits")
+    # The benchmark's stub scorer passes a client's mode to synthetic_score as sent.
+    for prompt_id in ("Q2", LANE_CLARITY_PROMPT_ID):
+        with pytest.raises(InvalidInputError, match="unknown request mode 'logits'"):
+            synthetic_score(DEGRADED, 1, "img", prompt_id, "logits")
+
+
+def test_zero_lane_visibility_gives_the_saturated_clarity_logit():
+    blind = Scenario(name="blind", factor_ranges={F.LANE_VISIBILITY: (0, 0), F.RAIN: (3, 3)})
+    clarity = synthetic_score(blind, 0, "img", LANE_CLARITY_PROMPT_ID, "clarity")
+    assert clarity.l_clear == -40.0
+    assessment = collect_assessment(SyntheticScorer(blind), "img")
+    assert (assessment.lane_visibility, assessment.factor_scores[F.RAIN]) == (0, 3)
+    detail = dpcs_detail(assessment)
+    assert (detail.branch, detail.value) == ("zero", 0.0)
 
 
 # --- remote client -----------------------------------------------------------
@@ -167,13 +184,6 @@ def test_remote_direct_roundtrip(stub_server):
     assert resp.model == "stub"
     sent = handler.calls[-1]
     assert sent["prompt"] == PROMPT_TEXTS["Q12"]
-
-
-def test_remote_logits_forwarded_unmodified(stub_server):
-    url, _ = stub_server
-    scorer = RemoteScorer(url)
-    resp = scorer.score(ScorerRequest(image="a.jpg", prompt_id="Q2", mode="logits"))
-    assert resp.logits.values[8] == 50.0
 
 
 def test_remote_out_of_range_score_is_validation_error(stub_server):
@@ -906,6 +916,31 @@ def test_parse_response_rejects_unknown_mode():
         parse_response({"mode": "direct", "score": 3}, "logits")
     with pytest.raises(ProtocolError):
         parse_response({"score": 3}, "direct")
+    logits = {"mode": "logits", "logits": [0.0] * 8 + [50.0] + [0.0] * 2}
+    with pytest.raises(ProtocolError, match="does not match request mode 'direct'"):
+        parse_response(logits, "direct")
+    with pytest.raises(ProtocolError, match="unknown response mode 'logits'"):
+        parse_response(logits, "logits")
+
+
+def test_replay_log_with_a_logits_record_still_replays_the_others(tmp_path):
+    direct = ScorerRequest(image="a.jpg", prompt_id="Q2")
+    clarity = ScorerRequest(image="a.jpg", prompt_id=LANE_CLARITY_PROMPT_ID, mode="clarity")
+    answers = [{"mode": "direct", "score": 4}, {"mode": "clarity", "l_clear": 1.5}]
+    log = tmp_path / "log.jsonl"
+    write_replay_log(log, zip([direct, clarity], answers))
+    # A record of the logits mode that requests no longer have, between the two.
+    old = json.dumps({
+        "key": "a.jpg|Q3|logits",
+        "request": {"image": "a.jpg", "prompt_id": "Q3", "mode": "logits"},
+        "body": json.dumps({"mode": "logits", "logits": [0.0] * 11}),
+    })
+    first, second = log.read_text(encoding="utf-8").splitlines(keepends=True)
+    log.write_text(f"{first}{old}\n{second}", encoding="utf-8")
+    replay = ReplayScorer(log)
+    assert replay.score_many([direct, clarity]) == [
+        parse_response(answer, answer["mode"]) for answer in answers
+    ]
 
 
 @pytest.mark.parametrize(

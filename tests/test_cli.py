@@ -607,6 +607,13 @@ def test_evaluate_repeated_policy_exits_1_before_reading_areas(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_evaluate_empty_policy_list_exits_1(tmp_path, capsys):
+    out = tmp_path / "eval"
+    assert run(["evaluate", tmp_path / "ghost.json", "--policies", ",", "--output-dir", out]) == 1
+    assert "no policies given" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_band_ignores_k_cap(tmp_path):
     # select and update cap the band at [selection] k_cap; evaluate's band
     # policy fuses the whole band, so at k_cap = 1 it still differs from seq1.

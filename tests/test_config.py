@@ -72,6 +72,9 @@ degradation = 0.25
 [context.storm]
 factors = rain, snow, fog
 
+[context.everything]
+factors = all
+
 [scenario.dusty]
 lane_visibility = 5:7
 sandstorm = 4:8
@@ -83,6 +86,7 @@ sigma = 0.3
     assert cfg.weights.factor_weights[FactorKind.SANDSTORM] == 0.05
     assert cfg.context.is_active(FactorKind.RAIN)
     assert not cfg.context.is_active(FactorKind.BLUR_DAY)
+    assert cfg.contexts["everything"] == ALL_FACTORS_CONTEXT
     assert cfg.method == "gcs"
     assert cfg.backend == "replay"
     assert cfg.replay_log == "runs/log.jsonl"

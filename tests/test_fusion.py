@@ -165,6 +165,14 @@ def test_modify_add_midpoint():
     assert np.allclose(added[0].points_array()[:, 1], 1.75)
 
 
+def test_modify_add_numbers_a_repeated_lane_name():
+    m = straight_map(n_lanes=2, spacing=3.5)
+    for _ in range(3):
+        m = modify_add(m, "lane_00", "lane_01", offset=0.0)
+    added = [l.lane_id for l in m.lane_lines if l.lane_id.startswith("add_")]
+    assert added == ["add_lane_00_lane_01", "add_lane_00_lane_01_2", "add_lane_00_lane_01_3"]
+
+
 def test_modify_add_offset_along_perpendicular():
     m = straight_map(n_lanes=2, spacing=3.5)
     out = modify_add(m, "lane_00", "lane_01", offset=0.1)

@@ -98,9 +98,6 @@ def read_response(tmp_path, field, value):
     if field == "l_clear":
         request = ScorerRequest(image="a.jpg", prompt_id=LANE_CLARITY_PROMPT_ID, mode="clarity")
         body = {"mode": "clarity", "l_clear": value}
-    elif field == "logit":
-        request = ScorerRequest(image="a.jpg", prompt_id="Q2", mode="logits")
-        body = {"mode": "logits", "logits": [value] + [0.0] * 10}
     log = tmp_path / "log.jsonl"
     write_replay_log(log, [(request, body)])
     ReplayScorer(log).score(request)
@@ -115,7 +112,7 @@ FIELDS = [
                     "lane_spacing", "lane_length", "point_spacing", "sigma", "rain")],
     *[(read_script, field, LanefuseError) for field in ("dx", "dy", "offset")],
     *[(read_response, field, ProtocolError)
-      for field in ("score", "l_clear", "logit", "latency_ms")],
+      for field in ("score", "l_clear", "latency_ms")],
 ]
 
 

@@ -114,6 +114,12 @@ def test_lane_points_are_a_read_only_copy():
     assert LaneLine("l", [Point3(0.0, 0.0), Point3(1.0, -0.0)]) == LaneLine("l", [[0, 0, 0], [1, 0, 0]])
 
 
+def test_lane_is_equal_only_to_a_lane():
+    lane = LaneLine("l", [[0, 0, 0], [1, 0, 0]])
+    assert lane.__eq__([[0, 0, 0], [1, 0, 0]]) is NotImplemented
+    assert lane != [[0, 0, 0], [1, 0, 0]] and lane != "l"
+
+
 def test_lane_rejects_points_not_in_rows_of_three():
     with pytest.raises(InvalidInputError, match="shape"):
         LaneLine("l", [[0.0, 0.0], [1.0, 0.0]])

@@ -9,6 +9,7 @@ import pytest
 
 import lanefuse.fusion
 from lanefuse.cli import main
+from lanefuse.errors import InvalidInputError
 from lanefuse.evaluation import (
     ADD_OFFSET,
     SHIFT_DX,
@@ -127,6 +128,16 @@ def test_update_fuses_each_selection_and_gives_none_for_an_empty_one(monkeypatch
     for name in ("icp_align", "neighbor_pairs"):
         monkeypatch.setattr(lanefuse.fusion, name, lambda *args, name=name: pytest.fail(name))
     assert update(area, mods, ranked, [0, 0]) == [None, None]
+
+
+@pytest.mark.parametrize("bad", ["unknown", "repeated"])
+def test_update_rejects_an_order_id_it_cannot_fuse_once(bad):
+    area = _worst_first_area()
+    ranked = [map_id for map_id, _ in rank_maps(area)]
+    map_id, order = ("nope", ["nope"]) if bad == "unknown" else (ranked[0], ranked[:1] * 2)
+    fault = "is not in the area" if bad == "unknown" else "repeats in the order"
+    with pytest.raises(InvalidInputError, match=f"map '{map_id}' {fault}"):
+        update(area, scripted_modifications(area.ground_truth), order, [1])
 
 
 def test_fuse_maps_pools_duplicates_as_given():

@@ -51,6 +51,20 @@ def test_estimate_handles_reflection_temptation():
     assert abs(np.linalg.det(est_r) - 1.0) < 1e-9
 
 
+def test_estimate_turns_a_reflection_into_a_rotation():
+    # A planar cloud and its mirror image across the xz-plane: the SVD's
+    # plain product is a reflection, and the fit flips it into the half
+    # turn about x, which maps the plane onto its mirror exactly.
+    src = cloud(np.random.default_rng(6), 20)
+    src[:, 2] = 0.0
+    tgt = src * [1.0, -1.0, 1.0]
+    u, _, vt = np.linalg.svd((src - src.mean(axis=0)).T @ (tgt - tgt.mean(axis=0)))
+    assert np.linalg.det(vt.T @ u.T) == pytest.approx(-1.0)
+    est_r, est_t = estimate_rigid_transform(src, tgt)
+    assert np.linalg.det(est_r) == pytest.approx(1.0)
+    assert np.allclose(src @ est_r.T + est_t, tgt, atol=1e-12)
+
+
 def test_icp_identity_on_identical_clouds():
     rng = np.random.default_rng(5)
     pts = cloud(rng)

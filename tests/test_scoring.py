@@ -206,6 +206,13 @@ def test_assessment_validation():
         ImageAssessment("x", factor_scores={FactorKind.LANE_VISIBILITY: 5})
 
 
+@pytest.mark.parametrize("visibility,expected", [(7, 7), (None, 0)])
+def test_score_for_reads_lane_visibility_from_its_own_field(visibility, expected):
+    a = ImageAssessment("x", factor_scores={FactorKind.RAIN: 4}, lane_visibility=visibility)
+    assert a.score_for(FactorKind.LANE_VISIBILITY) == expected
+    assert (a.score_for(FactorKind.RAIN), a.score_for(FactorKind.FOG)) == (4, 0)
+
+
 def test_number_checkers_accept_numbers_only():
     assert exact_int(3, "n") == 3 and exact_int(3.0, "n") == 3 and type(exact_int(3.0, "n")) is int
     assert finite_number(3, "x") == 3.0 and type(finite_number(3, "x")) is float
