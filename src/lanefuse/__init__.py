@@ -34,9 +34,6 @@ from .fusion import (
     align,
     fuse_maps,
     fuse_points,
-    modify_add,
-    modify_delete,
-    modify_shift,
     rank_maps,
     select_band,
 )
@@ -49,6 +46,7 @@ from .mapmodel import (
     load_link_area,
     save_link_area,
 )
+from .pipeline import modify_add, modify_delete, modify_shift
 from .registration import IcpParams, IcpResult, RigidTransform, apply_transform, icp_align
 from .scoring import (
     FactorKind,

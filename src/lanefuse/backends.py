@@ -6,6 +6,8 @@ batch of one.
 A request pairs an image reference with a prompt from the fixed catalog and
 asks for one of two answer shapes: a direct integer score for a factor's
 prompt, or the lane-clarity logit for the clarity probe.
+The synthetic scorer's ``Scenario``, the standard ladder of them and
+``scenario_from_mapping`` (for the INI and JSON configs) live here too.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .errors import (
 )
 from .scoring import (
     DEGRADATION_FACTORS,
+    FACTOR_BY_KEY,
     FactorKind,
     ImageAssessment,
     assess_image,
@@ -214,6 +217,88 @@ class Scenario:
 
     def range_for(self, factor: FactorKind) -> tuple[int, int]:
         return self.factor_ranges.get(factor, (0, 0))
+
+
+# Scenario ladder used by the standard config. Visibility bands are disjoint
+# so confidence ranking reproduces the noise ordering; sigma grows as
+# conditions worsen, which is what ties confidence to geometric quality.
+STANDARD_SCENARIOS: tuple[Scenario, ...] = (
+    Scenario(
+        name="pristine",
+        factor_ranges={FactorKind.LANE_VISIBILITY: (9, 10)},
+        noise_sigma=0.05,
+    ),
+    Scenario(
+        name="clean",
+        factor_ranges={
+            FactorKind.LANE_VISIBILITY: (9, 9),
+            FactorKind.BLUR_DAY: (0, 1),
+            FactorKind.ILLUMINATION: (0, 1),
+        },
+        noise_sigma=0.055,
+    ),
+    Scenario(
+        name="bright",
+        factor_ranges={
+            FactorKind.LANE_VISIBILITY: (8, 8),
+            FactorKind.BLUR_DAY: (0, 2),
+            FactorKind.ILLUMINATION: (1, 2),
+        },
+        noise_sigma=0.06,
+    ),
+    Scenario(
+        name="hazy",
+        factor_ranges={
+            FactorKind.LANE_VISIBILITY: (6, 7),
+            FactorKind.BLUR_DAY: (1, 3),
+            FactorKind.ILLUMINATION: (2, 4),
+        },
+        noise_sigma=0.2,
+    ),
+    Scenario(
+        name="worn",
+        factor_ranges={
+            FactorKind.LANE_VISIBILITY: (5, 6),
+            FactorKind.BLUR_DAY: (2, 4),
+            FactorKind.DEGRADATION: (2, 5),
+        },
+        noise_sigma=0.24,
+    ),
+    Scenario(
+        name="murky",
+        factor_ranges={
+            FactorKind.LANE_VISIBILITY: (3, 4),
+            FactorKind.BLUR_DAY: (4, 6),
+            FactorKind.ILLUMINATION: (4, 6),
+            FactorKind.OCCLUSION: (2, 4),
+        },
+        noise_sigma=0.42,
+    ),
+    Scenario(
+        name="night-storm",
+        factor_ranges={
+            FactorKind.LANE_VISIBILITY: (1, 3),
+            FactorKind.BLUR_NIGHT: (5, 8),
+            FactorKind.RAIN: (5, 8),
+            FactorKind.FOG: (3, 6),
+        },
+        noise_sigma=0.55,
+    ),
+)
+
+SCENARIOS_BY_NAME: dict[str, Scenario] = {s.name: s for s in STANDARD_SCENARIOS}
+
+
+def scenario_from_mapping(name: str, ranges: Mapping, sigma: float, where: str) -> Scenario:
+    """A Scenario from {factor key: (lo, hi)} and a noise sigma, for the INI and
+    the JSON config alike; a bad value is a ConfigError prefixed by ``where``."""
+    try:
+        factor_ranges = {FACTOR_BY_KEY[key]: r for key, r in ranges.items()}
+        return Scenario(name=name, factor_ranges=factor_ranges, noise_sigma=sigma)
+    except KeyError as exc:
+        raise ConfigError(f"{where}: unknown factor {exc}")
+    except InvalidInputError as exc:
+        raise ConfigError(f"{where}: {exc}")
 
 
 def _draw(bounds: tuple[int, int], seed: int, image_id: str, prompt_id: str) -> int:

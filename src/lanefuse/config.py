@@ -15,7 +15,7 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Collection
 
-from .backends import Scenario, check_remote_settings
+from .backends import SCENARIOS_BY_NAME, Scenario, check_remote_settings, scenario_from_mapping
 from .clustering import DbscanParams
 from .confidence import (
     ALL_FACTORS_CONTEXT,
@@ -26,7 +26,6 @@ from .confidence import (
     WeightProfile,
 )
 from .errors import ConfigError, InvalidInputError
-from .evaluation import SCENARIOS_BY_NAME, scenario_from_mapping
 from .registration import IcpParams
 from .scoring import DEGRADATION_FACTORS, FACTOR_BY_KEY, FactorKind, bounded_number, json_number
 

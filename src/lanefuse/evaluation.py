@@ -5,8 +5,9 @@ ground-truth segment (registration.nearest_segment_errors); for lane lines
 only the lateral (perpendicular in the xy-plane) component counts. The
 synthetic generator stands in for real crowdsourced drives: ground-truth
 lanes per link area, local maps that observe them under scenario-dependent
-noise, and image confidences produced by the actual scoring stack so
-confidence and geometric error correlate by construction.
+noise (the scenarios live in backends), and image confidences produced by
+the actual scoring stack so confidence and geometric error correlate by
+construction. The update path the experiment runs lives in pipeline.
 """
 
 from __future__ import annotations
@@ -17,11 +18,15 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .backends import Scenario, SyntheticScorer, collect_assessment
+# Re-exported for whoever still imports them from here: SCENARIOS_BY_NAME for
+# perfbench/stub.py and tests/test_cli.py, fuse_maps and prior_map for
+# perfbench/tracing.py (which wraps them) and the tests.
+from .backends import SCENARIOS_BY_NAME, STANDARD_SCENARIOS, Scenario  # noqa: F401
+from .backends import SyntheticScorer, collect_assessment, scenario_from_mapping
 from .clustering import DbscanParams
 from .confidence import (
     ALL_FACTORS_CONTEXT,
@@ -31,12 +36,11 @@ from .confidence import (
     with_confidence,
 )
 from .errors import ConfigError, EmptyInputError, InvalidInputError
-# fuse_maps and prior_map stay importable here for callers and perfbench/tracing.py.
 from .fusion import fuse_maps, rank_maps, select_band  # noqa: F401
 from .mapmodel import LaneLine, LinkArea, LocalMap, load_json, reject_unknown_keys
 from .pipeline import Modification, apply_modifications, prior_map, update  # noqa: F401
 from .registration import IcpParams, lane_segments, nearest_segment_errors
-from .scoring import FACTOR_BY_KEY, FactorKind, bounded_number, exact_int
+from .scoring import bounded_number, exact_int
 
 CONFIDENCE_THRESHOLD = 7.0  # map-level cutoff for the threshold policy
 
@@ -75,88 +79,6 @@ def ame(
 
 
 # --- synthetic data ----------------------------------------------------------
-
-# Scenario ladder used by the standard config. Visibility bands are disjoint
-# so confidence ranking reproduces the noise ordering; sigma grows as
-# conditions worsen, which is what ties confidence to geometric quality.
-STANDARD_SCENARIOS: tuple[Scenario, ...] = (
-    Scenario(
-        name="pristine",
-        factor_ranges={FactorKind.LANE_VISIBILITY: (9, 10)},
-        noise_sigma=0.05,
-    ),
-    Scenario(
-        name="clean",
-        factor_ranges={
-            FactorKind.LANE_VISIBILITY: (9, 9),
-            FactorKind.BLUR_DAY: (0, 1),
-            FactorKind.ILLUMINATION: (0, 1),
-        },
-        noise_sigma=0.055,
-    ),
-    Scenario(
-        name="bright",
-        factor_ranges={
-            FactorKind.LANE_VISIBILITY: (8, 8),
-            FactorKind.BLUR_DAY: (0, 2),
-            FactorKind.ILLUMINATION: (1, 2),
-        },
-        noise_sigma=0.06,
-    ),
-    Scenario(
-        name="hazy",
-        factor_ranges={
-            FactorKind.LANE_VISIBILITY: (6, 7),
-            FactorKind.BLUR_DAY: (1, 3),
-            FactorKind.ILLUMINATION: (2, 4),
-        },
-        noise_sigma=0.2,
-    ),
-    Scenario(
-        name="worn",
-        factor_ranges={
-            FactorKind.LANE_VISIBILITY: (5, 6),
-            FactorKind.BLUR_DAY: (2, 4),
-            FactorKind.DEGRADATION: (2, 5),
-        },
-        noise_sigma=0.24,
-    ),
-    Scenario(
-        name="murky",
-        factor_ranges={
-            FactorKind.LANE_VISIBILITY: (3, 4),
-            FactorKind.BLUR_DAY: (4, 6),
-            FactorKind.ILLUMINATION: (4, 6),
-            FactorKind.OCCLUSION: (2, 4),
-        },
-        noise_sigma=0.42,
-    ),
-    Scenario(
-        name="night-storm",
-        factor_ranges={
-            FactorKind.LANE_VISIBILITY: (1, 3),
-            FactorKind.BLUR_NIGHT: (5, 8),
-            FactorKind.RAIN: (5, 8),
-            FactorKind.FOG: (3, 6),
-        },
-        noise_sigma=0.55,
-    ),
-)
-
-SCENARIOS_BY_NAME: dict[str, Scenario] = {s.name: s for s in STANDARD_SCENARIOS}
-
-
-def scenario_from_mapping(name: str, ranges: Mapping, sigma: float, where: str) -> Scenario:
-    """A Scenario from {factor key: (lo, hi)} and a noise sigma, for the INI and
-    the JSON config alike; a bad value is a ConfigError prefixed by ``where``."""
-    try:
-        factor_ranges = {FACTOR_BY_KEY[key]: r for key, r in ranges.items()}
-        return Scenario(name=name, factor_ranges=factor_ranges, noise_sigma=sigma)
-    except KeyError as exc:
-        raise ConfigError(f"{where}: unknown factor {exc}")
-    except InvalidInputError as exc:
-        raise ConfigError(f"{where}: {exc}")
-
 
 # The numeric fields of a synth config, in the order a document lists them,
 # each with its lower bound and whether that bound is exclusive. numpy's

@@ -16,7 +16,7 @@ import contextlib
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -32,6 +32,15 @@ from .errors import (
 from .scoring import DEGRADATION_FACTORS, FACTOR_BY_KEY, FactorKind, ImageAssessment
 
 
+def _as_float(value) -> float:
+    """``float(value)``, reading an int beyond the float range as an infinity
+    of its sign, so that it fails as a non-finite component."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class Point3:
     """One checked point; a list of them is accepted wherever lane points are."""
@@ -42,7 +51,7 @@ class Point3:
 
     def __post_init__(self):
         for name in ("x", "y", "z"):
-            v = float(getattr(self, name))
+            v = _as_float(getattr(self, name))
             if not math.isfinite(v):
                 raise InvalidInputError(f"point component {name}={v!r} not finite")
             object.__setattr__(self, name, v)
@@ -85,7 +94,10 @@ class LaneLine:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        try:
+            pts = np.array(self.points, dtype=float)
+        except OverflowError:
+            pts = np.array([[_as_float(v) for v in row] for row in self.points])
         if pts.size and (pts.ndim != 2 or pts.shape[1] != 3):
             raise InvalidInputError(f"lane {self.lane_id!r} points have shape {pts.shape}")
         pts = pts.reshape(-1, 3)
@@ -218,76 +230,67 @@ def area_to_dict(area: LinkArea) -> dict:
     }
 
 
-class _Ctx:
-    """Tracks the field path for error messages.
-
-    Malformed structure raises MapParseError; a well-formed file whose
-    contents break a data invariant raises MapValidationError.
-    """
-
-    def __init__(self, source: str):
-        self.source = source
-        self.path: list[str] = []
-
-    def _where(self) -> str:
-        return "/".join(self.path) or "<root>"
-
-    def fail(self, message: str):
-        raise MapParseError(f"{self.source}: at {self._where()}: {message}")
-
-    def invalid(self, message: str):
-        raise MapValidationError(f"{self.source}: at {self._where()}: {message}")
+# The readers pass down ``where``, the place an error names: "{source}: at
+# <root>", "at map[ID]" or "at ground_truth". Malformed structure raises
+# MapParseError; contents that break a data invariant, MapValidationError.
 
 
-_KIND_NAMES = {str: "a string", list: "a list"}
-
-
-def _of_kind(ctx: _Ctx, value, key: str, kind: type):
+def _of_kind(where: str, value, key: str, kind: type):
     if not isinstance(value, kind):
-        ctx.invalid(f"{key!r} must be {_KIND_NAMES[kind]}, got {value!r}")
+        kind_name = "a string" if kind is str else "a list"
+        raise MapValidationError(f"{where}: {key!r} must be {kind_name}, got {value!r}")
     return value
 
 
-def _need(ctx: _Ctx, obj: dict, key: str, kind: type = object):
+def _need(where: str, obj: dict, key: str, kind: type = object):
     if not isinstance(obj, dict) or key not in obj:
-        ctx.fail(f"missing field {key!r}")
-    return _of_kind(ctx, obj[key], key, kind)
+        raise MapParseError(f"{where}: missing field {key!r}")
+    return _of_kind(where, obj[key], key, kind)
 
 
-def _lane_from_dict(ctx: _Ctx, data: dict) -> LaneLine:
-    lane_id = _need(ctx, data, "lane_id", str)
-    raw_points = _need(ctx, data, "points")
+def _reject_unknown(data: dict, record: type, where: str) -> None:
+    """Reject a key that is not a field of ``record``, which the writers emit."""
+    reject_unknown_keys(data, (f.name for f in fields(record)), where, MapParseError)
+
+
+def _lane_from_dict(where: str, data: dict) -> LaneLine:
+    lane_id = _need(where, data, "lane_id", str)
+    _reject_unknown(data, LaneLine, f"{where}: lane {lane_id!r}")
+    raw_points = _need(where, data, "points")
     if not isinstance(raw_points, list):
-        ctx.fail("'points' must be a list")
+        raise MapParseError(f"{where}: 'points' must be a list")
     try:
-        return LaneLine(lane_id=lane_id, points=np.array(raw_points, dtype=float))
+        return LaneLine(lane_id=lane_id, points=raw_points)
     except MapValidationError as exc:
-        ctx.invalid(str(exc))
+        raise MapValidationError(f"{where}: {exc}")
     except (TypeError, ValueError, InvalidInputError):
         # Not finite numbers in rows of three (a null reads as NaN above):
         # raise the first bad row's error, reading its parts as Point3 does.
         for i, row in enumerate(raw_points):
+            at = f"{where}: point {i} of lane {lane_id!r}"
             if not isinstance(row, (list, tuple)) or len(row) != 3:
-                ctx.fail(f"point {i} of lane {lane_id!r} must be [x, y, z]")
+                raise MapParseError(f"{at} must be [x, y, z]")
             try:
                 Point3(*row)
             except InvalidInputError as exc:
-                ctx.invalid(f"point {i} of lane {lane_id!r}: {exc}")
+                raise MapValidationError(f"{at}: {exc}")
             except (TypeError, ValueError):
-                ctx.fail(f"point {i} of lane {lane_id!r} has non-numeric parts")
+                raise MapParseError(f"{at} has non-numeric parts")
         raise
 
 
-def _image_from_dict(ctx: _Ctx, data: dict) -> ImageAssessment:
-    image_id = _need(ctx, data, "image_id", str)
+def _image_from_dict(where: str, data: dict) -> ImageAssessment:
+    image_id = _need(where, data, "image_id", str)
+    where = f"{where}: image {image_id!r}"
+    _reject_unknown(data, ImageAssessment, where)
     raw_scores = data.get("factor_scores", {})
     if not isinstance(raw_scores, dict):
-        ctx.fail(f"image {image_id!r}: 'factor_scores' must be an object")
+        raise MapParseError(f"{where}: 'factor_scores' must be an object")
     scores: dict[FactorKind, int] = {}
     for key, value in raw_scores.items():
         factor = FACTOR_BY_KEY.get(key)
         if factor is None or factor is FactorKind.LANE_VISIBILITY:
-            ctx.fail(f"image {image_id!r}: unknown factor {key!r}")
+            raise MapParseError(f"{where}: unknown factor {key!r}")
         scores[factor] = value
     try:
         return ImageAssessment(
@@ -299,49 +302,41 @@ def _image_from_dict(ctx: _Ctx, data: dict) -> ImageAssessment:
             confidence=data.get("confidence"),
         )
     except InvalidInputError as exc:
-        ctx.invalid(f"image {image_id!r}: {exc}")
+        raise MapValidationError(f"{where}: {exc}")
 
 
-def _map_from_dict(ctx: _Ctx, data: dict, *, require_images: bool) -> LocalMap:
-    map_id = _need(ctx, data, "map_id", str)
-    ctx.path.append(f"map[{map_id}]")
-    lanes = [_lane_from_dict(ctx, l) for l in _need(ctx, data, "lane_lines", list)]
-    images = [
-        _image_from_dict(ctx, i) for i in _of_kind(ctx, data.get("images", []), "images", list)
-    ]
+def _map_from_dict(source: str, data: dict, *, require_images: bool) -> LocalMap:
+    map_id = _need(f"{source}: at <root>", data, "map_id", str)
+    where = f"{source}: at map[{map_id}]"
+    _reject_unknown(data, LocalMap, where)
+    lanes = [_lane_from_dict(where, l) for l in _need(where, data, "lane_lines", list)]
+    images = _of_kind(where, data.get("images", []), "images", list)
+    images = [_image_from_dict(where, i) for i in images]
     if require_images and not images:
-        ctx.invalid("local map has no image records")
-    link_area_id = _of_kind(ctx, data.get("link_area_id", ""), "link_area_id", str)
+        raise MapValidationError(f"{where}: local map has no image records")
+    link_area_id = _of_kind(where, data.get("link_area_id", ""), "link_area_id", str)
     try:
-        local_map = LocalMap(
-            map_id=map_id,
-            link_area_id=link_area_id,
-            lane_lines=lanes,
-            images=images,
-        )
+        return LocalMap(map_id=map_id, link_area_id=link_area_id, lane_lines=lanes, images=images)
     except MapValidationError as exc:
-        ctx.invalid(str(exc))
-    ctx.path.pop()
-    return local_map
+        raise MapValidationError(f"{where}: {exc}")
 
 
 def area_from_dict(data: dict, *, source: str = "<dict>") -> LinkArea:
-    ctx = _Ctx(source)
-    link_id = _need(ctx, data, "link_id", str)
-    truth = data.get("ground_truth")
-    truth_lanes = None
-    if truth is not None:
-        ctx.path.append("ground_truth")
-        truth_lanes = [_lane_from_dict(ctx, l) for l in _of_kind(ctx, truth, "ground_truth", list)]
-        ctx.path.pop()
+    where = f"{source}: at <root>"
+    link_id = _need(where, data, "link_id", str)
+    _reject_unknown(data, LinkArea, where)
+    truth, at_truth = data.get("ground_truth"), f"{source}: at ground_truth"
+    truth_lanes = None if truth is None else [
+        _lane_from_dict(at_truth, l) for l in _of_kind(at_truth, truth, "ground_truth", list)
+    ]
     maps = [
-        _map_from_dict(ctx, m, require_images=True)
-        for m in _need(ctx, data, "local_maps", list)
+        _map_from_dict(source, m, require_images=True)
+        for m in _need(where, data, "local_maps", list)
     ]
     try:
         return LinkArea(link_id=link_id, local_maps=maps, ground_truth=truth_lanes)
     except MapValidationError as exc:
-        ctx.invalid(str(exc))
+        raise MapValidationError(f"{where}: {exc}")
 
 
 @contextlib.contextmanager
@@ -409,7 +404,7 @@ def save_local_map(local_map: LocalMap, path) -> None:
 
 
 def load_local_map(path) -> LocalMap:
-    return _map_from_dict(_Ctx(str(path)), load_json(path), require_images=False)
+    return _map_from_dict(str(path), load_json(path), require_images=False)
 
 
 # --- scores CSV ------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The map-update path, shared by the CLI's ``update`` and ``evaluate_area``.
 
 A modification script is a JSON list of ``shift``, ``delete`` and ``add``
-operations. ``load_modifications`` parses one, ``apply_modifications``
+operations, carried out by ``modify_shift``, ``modify_delete`` and
+``modify_add``. ``load_modifications`` parses one, ``apply_modifications``
 applies it to a map, and ``prior_map`` builds the prior map an update edits.
 ``update`` is the one update step behind both callers. It applies a script
 to the prior map and to the maps it fuses, then fuses the first k maps of
@@ -12,20 +13,115 @@ maps in rank order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .clustering import DbscanParams
-from .errors import ConfigError, EmptyInputError, InvalidInputError, LanefuseError
-from .fusion import fuse_prefixes, modify_add, modify_delete, modify_shift, resample_polyline
+from .errors import (
+    ConfigError,
+    DegenerateGeometryError,
+    EmptyInputError,
+    InvalidInputError,
+    LaneNotFoundError,
+    LanefuseError,
+)
+from .fusion import fuse_prefixes
 from .mapmodel import LaneLine, LinkArea, LocalMap, load_json, reject_unknown_keys
 from .registration import IcpParams
 from .scoring import bounded_number, finite_number
 
 PRIOR_MAP_SPACING = 2.0  # meters between control points of the prior map
+
+
+def _require_lane(local_map: LocalMap, lane_id: str) -> LaneLine:
+    lane = local_map.lane(lane_id)
+    if lane is None:
+        raise LaneNotFoundError(f"map {local_map.map_id!r} has no lane {lane_id!r}")
+    return lane
+
+
+def modify_shift(local_map: LocalMap, lane_id: str, dx: float, dy: float) -> LocalMap:
+    """Replace the named lane with a copy offset by (dx, dy); z is untouched."""
+    lane = _require_lane(local_map, lane_id)
+    pts = lane.points.copy()
+    pts[:, 0] += dx
+    pts[:, 1] += dy
+    shifted = LaneLine(lane_id=lane_id, points=pts)
+    lanes = [shifted if l is lane else l for l in local_map.lane_lines]
+    return replace(local_map, lane_lines=lanes)
+
+
+def modify_delete(local_map: LocalMap, lane_id: str) -> LocalMap:
+    """Remove the named lane; every other lane is untouched."""
+    _require_lane(local_map, lane_id)
+    lanes = [lane for lane in local_map.lane_lines if lane.lane_id != lane_id]
+    return replace(local_map, lane_lines=lanes)
+
+
+def resample_polyline(points: np.ndarray, count: int) -> np.ndarray:
+    """Resample to ``count`` points uniformly spaced by arc length.
+
+    Endpoints are preserved exactly.
+    """
+    pts = np.asarray(points, dtype=float)
+    if len(pts) < 2:
+        raise InvalidInputError("polyline needs >= 2 points")
+    if count < 2:
+        raise InvalidInputError("resample count must be >= 2")
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    targets = np.linspace(0.0, s[-1], count)
+    return np.column_stack([np.interp(targets, s, pts[:, k]) for k in range(pts.shape[1])])
+
+
+def _unique_lane_id(local_map: LocalMap, base: str) -> str:
+    existing = {lane.lane_id for lane in local_map.lane_lines}
+    if base not in existing:
+        return base
+    n = 2
+    while f"{base}_{n}" in existing:
+        n += 1
+    return f"{base}_{n}"
+
+
+def modify_add(
+    local_map: LocalMap, lane_a: str, lane_b: str, offset: float = 0.0
+) -> LocalMap:
+    """Insert a new lane midway between two existing ones.
+
+    Both parents are resampled by arc length to the larger point count, the
+    paired midpoints form the new lane, and ``offset`` displaces it along the
+    local perpendicular in the xy-plane (left of the travel direction).
+    """
+    a = _require_lane(local_map, lane_a)
+    b = _require_lane(local_map, lane_b)
+    pts_a = a.points
+    pts_b = b.points
+    count = max(len(pts_a), len(pts_b))
+    pts_a = resample_polyline(pts_a, count)
+    pts_b = resample_polyline(pts_b, count)
+    if offset == 0.0 and float(np.max(np.linalg.norm(pts_a - pts_b, axis=1))) < 1e-9:
+        raise DegenerateGeometryError(
+            f"lanes {lane_a!r} and {lane_b!r} coincide and offset is 0; "
+            "the added lane would duplicate them"
+        )
+    mid = 0.5 * (pts_a + pts_b)
+    if offset != 0.0:
+        # Central-difference tangents in the xy-plane, rotated +90 degrees.
+        tangents = np.gradient(mid[:, :2], axis=0)
+        norms = np.linalg.norm(tangents, axis=1, keepdims=True)
+        if np.any(norms < 1e-12):
+            raise DegenerateGeometryError("midpoint lane has a zero-length tangent")
+        tangents /= norms
+        normals = np.column_stack([-tangents[:, 1], tangents[:, 0]])
+        mid = mid.copy()
+        mid[:, :2] += offset * normals
+    lane_id = _unique_lane_id(local_map, f"add_{lane_a}_{lane_b}")
+    new_lane = LaneLine(lane_id=lane_id, points=mid)
+    return replace(local_map, lane_lines=local_map.lane_lines + [new_lane])
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ from lanefuse.evaluation import (
     synth_config_to_dict,
     synth_generate,
 )
-from lanefuse.fusion import modify_add, modify_delete, modify_shift, rank_maps, select_band
+from lanefuse.fusion import rank_maps, select_band
 from lanefuse.mapmodel import LaneLine, LinkArea, LocalMap, Point3
+from lanefuse.pipeline import modify_add, modify_delete, modify_shift
 from lanefuse.registration import IcpParams, icp_align
 from lanefuse.scoring import (
     FactorKind,

@@ -288,8 +288,14 @@ def test_remote_score_many_failure_logs_prefix_and_cancels_the_rest(tmp_path, st
     n, failing, in_flight = 200, 50, 4
 
     def fail_one(body):
-        if _image_index(body) == failing:
+        index = _image_index(body)
+        if index == failing:
             return 500, {"error": "down"}
+        if index > failing:
+            # Hold every later request, so that the other workers wait on their
+            # replies while the failing one records its error, even when the
+            # host deschedules it first.
+            time.sleep(0.05)
         return 200, {"mode": "direct", "score": 1}
 
     handler.behaviors["Q2"] = fail_one
@@ -838,6 +844,11 @@ def test_remote_rejects_a_ca_bundle_that_cannot_be_read(tmp_path, monkeypatch):
 def test_remote_rejects_unusable_settings(setting, match):
     with pytest.raises(ConfigError, match=match):
         RemoteScorer("http://127.0.0.1:9/score", **setting)
+
+
+def test_remote_rejects_an_empty_endpoint():
+    with pytest.raises(ConfigError, match="remote backend needs an endpoint URL"):
+        RemoteScorer("")
 
 
 # --- replay ------------------------------------------------------------------

@@ -197,6 +197,39 @@ def test_select_malformed_area_field_exits_2_naming_it(tmp_path, capsys, field, 
     assert f"{field!r} must be a " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["select", "update"])
+@pytest.mark.parametrize(
+    "misspell, message",
+    [
+        (lambda doc: doc.update(groundtruth=doc.pop("ground_truth")), "unknown key 'groundtruth'"),
+        (
+            lambda doc: doc["local_maps"][0]["images"][0].update(
+                timestmp=doc["local_maps"][0]["images"][0].pop("timestamp")
+            ),
+            "unknown key 'timestmp'",
+        ),
+        (
+            lambda doc: doc["local_maps"][0]["lane_lines"][0]["points"][0].__setitem__(0, 10**400),
+            "point 0 of lane 'lane_00': point component x=inf not finite",
+        ),
+    ],
+    ids=["ground_truth", "timestamp", "x_1e400"],
+)
+def test_area_that_no_writer_emits_exits_2_naming_the_fault(
+    tmp_path, capsys, command, misspell, message
+):
+    areas = simulate(tmp_path, maps_per_area=2)
+    doc = json.loads(areas[0].read_text())
+    misspell(doc)
+    areas[0].write_text(json.dumps(doc))
+    (tmp_path / "script.json").write_text("[]")
+    args = [areas[0], tmp_path / "script.json"] if command == "update" else [areas[0]]
+    assert run([command, *args, "--output-dir", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_score_missing_file_exits_2(tmp_path):
     assert run(["score", tmp_path / "ghost.json", "--output-dir", tmp_path]) == 2
 
@@ -734,6 +767,7 @@ def test_simulate_missing_config_exits_1(tmp_path):
         {"scenarios": [{"name": "x", "factors": [["rain", 1, 2]]}]},
         {"link_area": 2},
         {"scenarios": [{"name": "x", "sigmaa": 0.1}]},
+        {"scenarios": [{"name": "x", "factors": {"glare": [1, 2]}}]},
     ],
 )
 def test_simulate_malformed_synth_config_exits_1(tmp_path, doc, capsys):
@@ -901,6 +935,12 @@ AREA_EDITS = {
         ]
     ),
     "offset_1e12": _offset_area,  # every map and the ground truth
+    # An integer beyond the float range, which JSON writes as its digits; in z,
+    # which the offset edits leave as it is.
+    "z_1e400": _map_edit(
+        lambda lanes: [{"lane_id": "lane_00", "points": [[0.0, 0.0, 10**400], [1.0, 0.0, 0.0]]},
+                       *lanes[1:]]
+    ),
 }
 EXIT_CODES = {0, 1, 2, 3}
 
@@ -950,6 +990,7 @@ def _run_twice(commands, work: Path, case) -> dict[str, Path]:
 @example(edits=[("one_lane", 2)])
 @example(edits=[("vertical_lane", 0)])
 @example(edits=[("offset_1e12", 0)])
+@example(edits=[("z_1e400", 1)])
 def test_edited_areas_keep_the_exit_code_contract(fuzz_area, edits):
     doc = json.loads(json.dumps(fuzz_area))
     for name, index in edits:

@@ -148,6 +148,9 @@ sigma = 0.3
         "[icp]\nmax_iterations = 3.5\n",
         "[selection]\nk_cap = 2.5\n",
         "[scenario.x]\nrain = 2.5:5\n",
+        # A factor name that is not one, and a weight profile without factors.
+        "[context.x]\nfactors = bogus\n",
+        "[weights.x]\nlane_weight = 1.0\n",
     ],
 )
 def test_rejects_bad_values(tmp_path, body):

@@ -13,17 +13,9 @@ from lanefuse.errors import (
     LaneNotFoundError,
 )
 from lanefuse.evaluation import ame
-from lanefuse.fusion import (
-    fuse_maps,
-    fuse_prefixes,
-    modify_add,
-    modify_delete,
-    modify_shift,
-    rank_maps,
-    resample_polyline,
-    select_band,
-)
+from lanefuse.fusion import fuse_maps, fuse_prefixes, rank_maps, select_band
 from lanefuse.mapmodel import LaneLine, LinkArea, LocalMap, Point3
+from lanefuse.pipeline import modify_add, modify_delete, modify_shift, resample_polyline
 from lanefuse.registration import IcpParams
 from lanefuse.scoring import ImageAssessment
 

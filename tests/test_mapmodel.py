@@ -67,6 +67,16 @@ def test_point_rejects_non_finite():
         Point3(float("nan"), 0.0, 0.0)
 
 
+@pytest.mark.parametrize("big, shown", [(10**400, "inf"), (-(10**400), "-inf")])
+def test_an_int_beyond_the_float_range_is_not_finite(big, shown):
+    message = f"point component y={shown} not finite"
+    with pytest.raises(InvalidInputError) as point:
+        Point3(0.0, big)
+    with pytest.raises(InvalidInputError) as lane:
+        LaneLine("l", [[0.0, 0.0, 0.0], (1.0, big, 0.0)])
+    assert str(point.value) == str(lane.value) == message
+
+
 def test_lane_needs_two_distinct_points():
     with pytest.raises(MapValidationError):
         LaneLine("l", [Point3(0, 0, 0)])
@@ -273,6 +283,18 @@ NAN = float("nan")
             MapValidationError,
             "at map[m0]: point 0 of lane 'l0': point component x=nan not finite",
         ),
+        # An integer beyond the float range is an infinity, as finite_number reads it.
+        (
+            [[0.0, 0.0, 0.0], [10**400, 0.0, 0.0]],
+            MapValidationError,
+            "at map[m0]: point 1 of lane 'l0': point component x=inf not finite",
+        ),
+        (
+            [[0.0, -(10**400), 0.0], [1.0, 0.0, 0.0]],
+            MapValidationError,
+            "at map[m0]: point 0 of lane 'l0': point component y=-inf not finite",
+        ),
+        ({"x": [0.0, 0.0, 0.0]}, MapParseError, "at map[m0]: 'points' must be a list"),
     ],
 )
 def test_load_errors_name_the_point(tmp_path, points, error, message):
@@ -375,6 +397,84 @@ def test_load_rejects_an_id_that_is_not_a_string(tmp_path, edit, where, field, v
     with pytest.raises(MapValidationError) as info:
         load_link_area(path)
     assert str(info.value) == f"{path}: at {where}: {field!r} must be a string, got {value!r}"
+
+
+def _rename(pick, key, new_key):
+    """An edit that renames ``key`` of the object ``pick(doc)`` to ``new_key``."""
+    return lambda d: pick(d).update({new_key: pick(d).pop(key)})
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (
+            lambda d: d["local_maps"][0]["images"][0]["factor_scores"].update(glare=2),
+            MapParseError,
+            "at map[m0]: image 'm0_img': unknown factor 'glare'",
+        ),
+        (
+            lambda d: d["local_maps"][0]["images"][0]["factor_scores"].update(lane_visibility=2),
+            MapParseError,
+            "at map[m0]: image 'm0_img': unknown factor 'lane_visibility'",
+        ),
+        (
+            lambda d: d["local_maps"][0]["lane_lines"][1].update(lane_id="l0"),
+            MapValidationError,
+            "at map[m0]: map 'm0' has duplicate lane_ids",
+        ),
+        (
+            lambda d: d["local_maps"][1].update(map_id="m0"),
+            MapValidationError,
+            "at <root>: link area 'link0' has duplicate map_ids",
+        ),
+        # Every key a writer does not emit, at each level of the document.
+        (
+            _rename(lambda d: d, "ground_truth", "groundtruth"),
+            MapParseError,
+            "at <root>: unknown key 'groundtruth'",
+        ),
+        (
+            _rename(lambda d: d["local_maps"][1], "link_area_id", "link_area"),
+            MapParseError,
+            "at map[m1]: unknown key 'link_area'",
+        ),
+        (
+            lambda d: d["local_maps"][0]["lane_lines"][1].update(width=0.15),
+            MapParseError,
+            "at map[m0]: lane 'l1': unknown key 'width'",
+        ),
+        (
+            lambda d: d["ground_truth"][0].update(kind="solid"),
+            MapParseError,
+            "at ground_truth: lane 'g0': unknown key 'kind'",
+        ),
+        (
+            _rename(lambda d: d["local_maps"][0]["images"][0], "timestamp", "timestmp"),
+            MapParseError,
+            "at map[m0]: image 'm0_img': unknown key 'timestmp'",
+        ),
+    ],
+    ids=[
+        "unknown-factor", "visibility-as-factor", "duplicate-lane", "duplicate-map",
+        "area-key", "map-key", "lane-key", "truth-lane-key", "image-key",
+    ],
+)
+def test_load_rejects_what_no_writer_emits(tmp_path, edit, error, message):
+    path = _edit_area(tmp_path, edit)
+    with pytest.raises(error) as info:
+        load_link_area(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_load_local_map_rejects_an_unknown_key(tmp_path):
+    path = tmp_path / "map.json"
+    save_local_map(LocalMap("fused", "link0", lane_lines=[lane()], images=[]), path)
+    doc = json.loads(path.read_text())
+    doc["source"] = "fusion"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MapParseError) as info:
+        load_local_map(path)
+    assert str(info.value) == f"{path}: at map[fused]: unknown key 'source'"
 
 
 def test_load_local_map_rejects_a_non_string_lane_id(tmp_path):
