@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .clustering import DbscanParams, dbscan, neighbor_pairs
-from .errors import EmptyFusionError, EmptyInputError, InvalidInputError
+from .errors import DegenerateGeometryError, EmptyFusionError, EmptyInputError, InvalidInputError
 from .mapmodel import LaneLine, LinkArea, LocalMap, average_confidence
 from .registration import IcpParams, IcpResult, apply_transform, icp_align
 from .scoring import bounded_number
@@ -110,12 +110,17 @@ def align(
     ICP result. A map with no lane points has nothing to align: its points
     come back empty and its result is None. A moved lane that is no longer a
     valid lane (non-finite, two identical consecutive points) raises as
-    LaneLine does.
+    LaneLine does. A DegenerateGeometryError from ICP names the map's link
+    area and the map.
     """
     source = local_map.lane_points()
     if not len(source):
         return source, None
-    result = icp_align(source, target, iparams)
+    try:
+        result = icp_align(source, target, iparams)
+    except DegenerateGeometryError as exc:
+        where = f"link area {local_map.link_area_id!r}: map {local_map.map_id!r}"
+        raise DegenerateGeometryError(f"{where}: {exc}") from None
     return apply_transform(result.transform, local_map).lane_points(), result
 
 

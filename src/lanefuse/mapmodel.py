@@ -8,6 +8,10 @@ when the lane is built, so every stage works on whole arrays and maps and
 threads can share a lane's points. ``Point3`` is input sugar: a lane may be
 built from a list of them. The JSON writer keeps full float precision so
 save/load round-trips are bit-exact.
+
+The JSON readers check a document's shape and say where a fault is; the
+records they build (``LaneLine``, ``ImageAssessment``) check the values. A
+lane coordinate follows the number rule of every number in an area file.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyInputError,
     InvalidInputError,
     LanefuseError,
@@ -60,34 +65,16 @@ class Point3:
         return np.array([self.x, self.y, self.z], dtype=dtype)
 
 
-def check_lane_points(lane_id: str, points: np.ndarray) -> None:
-    """Check an (n, 3) lane array; the one validator of lane geometry.
-
-    Raises, in this order: InvalidInputError for the first non-finite
-    component in row-major order, then MapValidationError for fewer than two
-    points or for two identical consecutive points.
-    """
-    bad = np.flatnonzero(~np.isfinite(points))
-    if len(bad):
-        name = "xyz"[bad[0] % 3]
-        value = float(points.flat[bad[0]])
-        raise InvalidInputError(f"point component {name}={value!r} not finite")
-    if len(points) < 2:
-        raise MapValidationError(
-            f"lane {lane_id!r} needs >= 2 points, got {len(points)}"
-        )
-    if np.any(np.all(points[1:] == points[:-1], axis=1)):
-        raise MapValidationError(
-            f"lane {lane_id!r} has two identical consecutive points"
-        )
-
-
 @dataclass
 class LaneLine:
     """An ordered 3D polyline with a stable identifier.
 
     ``points`` is a read-only (n, 3) float64 copy of the caller's array, rows
-    of three numbers, or Point3 objects.
+    of three numbers, or Point3 objects. Building a lane is the one check of
+    lane geometry. It raises, in this order: InvalidInputError for the first
+    non-finite component in row-major order, naming the point, then
+    MapValidationError for fewer than two points or for two identical
+    consecutive points.
     """
 
     lane_id: str
@@ -101,7 +88,17 @@ class LaneLine:
         if pts.size and (pts.ndim != 2 or pts.shape[1] != 3):
             raise InvalidInputError(f"lane {self.lane_id!r} points have shape {pts.shape}")
         pts = pts.reshape(-1, 3)
-        check_lane_points(self.lane_id, pts)
+        bad = np.flatnonzero(~np.isfinite(pts))
+        if len(bad):
+            row, col = divmod(int(bad[0]), 3)
+            raise InvalidInputError(
+                f"point {row} of lane {self.lane_id!r}: "
+                f"point component {'xyz'[col]}={float(pts[row, col])!r} not finite"
+            )
+        if len(pts) < 2:
+            raise MapValidationError(f"lane {self.lane_id!r} needs >= 2 points, got {len(pts)}")
+        if np.any(np.all(pts[1:] == pts[:-1], axis=1)):
+            raise MapValidationError(f"lane {self.lane_id!r} has two identical consecutive points")
         pts.setflags(write=False)
         self.points = pts
 
@@ -170,28 +167,8 @@ def average_confidence(local_map: LocalMap) -> float:
 
 # --- JSON serialization ----------------------------------------------------
 #
-# One document per link area:
-# {
-#   "link_id": str,
-#   "ground_truth": [ {"lane_id": str, "points": [[x, y, z], ...]}, ... ] | null,
-#   "local_maps": [
-#     {
-#       "map_id": str,
-#       "link_area_id": str,
-#       "lane_lines": [ ... as ground_truth ... ],
-#       "images": [
-#         {
-#           "image_id": str,
-#           "timestamp": float,
-#           "factor_scores": {"blur_day": int, ...},   # may be {}
-#           "lane_visibility": int | null,
-#           "lane_confidence": float | null,
-#           "confidence": float | null
-#         }, ...
-#       ]
-#     }, ...
-#   ]
-# }
+# One document per link area, one object per record, each with exactly the
+# record's fields; README "File formats" gives the shape and each field's type.
 
 
 def _lane_to_dict(lane: LaneLine) -> dict:
@@ -234,6 +211,8 @@ def area_to_dict(area: LinkArea) -> dict:
 # <root>", "at map[ID]" or "at ground_truth". Malformed structure raises
 # MapParseError; contents that break a data invariant, MapValidationError.
 
+_JSON_NUMBERS = {int, float}  # the types json.load gives a number
+
 
 def _of_kind(where: str, value, key: str, kind: type):
     if not isinstance(value, kind):
@@ -253,30 +232,39 @@ def _reject_unknown(data: dict, record: type, where: str) -> None:
     reject_unknown_keys(data, (f.name for f in fields(record)), where, MapParseError)
 
 
+def _build(where: str, record: type, **values):
+    """``record(**values)``; a fault its own checks find is a MapValidationError
+    naming ``where``."""
+    try:
+        return record(**values)
+    except (InvalidInputError, MapValidationError) as exc:
+        raise MapValidationError(f"{where}: {exc}")
+
+
 def _lane_from_dict(where: str, data: dict) -> LaneLine:
+    """A lane from its JSON object, whose ``points`` are [x, y, z] rows of
+    JSON numbers. Of several faults in one lane, the first row that is not
+    three numbers is reported: MapParseError for a row that is not a list of
+    three, MapValidationError for a part that is not a number. Only a lane
+    without such a row is built, and LaneLine's faults follow in its order,
+    as MapValidationError."""
     lane_id = _need(where, data, "lane_id", str)
     _reject_unknown(data, LaneLine, f"{where}: lane {lane_id!r}")
-    raw_points = _need(where, data, "points")
-    if not isinstance(raw_points, list):
+    rows = _need(where, data, "points")
+    if not isinstance(rows, list):
         raise MapParseError(f"{where}: 'points' must be a list")
-    try:
-        return LaneLine(lane_id=lane_id, points=raw_points)
-    except MapValidationError as exc:
-        raise MapValidationError(f"{where}: {exc}")
-    except (TypeError, ValueError, InvalidInputError):
-        # Not finite numbers in rows of three (a null reads as NaN above):
-        # raise the first bad row's error, reading its parts as Point3 does.
-        for i, row in enumerate(raw_points):
+    shaped = all(type(row) is list and len(row) == 3 for row in rows)
+    if not shaped or not {type(v) for row in rows for v in row} <= _JSON_NUMBERS:
+        for i, row in enumerate(rows):
             at = f"{where}: point {i} of lane {lane_id!r}"
-            if not isinstance(row, (list, tuple)) or len(row) != 3:
+            if type(row) is not list or len(row) != 3:
                 raise MapParseError(f"{at} must be [x, y, z]")
-            try:
-                Point3(*row)
-            except InvalidInputError as exc:
-                raise MapValidationError(f"{at}: {exc}")
-            except (TypeError, ValueError):
-                raise MapParseError(f"{at} has non-numeric parts")
-        raise
+            for name, value in zip("xyz", row):
+                if type(value) not in _JSON_NUMBERS:
+                    raise MapValidationError(
+                        f"{at}: point component {name} must be a number, got {value!r}"
+                    )
+    return _build(where, LaneLine, lane_id=lane_id, points=rows)
 
 
 def _image_from_dict(where: str, data: dict) -> ImageAssessment:
@@ -292,17 +280,7 @@ def _image_from_dict(where: str, data: dict) -> ImageAssessment:
         if factor is None or factor is FactorKind.LANE_VISIBILITY:
             raise MapParseError(f"{where}: unknown factor {key!r}")
         scores[factor] = value
-    try:
-        return ImageAssessment(
-            image_id=image_id,
-            timestamp=data.get("timestamp", 0.0),
-            factor_scores=scores,
-            lane_visibility=data.get("lane_visibility"),
-            lane_confidence=data.get("lane_confidence"),
-            confidence=data.get("confidence"),
-        )
-    except InvalidInputError as exc:
-        raise MapValidationError(f"{where}: {exc}")
+    return _build(where, ImageAssessment, **{**data, "factor_scores": scores})
 
 
 def _map_from_dict(source: str, data: dict, *, require_images: bool) -> LocalMap:
@@ -315,10 +293,9 @@ def _map_from_dict(source: str, data: dict, *, require_images: bool) -> LocalMap
     if require_images and not images:
         raise MapValidationError(f"{where}: local map has no image records")
     link_area_id = _of_kind(where, data.get("link_area_id", ""), "link_area_id", str)
-    try:
-        return LocalMap(map_id=map_id, link_area_id=link_area_id, lane_lines=lanes, images=images)
-    except MapValidationError as exc:
-        raise MapValidationError(f"{where}: {exc}")
+    return _build(
+        where, LocalMap, map_id=map_id, link_area_id=link_area_id, lane_lines=lanes, images=images
+    )
 
 
 def area_from_dict(data: dict, *, source: str = "<dict>") -> LinkArea:
@@ -333,10 +310,7 @@ def area_from_dict(data: dict, *, source: str = "<dict>") -> LinkArea:
         _map_from_dict(source, m, require_images=True)
         for m in _need(where, data, "local_maps", list)
     ]
-    try:
-        return LinkArea(link_id=link_id, local_maps=maps, ground_truth=truth_lanes)
-    except MapValidationError as exc:
-        raise MapValidationError(f"{where}: {exc}")
+    return _build(where, LinkArea, link_id=link_id, local_maps=maps, ground_truth=truth_lanes)
 
 
 @contextlib.contextmanager
@@ -345,19 +319,24 @@ def atomic_writer(path, newline: str | None = None) -> Iterator[TextIO]:
 
     The text goes to ``<name>.tmp`` beside ``path``, which is renamed over
     ``path`` when the block ends without an error. If the block or the rename
-    raises, the temp file is removed and ``path`` is left as it was.
-    ``newline`` is passed to ``open`` (csv writers want ``""``).
+    raises, the temp file is removed and ``path`` is left as it was; an
+    OSError while opening, writing or renaming (``path`` is a directory, the
+    disk is full) is a ConfigError naming ``path``. ``newline`` is passed to
+    ``open`` (csv writers want ``""``).
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    fh = open(tmp, "w", newline=newline, encoding="utf-8")
     try:
-        with fh:
-            yield fh
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        fh = open(tmp, "w", newline=newline, encoding="utf-8")
+        try:
+            with fh:
+                yield fh
+            tmp.replace(path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 
 def _dump_json(payload: dict, path) -> None:

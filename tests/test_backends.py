@@ -577,14 +577,34 @@ def test_remote_retries_a_reply_it_cannot_frame(one_image, raw_server, unreadabl
         (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "IncompleteRead"),
         (b"HTTP/1.1 200 OK\r\n" + b"X: y\r\n" * 100 + b"\r\n", "more than 100 headers"),
         (b"HTTP/2 200\r\n\r\n", "attempts: HTTP/2 200"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc", "7 more expected"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabcXY0\r\n\r\n",
+         "IncompleteRead"),
     ],
-    ids=["content-length", "chunk-size", "header-count", "version"],
+    ids=["content-length", "chunk-size", "header-count", "version", "short-body", "chunk-end"],
 )
 def test_remote_malformed_framing_is_a_transport_error(raw_server, reply, error):
     url, handler = raw_server
     handler.reply = lambda body: (reply, True)
     with pytest.raises(TransportError, match=error):
         RemoteScorer(url, max_retries=0).score(ScorerRequest(image="a.jpg", prompt_id="Q2"))
+
+
+@pytest.mark.parametrize(
+    "reply, error",
+    [
+        (b"HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\n\r\n", "unexpected status 404"),
+        (b"HTTP/1.1 204 No Content\r\n\r\n", "unexpected status 204"),  # a reply with no body
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello", "response is not JSON"),
+    ],
+    ids=["404", "204", "not-json"],
+)
+def test_remote_reply_outside_the_contract_is_a_protocol_error(raw_server, reply, error):
+    url, handler = raw_server
+    handler.reply = lambda body: (reply, False)
+    with pytest.raises(ProtocolError, match=error):
+        RemoteScorer(url, max_retries=2).score(ScorerRequest(image="a.jpg", prompt_id="Q2"))
+    assert len(handler.requests) == 1  # not retried
 
 
 def _post_with_http_client(route, body: bytes) -> None:
@@ -750,10 +770,17 @@ def test_remote_skips_proxy_for_no_proxy_hosts(no_proxy_env, stub_server):
     assert scorer.score(ScorerRequest(image="a.jpg", prompt_id="Q12")).score == 7
 
 
-@pytest.mark.parametrize("proxy", ["https://127.0.0.1:3128", "socks5://127.0.0.1:1080"])
+PROXIES = {
+    "https://127.0.0.1:3128": "must be an http:// URL",
+    "socks5://127.0.0.1:1080": "must be an http:// URL",
+    "http://proxy:abc": "is not a valid URL",
+}
+
+
+@pytest.mark.parametrize("proxy", PROXIES)
 def test_remote_rejects_a_proxy_it_cannot_use(no_proxy_env, proxy):
     no_proxy_env.setenv("http_proxy", proxy)
-    with pytest.raises(ConfigError, match="must be an http:// URL"):
+    with pytest.raises(ConfigError, match=PROXIES[proxy]):
         RemoteScorer("http://127.0.0.1:9/score")
 
 
@@ -773,10 +800,17 @@ def test_remote_sends_netrc_credentials_read_at_construction(tmp_path, monkeypat
     RemoteScorer(url).score(ScorerRequest(image="a.jpg", prompt_id="Q12"))
     user_url = url.replace("//", "//carl:pw@")
     RemoteScorer(user_url).score(ScorerRequest(image="a.jpg", prompt_id="Q12"))
+    # A netrc without the host, and one that does not parse, give no credentials.
+    monkeypatch.setenv("NETRC", str(netrc))
+    for text in ("machine example.org login dan password x\n", "bogus 127.0.0.1\n"):
+        netrc.write_text(text)
+        RemoteScorer(url).score(ScorerRequest(image="a.jpg", prompt_id="Q12"))
     assert _auth_headers(handler) == [
         "Basic " + base64.b64encode(b"ann:s3cret").decode(),
         None,
         "Basic " + base64.b64encode(b"carl:pw").decode(),
+        None,
+        None,
     ]
 
 
@@ -794,7 +828,7 @@ def clean_tls_env(no_proxy_env):
 
 @pytest.mark.parametrize("variable", ["REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"])
 def test_remote_https_verifies_with_the_ca_bundle_read_at_construction(
-    clean_tls_env, tls_stub_server, variable
+    tmp_path, clean_tls_env, tls_stub_server, variable
 ):
     url, handler = tls_stub_server
     request = ScorerRequest(image="a.jpg", prompt_id="Q12")
@@ -803,7 +837,11 @@ def test_remote_https_verifies_with_the_ca_bundle_read_at_construction(
     clean_tls_env.delenv(variable)
     assert scorer.score_many([request] * 3)[0].score == 7
     assert scorer.score(request).score == 7
-    # Without the bundle the self-signed certificate fails verification.
+    # Without the bundle the self-signed certificate fails verification, and
+    # so it does with a CA directory that lacks it.
+    with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
+        RemoteScorer(url, max_retries=0).score(request)
+    clean_tls_env.setenv(variable, str(tmp_path))
     with pytest.raises(TransportError, match="CERTIFICATE_VERIFY_FAILED"):
         RemoteScorer(url, max_retries=0).score(request)
     assert len(handler.calls) == 4
@@ -962,8 +1000,9 @@ def test_replay_log_with_a_logits_record_still_replays_the_others(tmp_path):
         '{"key": "a.jpg|Q2|direct", "body": {"mode": "direct", "score": 3}}',
         '{"key": 7, "body": "{}"}',
         '{"body": "{}"}',
+        "{not json",
     ],
-    ids=["array", "string", "object-body", "number-key", "no-key"],
+    ids=["array", "string", "object-body", "number-key", "no-key", "not-json"],
 )
 def test_replay_bad_record_is_protocol_error_naming_its_line(tmp_path, record):
     log = tmp_path / "log.jsonl"
@@ -971,6 +1010,14 @@ def test_replay_bad_record_is_protocol_error_naming_its_line(tmp_path, record):
     log.write_text(f"{good}\n\n{record}\n")
     with pytest.raises(ProtocolError, match=re.escape(f"{log}:3: bad replay record")):
         ReplayScorer(log)
+
+
+def test_replay_body_that_is_not_json_is_protocol_error(tmp_path):
+    log = tmp_path / "log.jsonl"
+    log.write_text(json.dumps({"key": "a.jpg|Q3|direct", "body": "{not json"}) + "\n")
+    replay = ReplayScorer(log)
+    with pytest.raises(ProtocolError, match=re.escape("body for 'a.jpg|Q3|direct' is not JSON")):
+        replay.score(ScorerRequest(image="a.jpg", prompt_id="Q3"))
 
 
 def test_remote_record_log_appears_with_its_first_record(tmp_path, stub_server):

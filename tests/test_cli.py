@@ -369,7 +369,10 @@ def test_score_unusable_backend_settings_exit_1(tmp_path, setting, capsys):
     assert setting.split()[0] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("endpoint", ["foo", "ftp://x/score", "http://"])
+# The fourth does not parse as a URL; the fifth has a host label longer than IDNA allows.
+@pytest.mark.parametrize(
+    "endpoint", ["foo", "ftp://x/score", "http://", "http://[::1", "http://" + "\u00e9" * 64]
+)
 def test_score_malformed_endpoint_exits_1_without_a_request(
     tmp_path, capsys, monkeypatch, endpoint
 ):
@@ -424,6 +427,36 @@ def test_output_dir_that_cannot_be_looked_up_or_made_exits_1(tmp_path, capsys, m
     out = tmp_path / "out"
     assert run(["select", areas[0], "--output-dir", out]) == 1
     assert f"--output-dir {out}: Permission denied" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command,blocked",
+    [
+        ("score", "area_000_scored.json"),
+        ("select", "area_000_selection.csv"),
+        ("update", "area_000_fused.json"),
+        ("evaluate", "evaluation.csv"),
+        ("simulate", "area_000.json"),
+    ],
+)
+def test_output_file_that_cannot_be_written_exits_1(tmp_path, capsys, command, blocked):
+    areas = simulate(tmp_path, maps_per_area=2)
+    script = tmp_path / "noop.json"
+    script.write_text("[]")
+    args = {
+        "score": [areas[0]],
+        "select": [areas[0]],
+        "update": [areas[0], script],
+        "evaluate": [areas[0], "--policies", "band"],
+        "simulate": [small_synth_config(tmp_path)],
+    }[command]
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    capsys.readouterr()
+    assert run([command, *args, "--output-dir", out]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {out / blocked}: cannot write: Is a directory\n"
+    assert sorted(p.name for p in out.iterdir()) == [blocked]
 
 
 def test_select_band_and_k_cap(tmp_path):
@@ -578,8 +611,9 @@ def test_update_unknown_lane_exits_2(tmp_path):
         ({"op": "shift", "lane_id": "lane_00", "dX": 0.5}, "operation 1: unknown key 'dX'"),
         ({"op": "delete", "lane_id": 7}, "operation 1: lane_id must be a string, got 7"),
         ({"op": "add", "lane_a": "lane_00", "lane_b": None}, "operation 1: lane_b must be a string"),
+        (5, "operation 1 must be a JSON object"),
     ],
-    ids=["misspelt-key", "number-lane-id", "null-lane-id"],
+    ids=["misspelt-key", "number-lane-id", "null-lane-id", "number-operation"],
 )
 def test_update_script_key_faults_exit_2_before_any_output(tmp_path, capsys, operation, message):
     areas = simulate(tmp_path, maps_per_area=2)
@@ -768,6 +802,7 @@ def test_simulate_missing_config_exits_1(tmp_path):
         {"link_area": 2},
         {"scenarios": [{"name": "x", "sigmaa": 0.1}]},
         {"scenarios": [{"name": "x", "factors": {"glare": [1, 2]}}]},
+        {"scenarios": 5},
     ],
 )
 def test_simulate_malformed_synth_config_exits_1(tmp_path, doc, capsys):
@@ -811,6 +846,46 @@ def test_update_area_without_truth_exits_2(tmp_path):
     script = tmp_path / "noop2.json"
     script.write_text("[]")
     assert run(["update", bare, script, "--output-dir", tmp_path]) == 2
+
+
+# (truth lanes, or None to keep them; an edit of every map's lanes; the error line)
+UNFUSABLE = {
+    "two_points": (
+        None,
+        lambda lanes: [{"lane_id": "l", "points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]}],
+        r"link area 'area_000': map 'area_000_map_0\d': source has fewer than 3 points; "
+        r"cannot align",
+    ),
+    "shift_1km": (
+        None,
+        lambda lanes: _offset(lanes, 1000.0, 0.0),
+        r"link area 'area_000': map 'area_000_map_0\d': only 0 correspondences within 2\.0 m .*",
+    ),
+    "no_points": ([], lambda lanes: [], "no lane points to fuse"),
+    "short_truth": (
+        [{"lane_id": "g", "points": [[0.0, 0.0, 0.0], [0.3, 0.0, 0.0]]}],
+        lambda lanes: [],
+        "clustering left no lane-sized groups",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNFUSABLE)
+def test_update_that_cannot_fuse_exits_2_naming_the_fault(tmp_path, capsys, case):
+    truth, edit, fault = UNFUSABLE[case]
+    areas = simulate(tmp_path, maps_per_area=2)
+    doc = json.loads(areas[0].read_text())
+    if truth is not None:
+        doc["ground_truth"] = truth
+    for local_map in doc["local_maps"]:
+        local_map["lane_lines"] = edit(local_map["lane_lines"])
+    areas[0].write_text(json.dumps(doc))
+    script = tmp_path / "noop.json"
+    script.write_text("[]")
+    capsys.readouterr()
+    assert run(["update", areas[0], script, "--output-dir", tmp_path / "out"]) == 2
+    assert re.fullmatch(f"input error: {fault}\n", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_six_by_five_under_ten_seconds(tmp_path):

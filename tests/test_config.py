@@ -151,6 +151,7 @@ sigma = 0.3
         # A factor name that is not one, and a weight profile without factors.
         "[context.x]\nfactors = bogus\n",
         "[weights.x]\nlane_weight = 1.0\n",
+        "[pipeline]\nmethod = gcs\n[pipeline]\nmethod = dpcs\n",
     ],
 )
 def test_rejects_bad_values(tmp_path, body):
@@ -216,6 +217,8 @@ def test_readme_example_loads(tmp_path):
 def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_pipeline_config(tmp_path / "ghost.ini")
+    with pytest.raises(ConfigError, match="Is a directory"):  # nor is a directory one
+        load_pipeline_config(tmp_path)
 
 
 def test_unknown_scenario_reported_at_use():

@@ -206,6 +206,11 @@ def test_modify_add_degenerate_pair():
     # a nonzero offset keeps it legal
     out = modify_add(dup, "lane_00", "copy", offset=0.2)
     assert any(l.lane_id.startswith("add_") for l in out.lane_lines)
+    # A lane and its reverse: every midpoint is the same point, with no direction.
+    reverse = LaneLine("rev", m.lane_lines[0].points[::-1])
+    rev = LocalMap("m3", "link", lane_lines=m.lane_lines + [reverse])
+    with pytest.raises(DegenerateGeometryError, match="zero-length tangent"):
+        modify_add(rev, "lane_00", "rev", offset=0.2)
 
 
 def test_resample_preserves_endpoints_and_arc_spacing():

@@ -2,7 +2,8 @@
 
 Each reader of a JSON document (area files, the synth config, modification
 scripts, scorer responses) passes its numbers through ``scoring.exact_int`` or
-``scoring.finite_number``. A bool, a numeral string, NaN or an infinity is
+``scoring.finite_number``; the area reader checks lane coordinates a lane at a
+time by the same rule. A bool, a numeral string, NaN or an infinity is
 rejected with the reader's own error class, and the message names the field.
 Each parameter object and setting check reads its numbers through
 ``scoring.bounded_number``, which adds the setting's lower bound.
@@ -46,6 +47,8 @@ from replaylog import write_replay_log
 
 # Python's JSON encoder writes NaN and Infinity, and its decoder reads them.
 BAD_VALUES = {"bool": True, "numeral-string": "3", "nan": math.nan, "infinity": math.inf}
+# The y of point 1 of lane l0, as the area reader names it.
+COORDINATE = "point 1 of lane 'l0': point component y"
 
 
 def _area_doc(image: dict) -> dict:
@@ -70,8 +73,13 @@ def _write(tmp_path, name, doc):
 
 
 def read_area(tmp_path, field, value):
-    image = {"factor_scores": {field: value}} if field == "blur_day" else {field: value}
-    load_link_area(_write(tmp_path, "area.json", _area_doc(image)))
+    if field == COORDINATE:
+        doc = _area_doc({})
+        doc["local_maps"][0]["lane_lines"][0]["points"][1][1] = value
+    else:
+        image = {"factor_scores": {field: value}} if field == "blur_day" else {field: value}
+        doc = _area_doc(image)
+    load_link_area(_write(tmp_path, "area.json", doc))
 
 
 def read_synth(tmp_path, field, value):
@@ -106,7 +114,8 @@ def read_response(tmp_path, field, value):
 # (reader, field, error class); the message must name the field.
 FIELDS = [
     *[(read_area, field, MapValidationError)
-      for field in ("timestamp", "blur_day", "lane_visibility", "lane_confidence", "confidence")],
+      for field in ("timestamp", "blur_day", "lane_visibility", "lane_confidence", "confidence",
+                    COORDINATE)],
     *[(read_synth, field, ConfigError)
       for field in ("seed", "link_areas", "maps_per_area", "lanes_per_area", "images_per_map",
                     "lane_spacing", "lane_length", "point_spacing", "sigma", "rain")],
@@ -125,6 +134,20 @@ def test_json_number_rule(tmp_path, reader, field, error, value):
         reader(tmp_path, field, value)
     assert type(info.value) is error
     assert field in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "text", ["true", '"3"', "NaN", "Infinity", "null", "1e400", "1" + "0" * 400]
+)
+def test_lane_coordinate_faults_name_the_point_the_lane_and_the_component(tmp_path, text):
+    # Written as JSON text: json.dumps writes neither 1e400 nor a bare NaN in a row.
+    points = f"[[0.0, 0.0, 0.0], [1.0, {text}, 0.0]]"
+    body = json.dumps(_area_doc({})).replace("[[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]", points)
+    path = tmp_path / "area.json"
+    path.write_text(body)
+    with pytest.raises(MapValidationError) as info:
+        load_link_area(path)
+    assert str(info.value).startswith(f"{path}: at map[m0]: {COORDINATE}")
 
 
 def test_score_replay_nan_score_exits_3_without_a_traceback(tmp_path, capsys):

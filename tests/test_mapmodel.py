@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lanefuse.errors import (
+    ConfigError,
     EmptyInputError,
     InvalidInputError,
     MapParseError,
@@ -24,7 +25,6 @@ from lanefuse.mapmodel import (
     area_to_dict,
     atomic_writer,
     average_confidence,
-    check_lane_points,
     load_link_area,
     load_local_map,
     save_link_area,
@@ -74,7 +74,8 @@ def test_an_int_beyond_the_float_range_is_not_finite(big, shown):
         Point3(0.0, big)
     with pytest.raises(InvalidInputError) as lane:
         LaneLine("l", [[0.0, 0.0, 0.0], (1.0, big, 0.0)])
-    assert str(point.value) == str(lane.value) == message
+    assert str(point.value) == message
+    assert str(lane.value) == f"point 1 of lane 'l': {message}"
 
 
 def test_lane_needs_two_distinct_points():
@@ -85,29 +86,31 @@ def test_lane_needs_two_distinct_points():
 
 
 @pytest.mark.parametrize(
-    "rows",
+    "rows,expected",
     [
-        [[0.0, 1.0, 2.0], [1.0, float("inf"), float("nan")]],
-        [[0.0, 1.0, float("-inf")], [float("nan"), 1.0, 2.0]],
-        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [2.0, 0.0, 0.0]],
-        [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 1e-12]],
-        [[0.0, 1.0, 2.0]],
-        [],
-        [[0.0, float("nan"), 2.0]],
+        ([[0.0, 1.0, 2.0], [1.0, float("inf"), float("nan")]],
+         (InvalidInputError, "point 1 of lane 'l': point component y=inf not finite")),
+        ([[0.0, 1.0, float("-inf")], [float("nan"), 1.0, 2.0]],
+         (InvalidInputError, "point 0 of lane 'l': point component z=-inf not finite")),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, -0.0, 0.0], [2.0, 0.0, 0.0]],
+         (MapValidationError, "lane 'l' has two identical consecutive points")),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 1e-12]], None),
+        ([[0.0, 1.0, 2.0]], (MapValidationError, "lane 'l' needs >= 2 points, got 1")),
+        ([], (MapValidationError, "lane 'l' needs >= 2 points, got 0")),
+        ([[0.0, float("nan"), 2.0]],
+         (InvalidInputError, "point 0 of lane 'l': point component y=nan not finite")),
     ],
 )
-def test_check_lane_points_raises_as_lane_construction_does(rows):
-    def outcome(check):
+def test_lane_checks_its_points_in_order(rows, expected):
+    # Non-finite components first, in row-major order; then length; then repeats.
+    def outcome(points):
         try:
-            check()
+            LaneLine("l", points)
         except (InvalidInputError, MapValidationError) as exc:
             return type(exc), str(exc)
         return None
 
-    pts = np.array(rows)
-    expected = outcome(lambda: LaneLine("l", [Point3(*row) for row in pts]))
-    assert outcome(lambda: check_lane_points("l", pts)) == expected
-    assert outcome(lambda: LaneLine("l", pts)) == expected
+    assert outcome(rows) == outcome(np.array(rows)) == expected
 
 
 def test_lane_points_are_a_read_only_copy():
@@ -245,8 +248,8 @@ NAN = float("nan")
     [
         (
             [[0.0, 0.0, 0.0], [1.0, "a", 0.0]],
-            MapParseError,
-            "at map[m0]: point 1 of lane 'l0' has non-numeric parts",
+            MapValidationError,
+            "at map[m0]: point 1 of lane 'l0': point component y must be a number, got 'a'",
         ),
         (
             [[0.0, 0.0, 0.0], [1.0, 0.0]],
@@ -265,23 +268,24 @@ NAN = float("nan")
         ),
         (
             [[0.0, None, 0.0], [1.0, 0.0, 0.0]],
-            MapParseError,
-            "at map[m0]: point 0 of lane 'l0' has non-numeric parts",
+            MapValidationError,
+            "at map[m0]: point 0 of lane 'l0': point component y must be a number, got None",
         ),
+        # A row that is not three numbers is reported before a non-finite one.
         (
             [[0.0, 0.0, float("inf")], [1.0, "a", 0.0]],
             MapValidationError,
-            "at map[m0]: point 0 of lane 'l0': point component z=inf not finite",
+            "at map[m0]: point 1 of lane 'l0': point component y must be a number, got 'a'",
         ),
         (
             [["a", NAN, 0.0], [1.0, 0.0, 0.0]],
-            MapParseError,
-            "at map[m0]: point 0 of lane 'l0' has non-numeric parts",
+            MapValidationError,
+            "at map[m0]: point 0 of lane 'l0': point component x must be a number, got 'a'",
         ),
         (
             [[NAN, 0.0, 0.0], [1.0, 0.0]],
-            MapValidationError,
-            "at map[m0]: point 0 of lane 'l0': point component x=nan not finite",
+            MapParseError,
+            "at map[m0]: point 1 of lane 'l0' must be [x, y, z]",
         ),
         # An integer beyond the float range is an infinity, as finite_number reads it.
         (
@@ -307,13 +311,25 @@ def test_load_errors_name_the_point(tmp_path, points, error, message):
     assert str(info.value) == f"{path}: {message}"
 
 
-def test_load_reads_numeral_strings_as_float_does(tmp_path):
+def test_load_rejects_numeral_strings_and_bools_as_coordinates(tmp_path):
+    # JSON integers of any size within the float range load as float does.
     doc = area_to_dict(area())
-    doc["local_maps"][0]["lane_lines"][0]["points"] = [["0.5", "1", 2], [True, 0, 10**30]]
+    lane = doc["local_maps"][0]["lane_lines"][0]
+    lane["points"] = [[0.5, 1, 2], [1, 0, 10**30]]
     path = tmp_path / "numerals.json"
     path.write_text(json.dumps(doc))
-    loaded = load_link_area(path).local_maps[0].lane_lines[0].points
-    assert loaded.tolist() == [[0.5, 1.0, 2.0], [1.0, 0.0, 1e30]]
+    assert load_link_area(path).local_maps[0].lane_lines[0].points.tolist() == [
+        [0.5, 1.0, 2.0], [1.0, 0.0, 1e30]
+    ]
+    for row, shown in (["0.5", "1", 2], "'0.5'"), ([True, 0, 10**30], "True"):
+        lane["points"] = [[0, 0, 0], row]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MapValidationError) as info:
+            load_link_area(path)
+        assert str(info.value) == (
+            f"{path}: at map[m0]: point 1 of lane 'l0': point component x must be a number, "
+            f"got {shown}"
+        )
 
 
 @pytest.mark.parametrize(
@@ -560,10 +576,19 @@ def test_atomic_writer_failed_block_leaves_target_and_no_temp_file(tmp_path):
 def test_atomic_writer_failed_rename_leaves_no_temp_file(tmp_path):
     path = tmp_path / "out"
     path.mkdir()
-    with pytest.raises(IsADirectoryError):
+    with pytest.raises(ConfigError) as info:
         with atomic_writer(path) as fh:
             fh.write("text")
+    assert str(info.value) == f"{path}: cannot write: Is a directory"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    # A temp file that cannot be opened: the block never runs, and nothing is removed.
+    target = tmp_path / "kept.txt"
+    target.write_bytes(b"old\n")
+    (tmp_path / "kept.txt.tmp").mkdir()
+    with pytest.raises(ConfigError, match="kept.txt: cannot write: Is a directory"):
+        with atomic_writer(target):
+            raise AssertionError("the block ran")
+    assert target.read_bytes() == b"old\n" and (tmp_path / "kept.txt.tmp").is_dir()
 
 
 def test_scores_csv_layout(tmp_path):
