@@ -5,8 +5,10 @@ list[ScorerResponse]``, answers in request order; ``score(request)`` is a
 batch of one.
 A request pairs an image reference with a prompt from the fixed catalog and
 asks for one of two answer shapes: a direct integer score for a factor's
-prompt, or the lane-clarity logit for the clarity probe.
-The synthetic scorer's ``Scenario``, the standard ladder of them and
+prompt, or the lane-clarity logit for the clarity probe, which alone answers
+lane visibility.
+The synthetic scorer's ``Scenario`` (a range per factor plus the clarity
+probe's lane visibility range), the standard ladder of them and
 ``scenario_from_mapping`` (for the INI and JSON configs) live here too.
 """
 
@@ -21,7 +23,7 @@ import os
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -50,8 +52,9 @@ if TYPE_CHECKING:
     import http.client
     import ssl
 
-# Task-guided question catalog. Q1 is the free-form scene description and is
-# not bound to any factor; Q2..Q12 each drive exactly one factor score.
+# Task-guided question catalog. Q2..Q11 each drive exactly one factor score.
+# Q1, the free-form scene description, and Q12, the overall lane visibility
+# rating, are bound to no factor: lane visibility comes from the clarity probe.
 PROMPT_TEXTS: dict[str, str] = {
     "Q1": (
         "Provide a detailed description of the scene in the image, focusing on "
@@ -116,7 +119,7 @@ LANE_CLARITY_PROMPT = (
     "(completely invisible) to 1 (fully visible)."
 )
 
-# Each factor's prompt: every factor bound, to distinct prompts, Q1 to none.
+# Each factor's prompt: every factor bound, to distinct prompts; Q1 and Q12 to none.
 FACTOR_PROMPTS: dict[FactorKind, str] = {
     FactorKind.BLUR_DAY: "Q2",
     FactorKind.BLUR_NIGHT: "Q3",
@@ -128,7 +131,6 @@ FACTOR_PROMPTS: dict[FactorKind, str] = {
     FactorKind.SANDSTORM: "Q9",
     FactorKind.DEGRADATION: "Q10",
     FactorKind.OCCLUSION: "Q11",
-    FactorKind.LANE_VISIBILITY: "Q12",
 }
 
 # Every prompt a request may name, by id: the catalog plus the clarity probe.
@@ -194,24 +196,26 @@ def parse_response(data: dict, expected_mode: str, *, source: str = "backend") -
 
 @dataclass(frozen=True)
 class Scenario:
-    """Declared truth for synthetic scoring: per-factor score ranges and the
-    geometric noise that goes with them."""
+    """Declared truth for synthetic scoring: per-factor score ranges, the lane
+    visibility range the clarity probe answers from, and the geometric noise
+    that goes with them. An unnamed factor, and an unset visibility, is 0."""
 
     name: str
-    factor_ranges: Mapping[FactorKind, tuple[int, int]]
+    factor_ranges: Mapping[FactorKind, tuple[int, int]] = field(default_factory=dict)
     noise_sigma: float = 0.0
+    visibility: tuple[int, int] = (0, 0)
+
+    def _range(self, key: str, bounds) -> tuple[int, int]:
+        where = f"scenario {self.name!r}: {key} range"
+        lo, hi = (exact_int(v, where) for v in bounds)
+        if not (0 <= lo <= hi <= 10):
+            raise InvalidInputError(f"scenario {self.name!r}: bad range {lo}..{hi} for {key}")
+        return lo, hi
 
     def __post_init__(self):
-        ranges = {}
-        for factor, (lo, hi) in dict(self.factor_ranges).items():
-            where = f"scenario {self.name!r}: {factor.key} range"
-            lo, hi = exact_int(lo, where), exact_int(hi, where)
-            if not (0 <= lo <= hi <= 10):
-                raise InvalidInputError(
-                    f"scenario {self.name!r}: bad range {lo}..{hi} for {factor.key}"
-                )
-            ranges[factor] = (lo, hi)
+        ranges = {f: self._range(f.key, r) for f, r in dict(self.factor_ranges).items()}
         object.__setattr__(self, "factor_ranges", ranges)
+        object.__setattr__(self, "visibility", self._range("lane_visibility", self.visibility))
         sigma = bounded_number(self.noise_sigma, "noise_sigma", 0.0)
         object.__setattr__(self, "noise_sigma", sigma)
 
@@ -223,51 +227,35 @@ class Scenario:
 # so confidence ranking reproduces the noise ordering; sigma grows as
 # conditions worsen, which is what ties confidence to geometric quality.
 STANDARD_SCENARIOS: tuple[Scenario, ...] = (
-    Scenario(
-        name="pristine",
-        factor_ranges={FactorKind.LANE_VISIBILITY: (9, 10)},
-        noise_sigma=0.05,
-    ),
+    Scenario(name="pristine", visibility=(9, 10), noise_sigma=0.05),
     Scenario(
         name="clean",
-        factor_ranges={
-            FactorKind.LANE_VISIBILITY: (9, 9),
-            FactorKind.BLUR_DAY: (0, 1),
-            FactorKind.ILLUMINATION: (0, 1),
-        },
+        visibility=(9, 9),
+        factor_ranges={FactorKind.BLUR_DAY: (0, 1), FactorKind.ILLUMINATION: (0, 1)},
         noise_sigma=0.055,
     ),
     Scenario(
         name="bright",
-        factor_ranges={
-            FactorKind.LANE_VISIBILITY: (8, 8),
-            FactorKind.BLUR_DAY: (0, 2),
-            FactorKind.ILLUMINATION: (1, 2),
-        },
+        visibility=(8, 8),
+        factor_ranges={FactorKind.BLUR_DAY: (0, 2), FactorKind.ILLUMINATION: (1, 2)},
         noise_sigma=0.06,
     ),
     Scenario(
         name="hazy",
-        factor_ranges={
-            FactorKind.LANE_VISIBILITY: (6, 7),
-            FactorKind.BLUR_DAY: (1, 3),
-            FactorKind.ILLUMINATION: (2, 4),
-        },
+        visibility=(6, 7),
+        factor_ranges={FactorKind.BLUR_DAY: (1, 3), FactorKind.ILLUMINATION: (2, 4)},
         noise_sigma=0.2,
     ),
     Scenario(
         name="worn",
-        factor_ranges={
-            FactorKind.LANE_VISIBILITY: (5, 6),
-            FactorKind.BLUR_DAY: (2, 4),
-            FactorKind.DEGRADATION: (2, 5),
-        },
+        visibility=(5, 6),
+        factor_ranges={FactorKind.BLUR_DAY: (2, 4), FactorKind.DEGRADATION: (2, 5)},
         noise_sigma=0.24,
     ),
     Scenario(
         name="murky",
+        visibility=(3, 4),
         factor_ranges={
-            FactorKind.LANE_VISIBILITY: (3, 4),
             FactorKind.BLUR_DAY: (4, 6),
             FactorKind.ILLUMINATION: (4, 6),
             FactorKind.OCCLUSION: (2, 4),
@@ -276,8 +264,8 @@ STANDARD_SCENARIOS: tuple[Scenario, ...] = (
     ),
     Scenario(
         name="night-storm",
+        visibility=(1, 3),
         factor_ranges={
-            FactorKind.LANE_VISIBILITY: (1, 3),
             FactorKind.BLUR_NIGHT: (5, 8),
             FactorKind.RAIN: (5, 8),
             FactorKind.FOG: (3, 6),
@@ -290,11 +278,14 @@ SCENARIOS_BY_NAME: dict[str, Scenario] = {s.name: s for s in STANDARD_SCENARIOS}
 
 
 def scenario_from_mapping(name: str, ranges: Mapping, sigma: float, where: str) -> Scenario:
-    """A Scenario from {factor key: (lo, hi)} and a noise sigma, for the INI and
-    the JSON config alike; a bad value is a ConfigError prefixed by ``where``."""
+    """A Scenario from {factor key: (lo, hi)}, where the key ``lane_visibility``
+    gives the visibility range, and a noise sigma, for the INI and the JSON
+    config alike; a bad value is a ConfigError prefixed by ``where``."""
+    ranges = dict(ranges)
+    visibility = ranges.pop("lane_visibility", (0, 0))
     try:
         factor_ranges = {FACTOR_BY_KEY[key]: r for key, r in ranges.items()}
-        return Scenario(name=name, factor_ranges=factor_ranges, noise_sigma=sigma)
+        return Scenario(name, factor_ranges, sigma, visibility)
     except KeyError as exc:
         raise ConfigError(f"{where}: unknown factor {exc}")
     except InvalidInputError as exc:
@@ -335,8 +326,7 @@ def synthetic_score(
     a factor's prompt. Any other mode is an InvalidInputError.
     """
     if mode == "clarity":
-        bounds = scenario.range_for(FactorKind.LANE_VISIBILITY)
-        target = _draw(bounds, seed, image_id, prompt_id)
+        target = _draw(scenario.visibility, seed, image_id, prompt_id)
         return ScorerResponse(mode="clarity", l_clear=_clarity_logit(target), model="synthetic")
     if mode != "direct":
         raise InvalidInputError(f"unknown request mode {mode!r}")
@@ -948,7 +938,7 @@ def collect_assessments(
     given, then the lane-clarity probe, which answers lane visibility. The
     answers are folded per image, in the order given.
     """
-    factors = [f for f in factors if f is not FactorKind.LANE_VISIBILITY]
+    factors = list(factors)
     batch = []
     for image_id, _ in images:
         batch += [ScorerRequest(image_id, FACTOR_PROMPTS[f]) for f in factors]

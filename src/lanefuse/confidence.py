@@ -1,7 +1,8 @@
 """Per-image confidence: piecewise (DPCS) and general (GCS) scoring.
 
-Both scores combine the lane visibility score S_L with a weighted deduction
-over the other factor severities. DPCS switches behaviour on S_L bands so a
+Both scores combine the lane visibility score S_L (from the clarity probe,
+not a factor, so no context turns it off) with a weighted deduction over the
+ten degradation factor severities. DPCS switches behaviour on S_L bands so a
 mid-visibility image is judged on visibility alone, while GCS applies one
 formula everywhere. Inactive factors (per context) contribute nothing.
 """
@@ -62,11 +63,7 @@ class ContextProfile:
     active_factors: frozenset[FactorKind]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "active_factors",
-            frozenset(self.active_factors) | {FactorKind.LANE_VISIBILITY},
-        )
+        object.__setattr__(self, "active_factors", frozenset(self.active_factors))
 
     def is_active(self, factor: FactorKind) -> bool:
         return factor in self.active_factors

@@ -4,7 +4,8 @@ Sections: ``[pipeline]`` picks profiles/backend/method, ``[icp]``,
 ``[dbscan]`` and ``[selection]`` override algorithm parameters,
 ``[backend]`` configures the scorer client, ``[weights.NAME]`` /
 ``[context.NAME]`` define profiles, and ``[scenario.NAME]`` declares
-synthetic-scorer scenarios (factor ranges as ``lo:hi`` plus ``sigma``).
+synthetic-scorer scenarios (``lane_visibility`` and factor ranges as
+``lo:hi`` plus ``sigma``). A context names degradation factors only.
 Unknown sections and keys are rejected; values are literal (no ``%``).
 """
 
@@ -125,7 +126,9 @@ _KEYS = {
     "selection": {"k_cap": lambda text: json_number(text) if text else None},
     "weights.": {"lane_weight": json_number, **{f.key: json_number for f in DEGRADATION_FACTORS}},
     "context.": {"factors": _factor_set},
-    "scenario.": {"sigma": json_number, **{key: _range for key in FACTOR_BY_KEY}},
+    "scenario.": {
+        "sigma": json_number, **dict.fromkeys(["lane_visibility", *FACTOR_BY_KEY], _range)
+    },
 }
 
 

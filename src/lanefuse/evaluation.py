@@ -234,7 +234,7 @@ def load_synth_config(path) -> SynthConfig:
         scenarios.append(scenario_from_mapping(name, factors, raw.get("sigma", 0.0), where))
     try:
         kwargs = {key: data[key] for key in _SYNTH_BOUNDS if key in data}
-        if scenarios:
+        if "scenarios" in data:
             kwargs["degradation_scenarios"] = tuple(scenarios)
         return SynthConfig(**kwargs)
     except InvalidInputError as exc:
@@ -248,7 +248,10 @@ def synth_config_to_dict(cfg: SynthConfig) -> dict:
             {
                 "name": s.name,
                 "sigma": s.noise_sigma,
-                "factors": {f.key: list(r) for f, r in s.factor_ranges.items()},
+                "factors": {
+                    "lane_visibility": list(s.visibility),
+                    **{f.key: list(r) for f, r in s.factor_ranges.items()},
+                },
             }
             for s in cfg.degradation_scenarios
         ],

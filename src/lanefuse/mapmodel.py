@@ -277,22 +277,29 @@ def _image_from_dict(where: str, data: dict) -> ImageAssessment:
     scores: dict[FactorKind, int] = {}
     for key, value in raw_scores.items():
         factor = FACTOR_BY_KEY.get(key)
-        if factor is None or factor is FactorKind.LANE_VISIBILITY:
+        if factor is None:
             raise MapParseError(f"{where}: unknown factor {key!r}")
         scores[factor] = value
     return _build(where, ImageAssessment, **{**data, "factor_scores": scores})
 
 
-def _map_from_dict(source: str, data: dict, *, require_images: bool) -> LocalMap:
+def _map_from_dict(source: str, data: dict, *, link_id: str | None) -> LocalMap:
+    """A local map of the area ``link_id``, which must name that area and hold
+    image records; or, for ``link_id=None``, a standalone map (a fused map)."""
     map_id = _need(f"{source}: at <root>", data, "map_id", str)
     where = f"{source}: at map[{map_id}]"
     _reject_unknown(data, LocalMap, where)
     lanes = [_lane_from_dict(where, l) for l in _need(where, data, "lane_lines", list)]
     images = _of_kind(where, data.get("images", []), "images", list)
     images = [_image_from_dict(where, i) for i in images]
-    if require_images and not images:
+    if link_id is not None and not images:
         raise MapValidationError(f"{where}: local map has no image records")
     link_area_id = _of_kind(where, data.get("link_area_id", ""), "link_area_id", str)
+    if link_id is not None and data.get("link_area_id") != link_id:
+        found = f"got {link_area_id!r}" if "link_area_id" in data else "it is missing"
+        raise MapValidationError(
+            f"{where}: 'link_area_id' must be the area's link_id {link_id!r}, {found}"
+        )
     return _build(
         where, LocalMap, map_id=map_id, link_area_id=link_area_id, lane_lines=lanes, images=images
     )
@@ -307,7 +314,7 @@ def area_from_dict(data: dict, *, source: str = "<dict>") -> LinkArea:
         _lane_from_dict(at_truth, l) for l in _of_kind(at_truth, truth, "ground_truth", list)
     ]
     maps = [
-        _map_from_dict(source, m, require_images=True)
+        _map_from_dict(source, m, link_id=link_id)
         for m in _need(where, data, "local_maps", list)
     ]
     return _build(where, LinkArea, link_id=link_id, local_maps=maps, ground_truth=truth_lanes)
@@ -383,7 +390,7 @@ def save_local_map(local_map: LocalMap, path) -> None:
 
 
 def load_local_map(path) -> LocalMap:
-    return _map_from_dict(str(path), load_json(path), require_images=False)
+    return _map_from_dict(str(path), load_json(path), link_id=None)
 
 
 # --- scores CSV ------------------------------------------------------------

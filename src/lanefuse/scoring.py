@@ -3,8 +3,9 @@
 The scorer backends answer each factor with a direct integer score, taken
 as-is. A library caller may pass an 11-logit vector over the score levels
 0..10 instead; it runs through softmax, an expectation damped by the
-visibility weight and a ceiling step. Lane-marking clarity is a separate
-sigmoid-calibrated confidence that discretizes into the lane visibility score.
+visibility weight and a ceiling step. Lane-marking clarity is not a factor:
+it is a separate sigmoid-calibrated confidence that discretizes into the lane
+visibility score, a field of its own on ``ImageAssessment``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ SCORE_LEVELS = 11  # integer severity scale 0..10
 
 
 class FactorKind(Enum):
-    """The ten visibility-degradation factors plus lane visibility itself."""
+    """The ten visibility-degradation factors; the order fixes CSV column order."""
 
     BLUR_DAY = "blur_day"
     BLUR_NIGHT = "blur_night"
@@ -33,17 +34,13 @@ class FactorKind(Enum):
     SANDSTORM = "sandstorm"
     OCCLUSION = "occlusion"
     DEGRADATION = "degradation"
-    LANE_VISIBILITY = "lane_visibility"
 
     @property
     def key(self) -> str:
         return self.value
 
 
-# Every factor except lane visibility; the order fixes CSV column order.
-DEGRADATION_FACTORS: tuple[FactorKind, ...] = tuple(
-    f for f in FactorKind if f is not FactorKind.LANE_VISIBILITY
-)
+DEGRADATION_FACTORS: tuple[FactorKind, ...] = tuple(FactorKind)
 
 FACTOR_BY_KEY: dict[str, FactorKind] = {f.value: f for f in FactorKind}
 
@@ -223,10 +220,6 @@ class ImageAssessment:
         self.factor_scores = {
             k: _check_score(k.key, v) for k, v in self.factor_scores.items()
         }
-        if FactorKind.LANE_VISIBILITY in self.factor_scores:
-            raise InvalidInputError(
-                "lane_visibility is a dedicated field, not a factor score"
-            )
         if self.lane_visibility is not None:
             self.lane_visibility = _check_score("lane_visibility", self.lane_visibility)
         self.timestamp = finite_number(self.timestamp, "timestamp")
@@ -240,8 +233,6 @@ class ImageAssessment:
 
     def score_for(self, factor: FactorKind) -> int:
         """Severity for a factor; unscored or inactive factors count as 0."""
-        if factor is FactorKind.LANE_VISIBILITY:
-            return self.lane_visibility or 0
         return self.factor_scores.get(factor, 0)
 
 
@@ -267,8 +258,6 @@ def assess_image(
     w = vacw_weight(c_l)
     scores: dict[FactorKind, int] = {}
     for factor in factors:
-        if factor is FactorKind.LANE_VISIBILITY:
-            continue
         if factor not in backend_outputs:
             raise IncompleteAssessmentError(
                 f"no backend output for active factor '{factor.key}'"

@@ -52,10 +52,11 @@ from replaylog import write_replay_log
 
 F = FactorKind
 
-CLEAN = Scenario(name="clean", factor_ranges={F.LANE_VISIBILITY: (9, 10)})
+CLEAN = Scenario(name="clean", visibility=(9, 10))
 DEGRADED = Scenario(
     name="degraded",
-    factor_ranges={F.LANE_VISIBILITY: (2, 4), F.BLUR_DAY: (4, 6)},
+    visibility=(2, 4),
+    factor_ranges={F.BLUR_DAY: (4, 6)},
     noise_sigma=0.5,
 )
 
@@ -71,7 +72,8 @@ def test_catalog_invariants():
     assert len(PROMPT_TEXTS) == 12
     assert set(FACTOR_PROMPTS) == set(FactorKind)
     assert "Q1" not in FACTOR_PROMPTS.values()
-    assert len(set(FACTOR_PROMPTS.values())) == 11
+    assert "Q12" not in FACTOR_PROMPTS.values()
+    assert len(set(FACTOR_PROMPTS.values())) == 10
     assert set(FACTOR_PROMPTS.values()) <= set(PROMPT_TEXTS)
     assert LANE_CLARITY_PROMPT_ID not in PROMPT_TEXTS
 
@@ -112,7 +114,7 @@ def test_synthetic_respects_ranges_over_seed_sweep():
 def test_synthetic_answers_are_the_requests_seeded_draw():
     # Each answer is the draw of a generator seeded by the request's SHA-256;
     # a range of one value answers that value.
-    fixed = Scenario(name="fixed", factor_ranges={F.LANE_VISIBILITY: (3, 3), F.RAIN: (0, 10)})
+    fixed = Scenario(name="fixed", visibility=(3, 3), factor_ranges={F.RAIN: (0, 10)})
     rain = FACTOR_PROMPTS[F.RAIN]
     for k in range(30):
         digest = hashlib.sha256(f"7|img{k}|{rain}".encode()).digest()
@@ -136,6 +138,14 @@ def test_synthetic_answers_the_clarity_probe_only_in_clarity_mode():
     assert clarity.mode == "clarity"
 
 
+@pytest.mark.parametrize("prompt_id", ["Q1", "Q12"])
+def test_synthetic_direct_request_for_an_unbound_prompt_is_a_config_error(prompt_id):
+    # Q1 (scene description) and Q12 (overall lane visibility) name no
+    # factor; lane visibility is the clarity probe's answer.
+    with pytest.raises(ConfigError, match=f"{prompt_id!r} is not bound to a factor"):
+        synthetic_score(DEGRADED, 1, "img", prompt_id, "direct")
+
+
 def test_a_request_asks_for_a_direct_score_or_the_clarity_logit():
     assert backends.MODES == ("direct", "clarity")
     assert {f.name for f in dataclasses.fields(backends.ScorerResponse)} == {
@@ -150,7 +160,7 @@ def test_a_request_asks_for_a_direct_score_or_the_clarity_logit():
 
 
 def test_zero_lane_visibility_gives_the_saturated_clarity_logit():
-    blind = Scenario(name="blind", factor_ranges={F.LANE_VISIBILITY: (0, 0), F.RAIN: (3, 3)})
+    blind = Scenario(name="blind", visibility=(0, 0), factor_ranges={F.RAIN: (3, 3)})
     clarity = synthetic_score(blind, 0, "img", LANE_CLARITY_PROMPT_ID, "clarity")
     assert clarity.l_clear == -40.0
     assessment = collect_assessment(SyntheticScorer(blind), "img")

@@ -803,6 +803,7 @@ def test_simulate_missing_config_exits_1(tmp_path):
         {"scenarios": [{"name": "x", "sigmaa": 0.1}]},
         {"scenarios": [{"name": "x", "factors": {"glare": [1, 2]}}]},
         {"scenarios": 5},
+        {"scenarios": []},
     ],
 )
 def test_simulate_malformed_synth_config_exits_1(tmp_path, doc, capsys):

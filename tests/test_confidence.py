@@ -199,4 +199,4 @@ weights = heavy
     storm = cfg.contexts["storm"]
     assert storm.is_active(F.RAIN)
     assert not storm.is_active(F.BLUR_DAY)
-    assert storm.is_active(F.LANE_VISIBILITY)
+    assert storm.active_factors == {F.RAIN, F.SNOW, F.FOG, F.OCCLUSION}

@@ -98,7 +98,7 @@ sigma = 0.3
     dusty = cfg.scenario()
     assert dusty.noise_sigma == 0.3
     assert dusty.range_for(FactorKind.SANDSTORM) == (4, 8)
-    assert dusty.range_for(FactorKind.LANE_VISIBILITY) == (5, 7)
+    assert dusty.visibility == (5, 7)
 
 
 @pytest.mark.parametrize(
@@ -150,6 +150,8 @@ sigma = 0.3
         "[scenario.x]\nrain = 2.5:5\n",
         # A factor name that is not one, and a weight profile without factors.
         "[context.x]\nfactors = bogus\n",
+        # Lane visibility is not a factor a context can name: it always counts.
+        "[context.x]\nfactors = lane_visibility\n",
         "[weights.x]\nlane_weight = 1.0\n",
         "[pipeline]\nmethod = gcs\n[pipeline]\nmethod = dpcs\n",
     ],
@@ -158,6 +160,13 @@ def test_rejects_bad_values(tmp_path, body):
     path = tmp_path / "bad.ini"
     path.write_text(body)
     with pytest.raises(ConfigError):
+        load_pipeline_config(path)
+
+
+def test_context_naming_lane_visibility_names_it_as_unknown(tmp_path):
+    path = tmp_path / "ctx.ini"
+    path.write_text("[context.x]\nfactors = rain, lane_visibility\n")
+    with pytest.raises(ConfigError, match=r"\[context.x\] factors: unknown factor 'lane_visibility'"):
         load_pipeline_config(path)
 
 

@@ -315,9 +315,7 @@ def test_synth_same_seed_identical():
 
 
 def test_synth_zero_sigma_keeps_truth_geometry():
-    quiet = Scenario(
-        name="quiet", factor_ranges={F.LANE_VISIBILITY: (10, 10)}, noise_sigma=0.0
-    )
+    quiet = Scenario(name="quiet", visibility=(10, 10), noise_sigma=0.0)
     cfg = SynthConfig(
         seed=3,
         link_areas=1,
@@ -338,13 +336,13 @@ def test_synth_zero_sigma_keeps_truth_geometry():
 def test_synth_confidence_tracks_noise_over_seeds():
     clean = Scenario(
         name="clean",
-        factor_ranges={F.LANE_VISIBILITY: (9, 10)},
+        visibility=(9, 10),
         noise_sigma=0.05,
     )
     degraded = Scenario(
         name="degraded",
+        visibility=(2, 4),
         factor_ranges={
-            F.LANE_VISIBILITY: (2, 4),
             F.BLUR_DAY: (4, 7),
             F.ILLUMINATION: (4, 7),
         },
@@ -371,9 +369,14 @@ def test_synth_config_validation_and_roundtrip(tmp_path):
     path = tmp_path / "synth.json"
     import json
 
-    path.write_text(json.dumps(synth_config_to_dict(cfg)))
+    doc = synth_config_to_dict(cfg)
+    assert [next(iter(s["factors"])) for s in doc["scenarios"]] == ["lane_visibility"] * 7
+    path.write_text(json.dumps(doc))
     loaded = load_synth_config(path)
     assert loaded == cfg
+    assert [s.visibility for s in loaded.degradation_scenarios] == [
+        (9, 10), (9, 9), (8, 8), (6, 7), (5, 6), (3, 4), (1, 3)
+    ]
     with pytest.raises(ConfigError):
         load_synth_config(tmp_path / "absent.json")
     bad = tmp_path / "bad.json"
@@ -491,9 +494,7 @@ def test_prior_map_is_sparser_than_truth():
 
 
 def test_single_pristine_map_fuses_below_binning_resolution():
-    pristine = Scenario(
-        name="pristine", factor_ranges={F.LANE_VISIBILITY: (10, 10)}, noise_sigma=0.0
-    )
+    pristine = Scenario(name="pristine", visibility=(10, 10), noise_sigma=0.0)
     cfg = SynthConfig(
         seed=11,
         link_areas=1,
@@ -601,7 +602,8 @@ def test_table_renders_the_csv_rows_even_for_an_area_named_average():
 def test_threshold_policy_can_be_not_applicable():
     murky = Scenario(
         name="murky",
-        factor_ranges={F.LANE_VISIBILITY: (1, 2), F.BLUR_DAY: (6, 9)},
+        visibility=(1, 2),
+        factor_ranges={F.BLUR_DAY: (6, 9)},
         noise_sigma=0.3,
     )
     cfg = SynthConfig(
@@ -630,12 +632,11 @@ def test_experiment_requires_ground_truth():
 
 def test_seq1_beats_baseline_at_sigma_extremes():
     # one zero-noise map plus four high-noise maps, several seeds
-    quiet = Scenario(
-        name="quiet", factor_ranges={F.LANE_VISIBILITY: (10, 10)}, noise_sigma=0.0
-    )
+    quiet = Scenario(name="quiet", visibility=(10, 10), noise_sigma=0.0)
     loud = Scenario(
         name="loud",
-        factor_ranges={F.LANE_VISIBILITY: (4, 5), F.BLUR_DAY: (5, 8)},
+        visibility=(4, 5),
+        factor_ranges={F.BLUR_DAY: (5, 8)},
         noise_sigma=0.45,
     )
     for seed in range(5):

@@ -469,10 +469,22 @@ def _rename(pick, key, new_key):
             MapParseError,
             "at map[m0]: image 'm0_img': unknown key 'timestmp'",
         ),
+        # A map's link_area_id is the id of the area that holds it.
+        (
+            lambda d: d["local_maps"][1].pop("link_area_id"),
+            MapValidationError,
+            "at map[m1]: 'link_area_id' must be the area's link_id 'link0', it is missing",
+        ),
+        (
+            lambda d: d["local_maps"][1].update(link_area_id="link9"),
+            MapValidationError,
+            "at map[m1]: 'link_area_id' must be the area's link_id 'link0', got 'link9'",
+        ),
     ],
     ids=[
         "unknown-factor", "visibility-as-factor", "duplicate-lane", "duplicate-map",
         "area-key", "map-key", "lane-key", "truth-lane-key", "image-key",
+        "link-area-missing", "link-area-different",
     ],
 )
 def test_load_rejects_what_no_writer_emits(tmp_path, edit, error, message):
@@ -491,6 +503,17 @@ def test_load_local_map_rejects_an_unknown_key(tmp_path):
     with pytest.raises(MapParseError) as info:
         load_local_map(path)
     assert str(info.value) == f"{path}: at map[fused]: unknown key 'source'"
+
+
+def test_load_local_map_has_no_area_to_match(tmp_path):
+    # A standalone (fused) map belongs to no area file, so its link_area_id
+    # may be missing, and then reads as "".
+    path = tmp_path / "map.json"
+    save_local_map(LocalMap("fused", "link0", lane_lines=[lane()], images=[]), path)
+    doc = json.loads(path.read_text())
+    del doc["link_area_id"]
+    path.write_text(json.dumps(doc))
+    assert load_local_map(path).link_area_id == ""
 
 
 def test_load_local_map_rejects_a_non_string_lane_id(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from lanefuse.errors import IncompleteAssessmentError, InvalidInputError
 from lanefuse.scoring import (
     DEGRADATION_FACTORS,
+    FACTOR_BY_KEY,
     FactorKind,
     ImageAssessment,
     LogitVector,
@@ -40,9 +41,9 @@ SOFTMAX_0_TO_10 = [
 
 
 def test_factor_enumeration():
-    assert len(FactorKind) == 11
-    assert len(DEGRADATION_FACTORS) == 10
-    assert FactorKind.LANE_VISIBILITY not in DEGRADATION_FACTORS
+    assert len(FactorKind) == 10
+    assert DEGRADATION_FACTORS == tuple(FactorKind)
+    assert "lane_visibility" not in FACTOR_BY_KEY
 
 
 def test_softmax_equal_logits_is_uniform():
@@ -202,14 +203,10 @@ def test_assessment_validation():
         ImageAssessment("x", lane_visibility=-1)
     with pytest.raises(InvalidInputError):
         ImageAssessment("x", confidence=10.5)
-    with pytest.raises(InvalidInputError):
-        ImageAssessment("x", factor_scores={FactorKind.LANE_VISIBILITY: 5})
 
 
-@pytest.mark.parametrize("visibility,expected", [(7, 7), (None, 0)])
-def test_score_for_reads_lane_visibility_from_its_own_field(visibility, expected):
-    a = ImageAssessment("x", factor_scores={FactorKind.RAIN: 4}, lane_visibility=visibility)
-    assert a.score_for(FactorKind.LANE_VISIBILITY) == expected
+def test_score_for_counts_an_unscored_factor_as_zero():
+    a = ImageAssessment("x", factor_scores={FactorKind.RAIN: 4}, lane_visibility=7)
     assert (a.score_for(FactorKind.RAIN), a.score_for(FactorKind.FOG)) == (4, 0)
 
 
