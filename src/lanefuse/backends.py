@@ -207,6 +207,8 @@ class Scenario:
 
     def _range(self, key: str, bounds) -> tuple[int, int]:
         where = f"scenario {self.name!r}: {key} range"
+        if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
+            raise InvalidInputError(f"{where} must be a list [lo, hi], got {bounds!r}")
         lo, hi = (exact_int(v, where) for v in bounds)
         if not (0 <= lo <= hi <= 10):
             raise InvalidInputError(f"scenario {self.name!r}: bad range {lo}..{hi} for {key}")

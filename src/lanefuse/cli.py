@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
 from . import backends as be
 from . import evaluation as ev
 from .confidence import CONFIDENCE_METHODS, with_confidence
-from .config import BACKEND_KINDS, PipelineConfig, check_k_cap, load_pipeline_config
+from .config import BACKEND_KINDS, FLAG_KEYS, PipelineConfig, load_pipeline_config
 from .errors import (
     BackendError,
     ConfigError,
@@ -40,6 +41,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INPUT = 2
 EXIT_BACKEND = 3
+
+ENDPOINT_ENV_VAR = "LANEFUSE_ENDPOINT"
 
 
 def _check_output_dir(path: Path) -> None:
@@ -67,13 +70,19 @@ def _output_dir(args) -> Path:
 
 def _make_backend(cfg: PipelineConfig, seed: int):
     if cfg.backend == "synthetic":
-        return be.SyntheticScorer(cfg.scenario(), seed=seed)
+        return be.SyntheticScorer(cfg.scenario, seed=seed)
     if cfg.backend == "replay":
         if not cfg.replay_log:
             raise ConfigError("replay backend needs [backend] replay_log")
         return be.ReplayScorer(cfg.replay_log)
+    endpoint = cfg.endpoint or os.environ.get(ENDPOINT_ENV_VAR, "")
+    if not endpoint:
+        raise ConfigError(
+            f"remote backend needs an endpoint (set --endpoint, [backend] endpoint "
+            f"or {ENDPOINT_ENV_VAR})"
+        )
     return be.RemoteScorer(
-        cfg.resolve_endpoint(),
+        endpoint,
         max_retries=cfg.max_retries,
         timeout=cfg.timeout,
         max_in_flight=cfg.max_in_flight,
@@ -254,24 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(args, cfg: PipelineConfig) -> PipelineConfig:
-    if getattr(args, "backend", None):
-        cfg.backend = args.backend
-    if getattr(args, "scenario", None):
-        cfg.scenario_name = args.scenario
-    if getattr(args, "replay_log", None):
-        cfg.replay_log = args.replay_log
-    if getattr(args, "endpoint", None):
-        cfg.endpoint = args.endpoint
-    if getattr(args, "method", None):
-        cfg.method = args.method
-    if getattr(args, "k_cap", None) is not None:
-        cfg.k_cap = check_k_cap(args.k_cap, "--k-cap")
-    if getattr(args, "context", None):
-        cfg.use_context(args.context)
-    return cfg
-
-
 COMMANDS = {
     "score": cmd_score,
     "select": cmd_select,
@@ -284,8 +275,8 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_pipeline_config(args.config)
-        cfg = _apply_overrides(args, cfg)
+        flags = {name: getattr(args, name, None) for name in FLAG_KEYS}
+        cfg = load_pipeline_config(args.config, flags)
         _check_output_dir(Path(args.output_dir))
         return COMMANDS[args.command](args, cfg)
     except ConfigError as exc:

@@ -1,4 +1,4 @@
-"""Pipeline configuration: one INI file drives every command.
+"""Pipeline configuration: one INI file and the command's flags drive a run.
 
 Sections: ``[pipeline]`` picks profiles/backend/method, ``[icp]``,
 ``[dbscan]`` and ``[selection]`` override algorithm parameters,
@@ -7,13 +7,18 @@ Sections: ``[pipeline]`` picks profiles/backend/method, ``[icp]``,
 synthetic-scorer scenarios (``lane_visibility`` and factor ranges as
 ``lo:hi`` plus ``sigma``). A context names degradation factors only.
 Unknown sections and keys are rejected; values are literal (no ``%``).
+
+``load_pipeline_config`` is the one place that settles a run's settings: a
+flag's value (``FLAG_KEYS`` names the INI key each one overrides) replaces
+the INI's before anything is checked, so the rule is flag over INI over
+default, and the weight, context and scenario names are resolved once into
+a frozen ``PipelineConfig``.
 """
 
 from __future__ import annotations
 
 import configparser
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Collection
 
 from .backends import SCENARIOS_BY_NAME, Scenario, check_remote_settings, scenario_from_mapping
@@ -30,18 +35,29 @@ from .errors import ConfigError, InvalidInputError
 from .registration import IcpParams
 from .scoring import DEGRADATION_FACTORS, FACTOR_BY_KEY, FactorKind, bounded_number, json_number
 
-ENDPOINT_ENV_VAR = "LANEFUSE_ENDPOINT"
-
 BACKEND_KINDS = ("synthetic", "remote", "replay")
 
+# Each command-line flag, by its argparse dest, and the INI key it overrides.
+FLAG_KEYS = {
+    "backend": ("pipeline", "backend"),
+    "scenario": ("pipeline", "scenario"),
+    "method": ("pipeline", "method"),
+    "context": ("pipeline", "context"),
+    "endpoint": ("backend", "endpoint"),
+    "replay_log": ("backend", "replay_log"),
+    "k_cap": ("selection", "k_cap"),
+}
 
-@dataclass
+_REMOTE_KEYS = ("max_retries", "timeout", "max_in_flight")
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
     weights: WeightProfile = DEFAULT_WEIGHTS
     context: ContextProfile = ALL_FACTORS_CONTEXT
     method: str = "dpcs"
     backend: str = "synthetic"
-    scenario_name: str = "clean"
+    scenario: Scenario = SCENARIOS_BY_NAME["clean"]
     endpoint: str = ""
     replay_log: str = ""
     record_log: str = ""
@@ -51,32 +67,6 @@ class PipelineConfig:
     icp: IcpParams = field(default_factory=IcpParams)
     dbscan: DbscanParams = field(default_factory=DbscanParams)
     k_cap: int | None = None
-    scenarios: dict[str, Scenario] = field(default_factory=lambda: dict(SCENARIOS_BY_NAME))
-    contexts: dict[str, ContextProfile] = field(default_factory=lambda: dict(BUILTIN_CONTEXTS))
-
-    def scenario(self) -> Scenario:
-        scenario = self.scenarios.get(self.scenario_name)
-        if scenario is None:
-            raise ConfigError(
-                f"unknown scenario {self.scenario_name!r}; "
-                f"known: {', '.join(sorted(self.scenarios))}"
-            )
-        return scenario
-
-    def use_context(self, name: str) -> None:
-        """Make the named context profile, built in or from the INI, current."""
-        if name not in self.contexts:
-            raise ConfigError(f"context profile {name!r} not defined")
-        self.context = self.contexts[name]
-
-    def resolve_endpoint(self) -> str:
-        endpoint = self.endpoint or os.environ.get(ENDPOINT_ENV_VAR, "")
-        if not endpoint:
-            raise ConfigError(
-                f"remote backend needs an endpoint (set [backend] endpoint or "
-                f"{ENDPOINT_ENV_VAR})"
-            )
-        return endpoint
 
 
 def check_k_cap(k_cap: int | None, name: str) -> int | None:
@@ -162,8 +152,9 @@ def _read(path) -> dict[str, dict[str, object]]:
 
 
 def _profiles(sections, path):
-    """Weight, context and scenario profiles from the PREFIX.NAME sections."""
-    weights: dict[str, WeightProfile] = {}
+    """Weight, context and scenario profiles by name: the built-in ones, then
+    those of the PREFIX.NAME sections, which may replace them."""
+    weights = {"default": DEFAULT_WEIGHTS}
     contexts = dict(BUILTIN_CONTEXTS)
     scenarios = dict(SCENARIOS_BY_NAME)
     for section, items in sections.items():
@@ -186,34 +177,41 @@ def _profiles(sections, path):
     return weights, contexts, scenarios
 
 
-def load_pipeline_config(path=None) -> PipelineConfig:
-    """Build a PipelineConfig from an INI file; None yields the defaults."""
-    cfg = PipelineConfig()
-    if path is None:
-        return cfg
-    sections = _read(path)
-    weight_profiles, cfg.contexts, cfg.scenarios = _profiles(sections, path)
+def _named(profiles: dict, name: str, kind: str):
+    """The profile ``name``; one that is neither built in nor in the INI is a
+    ConfigError."""
+    if name not in profiles:
+        raise ConfigError(f"{kind} {name!r} not defined; known: {', '.join(sorted(profiles))}")
+    return profiles[name]
+
+
+def load_pipeline_config(path=None, flags=None) -> PipelineConfig:
+    """A run's settings: each value from its flag, else the INI file at
+    ``path``, else the default. ``flags`` maps a ``FLAG_KEYS`` dest to the
+    flag's value, None for a flag not given; a flag's value replaces the INI's
+    before either is checked. ``path`` None reads no file."""
+    sections = _read(path) if path is not None else {}
+    given = {dest for dest, value in (flags or {}).items() if value is not None}
+    for dest in given:
+        section, key = FLAG_KEYS[dest]
+        sections.setdefault(section, {})[key] = flags[dest]
+    weights, contexts, scenarios = _profiles(sections, path)
     pipeline = sections.get("pipeline", {})
-    weights_name = pipeline.get("weights", "default")
-    if weights_name in weight_profiles:
-        cfg.weights = weight_profiles[weights_name]
-    elif weights_name != "default":
-        raise ConfigError(f"weight profile {weights_name!r} not defined")
-    cfg.use_context(pipeline.get("context", "all"))
+    backend = sections.get("backend", {})
+    # A field's plain default is also an attribute of the class.
+    remote = (backend.get(key, getattr(PipelineConfig, key)) for key in _REMOTE_KEYS)
+    backend.update(zip(_REMOTE_KEYS, check_remote_settings(*remote)))
+    k_cap = sections.get("selection", {}).get("k_cap")
     try:
-        cfg = replace(
-            cfg,
-            method=pipeline.get("method", cfg.method),
-            backend=pipeline.get("backend", cfg.backend),
-            scenario_name=pipeline.get("scenario", cfg.scenario_name),
-            **sections.get("backend", {}),
-            **sections.get("selection", {}),
+        return PipelineConfig(
+            weights=_named(weights, pipeline.get("weights", "default"), "weight profile"),
+            context=_named(contexts, pipeline.get("context", "all"), "context profile"),
+            scenario=_named(scenarios, pipeline.get("scenario", "clean"), "scenario"),
+            **{key: pipeline[key] for key in ("method", "backend") if key in pipeline},
+            **backend,
             icp=IcpParams(**sections.get("icp", {})),
             dbscan=DbscanParams(**sections.get("dbscan", {})),
+            k_cap=check_k_cap(k_cap, "--k-cap" if "k_cap" in given else "selection.k_cap"),
         )
     except InvalidInputError as exc:
         raise ConfigError(f"{path}: {exc}")
-    remote = check_remote_settings(cfg.max_retries, cfg.timeout, cfg.max_in_flight)
-    cfg.max_retries, cfg.timeout, cfg.max_in_flight = remote
-    cfg.k_cap = check_k_cap(cfg.k_cap, "selection.k_cap")
-    return cfg

@@ -40,7 +40,7 @@ from .fusion import fuse_maps, rank_maps, select_band  # noqa: F401
 from .mapmodel import LaneLine, LinkArea, LocalMap, load_json, reject_unknown_keys
 from .pipeline import Modification, apply_modifications, prior_map, update  # noqa: F401
 from .registration import IcpParams, lane_segments, nearest_segment_errors
-from .scoring import bounded_number, exact_int
+from .scoring import bounded_number
 
 CONFIDENCE_THRESHOLD = 7.0  # map-level cutoff for the threshold policy
 
@@ -202,13 +202,6 @@ def synth_generate(
     return areas
 
 
-def _json_range(value, key: str) -> tuple[int, int]:
-    """A factor's [lo, hi] score range: a list of two integers."""
-    if not (isinstance(value, list) and len(value) == 2):
-        raise InvalidInputError(f"{key} range must be a list [lo, hi], got {value!r}")
-    return tuple(exact_int(v, f"{key} range") for v in value)
-
-
 def load_synth_config(path) -> SynthConfig:
     """Parse a synth-config JSON document; unknown keys are rejected."""
     data = load_json(path, ConfigError)
@@ -227,11 +220,9 @@ def load_synth_config(path) -> SynthConfig:
         name = raw.get("name", f"scenario_{i}")
         if not isinstance(name, str):
             raise ConfigError(f"{where}: name must be a string, got {name!r}")
-        try:
-            factors = {key: _json_range(r, key) for key, r in raw.get("factors", {}).items()}
-        except InvalidInputError as exc:
-            raise ConfigError(f"{where}: {exc}")
-        scenarios.append(scenario_from_mapping(name, factors, raw.get("sigma", 0.0), where))
+        scenarios.append(
+            scenario_from_mapping(name, raw.get("factors", {}), raw.get("sigma", 0.0), where)
+        )
     try:
         kwargs = {key: data[key] for key in _SYNTH_BOUNDS if key in data}
         if "scenarios" in data:

@@ -111,6 +111,16 @@ def test_synthetic_respects_ranges_over_seed_sweep():
         assert assessment.factor_scores[F.BLUR_DAY] in (4, 5, 6)
 
 
+@pytest.mark.parametrize(
+    "kwargs, key",
+    [({"factor_ranges": {F.RAIN: (1, 2, 3)}}, "rain"), ({"visibility": 5}, "lane_visibility")],
+    ids=["three-bounds", "not-a-list"],
+)
+def test_scenario_range_that_is_not_a_pair_is_invalid_input(kwargs, key):
+    with pytest.raises(InvalidInputError, match=rf"'x': {key} range must be a list \[lo, hi\]"):
+        Scenario("x", **kwargs)
+
+
 def test_synthetic_answers_are_the_requests_seeded_draw():
     # Each answer is the draw of a generator seeded by the request's SHA-256;
     # a range of one value answers that value.

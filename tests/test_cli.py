@@ -539,6 +539,32 @@ def test_k_cap_below_one_exits_1(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_unknown_scenario_exits_1_for_every_command(tmp_path, capsys):
+    areas = simulate(tmp_path, maps_per_area=2)
+    config = tmp_path / "bogus.ini"
+    config.write_text("[pipeline]\nscenario = bogus\n")
+    out = tmp_path / "out"
+    assert run(["select", areas[0], "--config", config, "--output-dir", out]) == 1
+    assert "scenario 'bogus' not defined" in capsys.readouterr().err
+    assert run(["score", areas[0], "--backend", "replay", "--scenario", "bogus",
+                "--output-dir", out]) == 1
+    assert "scenario 'bogus' not defined" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_context_flag_replaces_an_undefined_ini_context(tmp_path):
+    areas = simulate(tmp_path, maps_per_area=2)
+    config = tmp_path / "ghost.ini"
+    config.write_text("[pipeline]\ncontext = ghost\n")
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    assert run(["score", areas[0], "--config", config, "--output-dir", out]) == 1
+    assert run(["score", areas[0], "--config", config, "--context", "all",
+                "--output-dir", out]) == 0
+    assert run(["score", areas[0], "--output-dir", ref]) == 0
+    name = f"{areas[0].stem}_scores.csv"
+    assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
 @pytest.mark.parametrize(
     "command,flag",
     [("select", "--jobs"), ("select", "--seed"), ("update", "--jobs"), ("evaluate", "--seed")],

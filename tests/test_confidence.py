@@ -191,12 +191,13 @@ factors = rain, snow, fog, occlusion
 
 [pipeline]
 weights = heavy
+context = storm
 """
     )
     cfg = load_pipeline_config(path)
     assert cfg.weights.lane_weight == 2.0
     assert cfg.weights.factor_weights[F.RAIN] == 0.4
-    storm = cfg.contexts["storm"]
+    storm = cfg.context
     assert storm.is_active(F.RAIN)
     assert not storm.is_active(F.BLUR_DAY)
     assert storm.active_factors == {F.RAIN, F.SNOW, F.FOG, F.OCCLUSION}

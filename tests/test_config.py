@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from lanefuse.confidence import ALL_FACTORS_CONTEXT, CLEAR_DAY_CONTEXT, DEFAULT_WEIGHTS
-from lanefuse.config import ENDPOINT_ENV_VAR, PipelineConfig, load_pipeline_config
+from lanefuse.backends import SCENARIOS_BY_NAME
+from lanefuse.cli import ENDPOINT_ENV_VAR, _make_backend, build_parser
+from lanefuse.config import FLAG_KEYS, PipelineConfig, load_pipeline_config
 from lanefuse.errors import ConfigError
 from lanefuse.scoring import DEGRADATION_FACTORS, FactorKind
 
@@ -24,7 +26,8 @@ def test_defaults_without_file():
     assert cfg.icp.max_iterations == 50
     assert cfg.dbscan.epsilon == 0.5
     assert cfg.k_cap is None
-    assert "clean" in cfg.scenarios
+    assert cfg.scenario == SCENARIOS_BY_NAME["clean"]
+    assert cfg.context == ALL_FACTORS_CONTEXT
 
 
 def test_full_file(tmp_path):
@@ -86,7 +89,6 @@ sigma = 0.3
     assert cfg.weights.factor_weights[FactorKind.SANDSTORM] == 0.05
     assert cfg.context.is_active(FactorKind.RAIN)
     assert not cfg.context.is_active(FactorKind.BLUR_DAY)
-    assert cfg.contexts["everything"] == ALL_FACTORS_CONTEXT
     assert cfg.method == "gcs"
     assert cfg.backend == "replay"
     assert cfg.replay_log == "runs/log.jsonl"
@@ -95,10 +97,13 @@ sigma = 0.3
     assert cfg.icp.max_correspondence_dist == 3.0
     assert cfg.dbscan.min_samples == 3
     assert cfg.k_cap == 3
-    dusty = cfg.scenario()
+    dusty = cfg.scenario
+    assert dusty.name == "dusty"
     assert dusty.noise_sigma == 0.3
     assert dusty.range_for(FactorKind.SANDSTORM) == (4, 8)
     assert dusty.visibility == (5, 7)
+    path.write_text(path.read_text().replace("context = storm", "context = everything"))
+    assert load_pipeline_config(path).context == ALL_FACTORS_CONTEXT
 
 
 @pytest.mark.parametrize(
@@ -175,13 +180,13 @@ def test_numbers_are_json_numbers_typed_by_their_setting(tmp_path):
     path.write_text(
         "[icp]\nmax_iterations = 3.0\nconvergence_tol = 1E-5\n"
         "[backend]\nmax_retries = 1e1\ntimeout = 5\nmax_in_flight = 2\n"
-        "[selection]\nk_cap = 2.0\n[scenario.x]\nrain = 3.0:5\n"
+        "[selection]\nk_cap = 2.0\n[scenario.x]\nrain = 3.0:5\n[pipeline]\nscenario = x\n"
     )
     cfg = load_pipeline_config(path)
     settings = (cfg.icp.max_iterations, cfg.max_retries, cfg.max_in_flight, cfg.k_cap)
     assert settings == (3, 10, 2, 2) and all(type(v) is int for v in settings)
     assert (cfg.icp.convergence_tol, cfg.timeout) == (1e-5, 5.0) and type(cfg.timeout) is float
-    assert cfg.scenarios["x"].range_for(FactorKind.RAIN) == (3, 5)
+    assert cfg.scenario.range_for(FactorKind.RAIN) == (3, 5)
 
 
 def test_full_weight_section_loads(tmp_path):
@@ -214,13 +219,14 @@ def test_readme_example_loads(tmp_path):
     cfg = load_pipeline_config(path)
     assert cfg.weights == DEFAULT_WEIGHTS
     assert cfg.context == ALL_FACTORS_CONTEXT
-    assert cfg.contexts["clear-day"] == CLEAR_DAY_CONTEXT
-    assert (cfg.method, cfg.backend, cfg.scenario_name) == ("dpcs", "synthetic", "clean")
+    assert (cfg.method, cfg.backend, cfg.scenario) == ("dpcs", "synthetic", SCENARIOS_BY_NAME["clean"])
     assert cfg.endpoint == "http://scorer.internal/score"
     assert cfg.record_log == ""
     assert (cfg.max_retries, cfg.timeout, cfg.max_in_flight) == (3, 10.0, 4)
     assert cfg.k_cap is None
-    assert cfg.scenarios["dusty"].range_for(FactorKind.SANDSTORM) == (4, 8)
+    named = load_pipeline_config(path, {"context": "clear-day", "scenario": "dusty"})
+    assert named.context == CLEAR_DAY_CONTEXT
+    assert named.scenario.range_for(FactorKind.SANDSTORM) == (4, 8)
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -230,18 +236,53 @@ def test_missing_file_is_config_error(tmp_path):
         load_pipeline_config(tmp_path)
 
 
-def test_unknown_scenario_reported_at_use():
-    cfg = PipelineConfig(scenario_name="marsdust")
+def test_unknown_scenario_reported_at_load(tmp_path):
+    path = tmp_path / "s.ini"
+    path.write_text("[pipeline]\nscenario = marsdust\n")
+    with pytest.raises(ConfigError, match="scenario 'marsdust' not defined; known: bright, clean"):
+        load_pipeline_config(path)
     with pytest.raises(ConfigError, match="marsdust"):
-        cfg.scenario()
+        load_pipeline_config(None, {"scenario": "marsdust"})
 
 
 def test_endpoint_env_fallback(monkeypatch):
-    cfg = PipelineConfig()
+    cfg = PipelineConfig(backend="remote")
     monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
-    with pytest.raises(ConfigError):
-        cfg.resolve_endpoint()
+    with pytest.raises(ConfigError, match=ENDPOINT_ENV_VAR):
+        _make_backend(cfg, 0)
     monkeypatch.setenv(ENDPOINT_ENV_VAR, "http://scorer:8000/score")
-    assert cfg.resolve_endpoint() == "http://scorer:8000/score"
-    cfg.endpoint = "http://explicit/score"
-    assert cfg.resolve_endpoint() == "http://explicit/score"
+    assert _make_backend(cfg, 0).endpoint == "http://scorer:8000/score"
+    explicit = load_pipeline_config(None, {"backend": "remote", "endpoint": "http://explicit/score"})
+    assert _make_backend(explicit, 0).endpoint == "http://explicit/score"
+
+
+# Per flag: an INI setting its key, the flag's own value, and that value as the
+# built config holds it. The INI text is written out, not built from FLAG_KEYS,
+# so an entry that names the wrong section or key leaves the INI value in place.
+FLAG_CASES = {
+    "backend": ("[pipeline]\nbackend = replay\n", "remote", lambda c: c.backend),
+    "scenario": ("[pipeline]\nscenario = hazy\n", "murky", lambda c: c.scenario.name),
+    "method": ("[pipeline]\nmethod = gcs\n", "dpcs", lambda c: c.method),
+    "context": ("[pipeline]\ncontext = all\n", "clear-day", lambda c: c.context),
+    "endpoint": ("[backend]\nendpoint = http://ini/score\n", "http://flag/score",
+                 lambda c: c.endpoint),
+    "replay_log": ("[backend]\nreplay_log = ini.jsonl\n", "flag.jsonl", lambda c: c.replay_log),
+    "k_cap": ("[selection]\nk_cap = 2\n", 3, lambda c: c.k_cap),
+}
+FLAG_VALUES = {"context": CLEAR_DAY_CONTEXT}  # a context is held as its profile
+
+
+def test_flag_keys_are_cli_flags():
+    parser = build_parser()
+    dests = {*vars(parser.parse_args(["score", "m"])), *vars(parser.parse_args(["select", "a"]))}
+    assert set(FLAG_KEYS) == set(FLAG_CASES) and set(FLAG_KEYS) <= dests
+
+
+@pytest.mark.parametrize("dest", sorted(FLAG_CASES))
+def test_flag_replaces_the_ini_value(tmp_path, dest):
+    body, value, read = FLAG_CASES[dest]
+    path = tmp_path / "flag.ini"
+    path.write_text(body)
+    assert read(load_pipeline_config(path)) != FLAG_VALUES.get(dest, value)
+    assert read(load_pipeline_config(path, {dest: value})) == FLAG_VALUES.get(dest, value)
+    assert read(load_pipeline_config(path, {dest: None})) == read(load_pipeline_config(path))
