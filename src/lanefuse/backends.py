@@ -3,10 +3,10 @@
 All three expose one contract: ``score_many(Sequence[ScorerRequest]) ->
 list[ScorerResponse]``, answers in request order; ``score(request)`` is a
 batch of one.
-A request pairs an image reference with a prompt from the fixed catalog and
-asks for one of two answer shapes: a direct integer score for a factor's
-prompt, or the lane-clarity logit for the clarity probe, which alone answers
-lane visibility.
+A request pairs an image reference with a catalog prompt, which fixes its
+``mode``: the lane-clarity logit for the clarity probe, which alone answers
+lane visibility, else a direct integer score. A prompt id outside the
+catalog is a ConfigError when the request is made, whatever the backend.
 The synthetic scorer's ``Scenario`` (a range per factor plus the clarity
 probe's lane visibility range), the standard ladder of them and
 ``scenario_from_mapping`` (for the INI and JSON configs) live here too.
@@ -138,18 +138,19 @@ _REQUEST_PROMPTS: dict[str, str] = {**PROMPT_TEXTS, LANE_CLARITY_PROMPT_ID: LANE
 
 PROMPT_FACTORS: dict[str, FactorKind] = {v: k for k, v in FACTOR_PROMPTS.items()}
 
-MODES = ("direct", "clarity")
-
 
 @dataclass(frozen=True)
 class ScorerRequest:
     image: str  # path or opaque reference
-    prompt_id: str
-    mode: str = "direct"
+    prompt_id: str  # a catalog prompt or the clarity probe; it fixes ``mode``
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise InvalidInputError(f"unknown request mode {self.mode!r}")
+        if self.prompt_id not in _REQUEST_PROMPTS:
+            raise ConfigError(f"unknown prompt id {self.prompt_id!r}")
+
+    @property
+    def mode(self) -> str:
+        return "clarity" if self.prompt_id == LANE_CLARITY_PROMPT_ID else "direct"
 
     def key(self) -> str:
         return f"{self.image}|{self.prompt_id}|{self.mode}"
@@ -215,6 +216,9 @@ class Scenario:
         return lo, hi
 
     def __post_init__(self):
+        for f in self.factor_ranges:
+            if not isinstance(f, FactorKind):
+                raise InvalidInputError(f"scenario {self.name!r}: unknown factor {f!r}")
         ranges = {f: self._range(f.key, r) for f, r in dict(self.factor_ranges).items()}
         object.__setattr__(self, "factor_ranges", ranges)
         object.__setattr__(self, "visibility", self._range("lane_visibility", self.visibility))
@@ -286,10 +290,8 @@ def scenario_from_mapping(name: str, ranges: Mapping, sigma: float, where: str) 
     ranges = dict(ranges)
     visibility = ranges.pop("lane_visibility", (0, 0))
     try:
-        factor_ranges = {FACTOR_BY_KEY[key]: r for key, r in ranges.items()}
+        factor_ranges = {FACTOR_BY_KEY.get(key, key): r for key, r in ranges.items()}
         return Scenario(name, factor_ranges, sigma, visibility)
-    except KeyError as exc:
-        raise ConfigError(f"{where}: unknown factor {exc}")
     except InvalidInputError as exc:
         raise ConfigError(f"{where}: {exc}")
 
@@ -759,13 +761,10 @@ class RemoteScorer:
         it, each on its own connection."""
         import http.client
 
-        prompt = _REQUEST_PROMPTS.get(request.prompt_id)
-        if prompt is None:
-            raise ConfigError(f"unknown prompt id {request.prompt_id!r}")
         body = json.dumps({
             "image": request.image,
             "prompt_id": request.prompt_id,
-            "prompt": prompt,
+            "prompt": _REQUEST_PROMPTS[request.prompt_id],
             "mode": request.mode,
         }).encode()
         last_error: Exception | None = None
@@ -944,7 +943,7 @@ def collect_assessments(
     batch = []
     for image_id, _ in images:
         batch += [ScorerRequest(image_id, FACTOR_PROMPTS[f]) for f in factors]
-        batch.append(ScorerRequest(image_id, LANE_CLARITY_PROMPT_ID, "clarity"))
+        batch.append(ScorerRequest(image_id, LANE_CLARITY_PROMPT_ID))
     responses = backend.score_many(batch)
     per_image = len(factors) + 1
     assessments = []

@@ -228,23 +228,23 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("map_file")
     p.add_argument("--seed", type=integer, default=0, help="synthetic scorer seed")
-    p.add_argument("--backend", choices=BACKEND_KINDS)
+    p.add_argument("--backend", help=f"scorer backend: {', '.join(BACKEND_KINDS)}")
     p.add_argument("--scenario", help="scenario for the synthetic backend")
     p.add_argument("--replay-log", help="replay log path")
     p.add_argument("--endpoint", help="remote scorer URL")
-    p.add_argument("--method", choices=CONFIDENCE_METHODS)
+    p.add_argument("--method", help=f"confidence method: {', '.join(CONFIDENCE_METHODS)}")
     p.add_argument("--context", help="context profile name")
 
     p = sub.add_parser("select", help="rank maps and pick the confidence band")
     common(p)
     p.add_argument("area_file")
-    p.add_argument("--k-cap", type=integer, default=None)
+    p.add_argument("--k-cap", help="band cap, at least 1 (empty: no cap)")
 
     p = sub.add_parser("update", help="apply modifications and fuse")
     common(p)
     p.add_argument("area_file")
     p.add_argument("script_file")
-    p.add_argument("--k-cap", type=integer, default=None)
+    p.add_argument("--k-cap", help="band cap, at least 1 (empty: no cap)")
 
     p = sub.add_parser("evaluate", help="run selection policies against truth")
     common(p)

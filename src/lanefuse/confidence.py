@@ -29,7 +29,7 @@ class WeightProfile:
         missing = [f.key for f in DEGRADATION_FACTORS if f not in weights]
         if missing:
             raise InvalidInputError(f"missing factor weights: {', '.join(missing)}")
-        extra = [f.key for f in weights if f not in DEGRADATION_FACTORS]
+        extra = [repr(f) for f in weights if not isinstance(f, FactorKind)]
         if extra:
             raise InvalidInputError(f"unexpected factor weights: {', '.join(extra)}")
         weights = {f: bounded_number(w, f"{f.key} weight", 0.0) for f, w in weights.items()}
@@ -63,7 +63,11 @@ class ContextProfile:
     active_factors: frozenset[FactorKind]
 
     def __post_init__(self):
-        object.__setattr__(self, "active_factors", frozenset(self.active_factors))
+        factors = frozenset(self.active_factors)
+        unknown = sorted(repr(f) for f in factors if not isinstance(f, FactorKind))
+        if unknown:
+            raise InvalidInputError(f"unexpected context factors: {', '.join(unknown)}")
+        object.__setattr__(self, "active_factors", factors)
 
     def is_active(self, factor: FactorKind) -> bool:
         return factor in self.active_factors

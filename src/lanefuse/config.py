@@ -9,10 +9,10 @@ synthetic-scorer scenarios (``lane_visibility`` and factor ranges as
 Unknown sections and keys are rejected; values are literal (no ``%``).
 
 ``load_pipeline_config`` is the one place that settles a run's settings: a
-flag's value (``FLAG_KEYS`` names the INI key each one overrides) replaces
-the INI's before anything is checked, so the rule is flag over INI over
-default, and the weight, context and scenario names are resolved once into
-a frozen ``PipelineConfig``.
+flag's text is read, after the file, as the value of the INI key
+``FLAG_KEYS`` names, so one parser checks a setting however it is given and
+the rule is flag over INI over default. The weight, context and scenario
+names are resolved once into a frozen ``PipelineConfig``.
 """
 
 from __future__ import annotations
@@ -69,12 +69,6 @@ class PipelineConfig:
     k_cap: int | None = None
 
 
-def check_k_cap(k_cap: int | None, name: str) -> int | None:
-    """The band cap by the number rule, or None for no cap; a cap below 1 is a
-    ConfigError. ``name`` says where the value came from."""
-    return None if k_cap is None else bounded_number(k_cap, name, 1, error=ConfigError)
-
-
 def _one_of(choices: Collection[str]):
     def parse(text: str) -> str:
         value = text.lower()
@@ -96,6 +90,11 @@ def _range(text: str) -> tuple[int | float, int | float]:
     return json_number(lo), json_number(hi if sep else lo)
 
 
+def _band_cap(text: str) -> int | None:
+    """An integer of at least 1, or None (no cap) for empty text."""
+    return bounded_number(json_number(text), "k_cap", 1, error=ValueError) if text else None
+
+
 # Every section and key a pipeline INI may hold, each key with the parser of
 # its value. A name ending in "." stands for the sections "PREFIX.NAME".
 # [DEFAULT] would copy its keys into every section, so it must stay empty.
@@ -113,7 +112,7 @@ _KEYS = {
         ("max_iterations", "convergence_tol", "max_correspondence_dist"), json_number
     ),
     "dbscan": {"epsilon": json_number, "min_samples": json_number},
-    "selection": {"k_cap": lambda text: json_number(text) if text else None},
+    "selection": {"k_cap": _band_cap},
     "weights.": {"lane_weight": json_number, **{f.key: json_number for f in DEGRADATION_FACTORS}},
     "context.": {"factors": _factor_set},
     "scenario.": {
@@ -122,16 +121,24 @@ _KEYS = {
 }
 
 
-def _read(path) -> dict[str, dict[str, object]]:
-    """Parse the INI file once; every value typed by ``_KEYS``."""
+def _read(path, flags) -> dict[str, dict[str, object]]:
+    """Parse the INI file at ``path`` (None: no file), then each given flag's
+    text as its key's value; every value typed by ``_KEYS``."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
+        if path is not None:
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file {path} does not exist")
     except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"{path}: {exc}")
+    flag_names = {}  # (section, key) -> the flag that gave its value
+    for dest, text in flags.items():
+        if text is not None:
+            section, key = FLAG_KEYS[dest]
+            parser.read_dict({section: {key: text}})
+            flag_names[section, key] = "--" + dest.replace("_", "-")
     sections: dict[str, dict[str, object]] = {}
     for section, items in parser.items():
         kind, dot, name = section.partition(".")
@@ -142,12 +149,13 @@ def _read(path) -> dict[str, dict[str, object]]:
         for key, text in items.items():
             if key not in keys:
                 raise ConfigError(f"{path}: unknown key {key!r} in [{section}]")
+            where = flag_names.get((section, key), f"{path}: [{section}] {key}")
             try:
                 values[key] = keys[key](text)
             except KeyError as exc:
-                raise ConfigError(f"{path}: [{section}] {key}: unknown factor {exc}")
+                raise ConfigError(f"{where}: unknown factor {exc}")
             except ValueError as exc:
-                raise ConfigError(f"{path}: [{section}] {key}: bad value {text!r} ({exc})")
+                raise ConfigError(f"{where}: bad value {text!r} ({exc})")
     return sections
 
 
@@ -188,20 +196,18 @@ def _named(profiles: dict, name: str, kind: str):
 def load_pipeline_config(path=None, flags=None) -> PipelineConfig:
     """A run's settings: each value from its flag, else the INI file at
     ``path``, else the default. ``flags`` maps a ``FLAG_KEYS`` dest to the
-    flag's value, None for a flag not given; a flag's value replaces the INI's
-    before either is checked. ``path`` None reads no file."""
-    sections = _read(path) if path is not None else {}
-    given = {dest for dest, value in (flags or {}).items() if value is not None}
-    for dest in given:
-        section, key = FLAG_KEYS[dest]
-        sections.setdefault(section, {})[key] = flags[dest]
+    flag's text, None for a flag not given; a flag's text replaces the INI's
+    value before either is checked. ``path`` None reads no file."""
+    sections = _read(path, flags or {})
     weights, contexts, scenarios = _profiles(sections, path)
     pipeline = sections.get("pipeline", {})
     backend = sections.get("backend", {})
     # A field's plain default is also an attribute of the class.
     remote = (backend.get(key, getattr(PipelineConfig, key)) for key in _REMOTE_KEYS)
-    backend.update(zip(_REMOTE_KEYS, check_remote_settings(*remote)))
-    k_cap = sections.get("selection", {}).get("k_cap")
+    try:
+        backend.update(zip(_REMOTE_KEYS, check_remote_settings(*remote)))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: [backend] {exc}")
     try:
         return PipelineConfig(
             weights=_named(weights, pipeline.get("weights", "default"), "weight profile"),
@@ -211,7 +217,7 @@ def load_pipeline_config(path=None, flags=None) -> PipelineConfig:
             **backend,
             icp=IcpParams(**sections.get("icp", {})),
             dbscan=DbscanParams(**sections.get("dbscan", {})),
-            k_cap=check_k_cap(k_cap, "--k-cap" if "k_cap" in given else "selection.k_cap"),
+            **sections.get("selection", {}),
         )
     except InvalidInputError as exc:
         raise ConfigError(f"{path}: {exc}")

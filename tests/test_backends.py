@@ -121,6 +121,12 @@ def test_scenario_range_that_is_not_a_pair_is_invalid_input(kwargs, key):
         Scenario("x", **kwargs)
 
 
+def test_scenario_range_keyed_by_a_name_is_invalid_input():
+    # A factor is a FactorKind; its key text is a different, unknown, factor.
+    with pytest.raises(InvalidInputError, match="scenario 'x': unknown factor 'rain'"):
+        Scenario("x", {"rain": (1, 2)})
+
+
 def test_synthetic_answers_are_the_requests_seeded_draw():
     # Each answer is the draw of a generator seeded by the request's SHA-256;
     # a range of one value answers that value.
@@ -137,15 +143,18 @@ def test_synthetic_answers_are_the_requests_seeded_draw():
 
 def test_synthetic_answers_the_clarity_probe_only_in_clarity_mode():
     # The remote and replay backends reject an answer whose mode differs from
-    # the request's, so the synthetic one must not give one either.
+    # the request's, so the synthetic one must not give one either. A request
+    # takes its mode from its prompt; the benchmark's stub scorer passes the
+    # mode a wire body names, which may be the wrong one.
     with pytest.raises(ConfigError, match="'LC' is not bound to a factor"):
         synthetic_score(DEGRADED, 1, "img", LANE_CLARITY_PROMPT_ID, "direct")
-    with pytest.raises(ConfigError, match="'LC' is not bound to a factor"):
-        SyntheticScorer(DEGRADED, seed=1).score(
-            ScorerRequest(image="img", prompt_id=LANE_CLARITY_PROMPT_ID)
-        )
     clarity = synthetic_score(DEGRADED, 1, "img", LANE_CLARITY_PROMPT_ID, "clarity")
     assert clarity.mode == "clarity"
+    scorer = SyntheticScorer(DEGRADED, seed=1)
+    assert scorer.score(ScorerRequest(image="img", prompt_id=LANE_CLARITY_PROMPT_ID)) == clarity
+    for factor, prompt_id in FACTOR_PROMPTS.items():
+        answer = scorer.score(ScorerRequest(image="img", prompt_id=prompt_id))
+        assert answer.mode == "direct" and answer.score in range(11), factor
 
 
 @pytest.mark.parametrize("prompt_id", ["Q1", "Q12"])
@@ -157,12 +166,19 @@ def test_synthetic_direct_request_for_an_unbound_prompt_is_a_config_error(prompt
 
 
 def test_a_request_asks_for_a_direct_score_or_the_clarity_logit():
-    assert backends.MODES == ("direct", "clarity")
+    # The prompt fixes the mode: the clarity probe asks for the logit, every
+    # catalog prompt for a direct score. A request has no mode of its own.
+    assert ScorerRequest(image="img", prompt_id=LANE_CLARITY_PROMPT_ID).mode == "clarity"
+    assert {ScorerRequest(image="img", prompt_id=p).mode for p in PROMPT_TEXTS} == {"direct"}
+    assert [f.name for f in dataclasses.fields(ScorerRequest)] == ["image", "prompt_id"]
+    with pytest.raises(AttributeError):
+        ScorerRequest(image="img", prompt_id="Q2").mode = "clarity"
+    # Replay keys, and so record logs, still name the mode.
+    assert ScorerRequest(image="img", prompt_id="Q7").key() == "img|Q7|direct"
+    assert ScorerRequest(image="img", prompt_id=LANE_CLARITY_PROMPT_ID).key() == "img|LC|clarity"
     assert {f.name for f in dataclasses.fields(backends.ScorerResponse)} == {
         "mode", "score", "l_clear", "model", "latency_ms"
     }
-    with pytest.raises(InvalidInputError, match="unknown request mode 'logits'"):
-        ScorerRequest(image="img", prompt_id="Q2", mode="logits")
     # The benchmark's stub scorer passes a client's mode to synthetic_score as sent.
     for prompt_id in ("Q2", LANE_CLARITY_PROMPT_ID):
         with pytest.raises(InvalidInputError, match="unknown request mode 'logits'"):
@@ -199,7 +215,7 @@ def test_collect_assessments_of_a_batch_equal_one_image_at_a_time(images, seed, 
 def test_remote_direct_roundtrip(stub_server):
     url, handler = stub_server
     scorer = RemoteScorer(url)
-    resp = scorer.score(ScorerRequest(image="a.jpg", prompt_id="Q12", mode="direct"))
+    resp = scorer.score(ScorerRequest(image="a.jpg", prompt_id="Q12"))
     assert resp.score == 7
     assert resp.model == "stub"
     sent = handler.calls[-1]
@@ -916,8 +932,8 @@ def test_record_then_replay_matches_live(tmp_path, stub_server):
     url, _ = stub_server
     log = tmp_path / "log.jsonl"
     scorer = RemoteScorer(url, log_path=log)
-    request = ScorerRequest(image="a.jpg", prompt_id="Q12", mode="direct")
-    clarity_req = ScorerRequest(image="a.jpg", prompt_id=LANE_CLARITY_PROMPT_ID, mode="clarity")
+    request = ScorerRequest(image="a.jpg", prompt_id="Q12")
+    clarity_req = ScorerRequest(image="a.jpg", prompt_id=LANE_CLARITY_PROMPT_ID)
     live = scorer.score(request)
     live_clarity = scorer.score(clarity_req)
     replay = ReplayScorer(log)
@@ -937,7 +953,7 @@ def test_full_pipeline_identical_live_vs_replay(tmp_path, stub_server):
 
 
 def test_replay_log_preserves_bytes(tmp_path):
-    request = ScorerRequest(image="x.jpg", prompt_id="Q2", mode="direct")
+    request = ScorerRequest(image="x.jpg", prompt_id="Q2")
     write_replay_log(tmp_path / "log.jsonl", [(request, {"mode": "direct", "score": 3})])
     replay = ReplayScorer(tmp_path / "log.jsonl")
     assert replay.raw_body(request) == '{"mode": "direct", "score": 3}'
@@ -994,7 +1010,7 @@ def test_parse_response_rejects_unknown_mode():
 
 def test_replay_log_with_a_logits_record_still_replays_the_others(tmp_path):
     direct = ScorerRequest(image="a.jpg", prompt_id="Q2")
-    clarity = ScorerRequest(image="a.jpg", prompt_id=LANE_CLARITY_PROMPT_ID, mode="clarity")
+    clarity = ScorerRequest(image="a.jpg", prompt_id=LANE_CLARITY_PROMPT_ID)
     answers = [{"mode": "direct", "score": 4}, {"mode": "clarity", "l_clear": 1.5}]
     log = tmp_path / "log.jsonl"
     write_replay_log(log, zip([direct, clarity], answers))
@@ -1086,6 +1102,13 @@ def test_collect_assessments_request_layout():
     assert one.batches == [expected[:5], expected[5:]]
     assert [a.timestamp for a in batched] == [0.0, 1.0]
     assert batched[0].factor_scores[F.BLUR_DAY] in (4, 5, 6)
+
+
+@pytest.mark.parametrize("prompt_id", ["Q99", "Q0", "lc", ""])
+def test_a_prompt_outside_the_catalog_is_a_config_error_for_every_backend(prompt_id):
+    # The request cannot be made, so no backend answers, misses or sends it.
+    with pytest.raises(ConfigError, match=f"unknown prompt id {prompt_id!r}"):
+        ScorerRequest(image="img", prompt_id=prompt_id)
 
 
 def test_remote_unknown_prompt_id_is_config_error_before_any_post(stub_server):

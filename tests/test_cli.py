@@ -109,11 +109,11 @@ def table_fixture(tmp_path):
     entries = []
     for name, row in TABLE_ROWS.items():
         for factor in (F.BLUR_DAY, F.ILLUMINATION, F.DEGRADATION, F.OCCLUSION):
-            req = ScorerRequest(image=name, prompt_id=FACTOR_PROMPTS[factor], mode="direct")
+            req = ScorerRequest(image=name, prompt_id=FACTOR_PROMPTS[factor])
             entries.append((req, {"mode": "direct", "score": row[factor.key]}))
         entries.append(
             (
-                ScorerRequest(image=name, prompt_id=LANE_CLARITY_PROMPT_ID, mode="clarity"),
+                ScorerRequest(image=name, prompt_id=LANE_CLARITY_PROMPT_ID),
                 {"mode": "clarity", "l_clear": clarity_logit(row["vis"])},
             )
         )
@@ -534,9 +534,81 @@ def test_k_cap_below_one_exits_1(tmp_path, capsys, command):
     script.write_text("[]")
     args = [areas[0], script] if command == "update" else [areas[0]]
     out = tmp_path / "out"
+    capsys.readouterr()
     assert run([command, *args, "--k-cap", 0, "--output-dir", out]) == 1
-    assert "--k-cap must be >= 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --k-cap: bad value '0' (k_cap must be >= 1, got 0)\n"
     assert not out.exists()
+
+
+# A flag that overrides an INI key is read by that key's parser: per flag, a
+# command that takes it and the INI section and key it overrides.
+SETTING_FLAGS = {
+    "--backend": ("score", "pipeline", "backend"),
+    "--method": ("score", "pipeline", "method"),
+    "--k-cap": ("select", "selection", "k_cap"),
+}
+
+
+@pytest.mark.parametrize(
+    "flag,value,reason",
+    [
+        ("--backend", "bogus", "not one of synthetic, remote, replay"),
+        ("--method", "vibes", "not one of dpcs, gcs"),
+        ("--method", "", "not one of dpcs, gcs"),
+        ("--k-cap", "0", "k_cap must be >= 1, got 0"),
+        ("--k-cap", "2.5", "k_cap must be an integer, got 2.5"),
+        ("--k-cap", "1_0", "not a JSON number"),
+        ("--k-cap", "true", "not a JSON number"),
+    ],
+    ids=["backend", "method", "method-empty", "k-cap-0", "k-cap-2.5", "k-cap-1_0", "k-cap-true"],
+)
+def test_a_bad_setting_exits_1_naming_its_flag_or_its_ini_key(
+    tmp_path, capsys, flag, value, reason
+):
+    command, section, key = SETTING_FLAGS[flag]
+    out = tmp_path / "out"
+    assert run([command, "area.json", flag, value, "--output-dir", out]) == 1
+    assert capsys.readouterr().err == f"error: {flag}: bad value {value!r} ({reason})\n"
+    config = tmp_path / "bad.ini"
+    config.write_text(f"[{section}]\n{key} = {value}\n")
+    assert run([command, "area.json", "--config", config, "--output-dir", out]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {config}: [{section}] {key}: bad value {value!r} ({reason})\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--method", "GCS"), ("--backend", "Synthetic")])
+def test_a_setting_name_is_case_insensitive_as_a_flag_and_in_the_ini(tmp_path, flag, value):
+    areas = simulate(tmp_path, maps_per_area=2)
+    _, section, key = SETTING_FLAGS[flag]
+    config = tmp_path / "case.ini"
+    config.write_text(f"[{section}]\n{key} = {value}\n")
+    outputs = []
+    for args in ([flag, value.lower()], [flag, value], ["--config", config]):
+        out = tmp_path / f"out{len(outputs)}"
+        assert run(["score", areas[0], *args, "--output-dir", out]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] and outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_an_empty_k_cap_means_no_cap_as_a_flag_and_in_the_ini(tmp_path):
+    areas = simulate(tmp_path, maps_per_area=5)
+    (tmp_path / "none.ini").write_text("[selection]\nk_cap =\n")
+    (tmp_path / "one.ini").write_text("[selection]\nk_cap = 1\n")
+    runs = {
+        "default": [],
+        "flag": ["--k-cap", ""],
+        "ini": ["--config", tmp_path / "none.ini"],
+        "flag over ini": ["--config", tmp_path / "one.ini", "--k-cap", ""],
+        "capped": ["--config", tmp_path / "one.ini"],
+    }
+    selections = {}
+    for name, args in runs.items():
+        out = tmp_path / name
+        assert run(["select", areas[0], *args, "--output-dir", out]) == 0
+        selections[name] = (out / f"{areas[0].stem}_selection.csv").read_bytes()
+    capped = selections.pop("capped")
+    assert set(selections.values()) == {selections["default"]} != {capped}
 
 
 def test_unknown_scenario_exits_1_for_every_command(tmp_path, capsys):
@@ -611,8 +683,6 @@ def test_help_lists_exactly_the_readme_flags(capsys, command):
         ("score", "--seed", "+3"),
         ("evaluate", "--jobs", "\u0662"),
         ("evaluate", "--jobs", "02"),
-        ("select", "--k-cap", "1_0"),
-        ("update", "--k-cap", "true"),
     ],
 )
 def test_integer_flags_follow_the_number_rule(tmp_path, capsys, command, flag, value):

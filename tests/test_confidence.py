@@ -169,6 +169,18 @@ def test_weight_profile_validation():
         WeightProfile(1.0, {F.RAIN: 0.2})  # missing the rest
 
 
+def test_weight_profile_rejects_a_key_that_is_not_a_factor():
+    weights = {**DEFAULT_WEIGHTS.factor_weights, "rain": 0.3}
+    with pytest.raises(InvalidInputError, match="unexpected factor weights: 'rain'"):
+        WeightProfile(1.0, weights)
+
+
+def test_context_profile_rejects_a_factor_that_is_not_a_factor_kind():
+    # Accepted, a name would match no factor, so none of them would count.
+    with pytest.raises(InvalidInputError, match="unexpected context factors: 'fog', 'rain'$"):
+        ContextProfile(active_factors={F.SNOW, "rain", "fog"})
+
+
 def test_profiles_roundtrip_through_file(tmp_path):
     path = tmp_path / "profiles.ini"
     path.write_text(

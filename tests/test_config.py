@@ -267,9 +267,10 @@ FLAG_CASES = {
     "endpoint": ("[backend]\nendpoint = http://ini/score\n", "http://flag/score",
                  lambda c: c.endpoint),
     "replay_log": ("[backend]\nreplay_log = ini.jsonl\n", "flag.jsonl", lambda c: c.replay_log),
-    "k_cap": ("[selection]\nk_cap = 2\n", 3, lambda c: c.k_cap),
+    "k_cap": ("[selection]\nk_cap = 2\n", "3", lambda c: c.k_cap),
 }
-FLAG_VALUES = {"context": CLEAR_DAY_CONTEXT}  # a context is held as its profile
+# A context is held as its profile, a band cap as a number.
+FLAG_VALUES = {"context": CLEAR_DAY_CONTEXT, "k_cap": 3}
 
 
 def test_flag_keys_are_cli_flags():
@@ -286,3 +287,33 @@ def test_flag_replaces_the_ini_value(tmp_path, dest):
     assert read(load_pipeline_config(path)) != FLAG_VALUES.get(dest, value)
     assert read(load_pipeline_config(path, {dest: value})) == FLAG_VALUES.get(dest, value)
     assert read(load_pipeline_config(path, {dest: None})) == read(load_pipeline_config(path))
+
+
+@pytest.mark.parametrize(
+    "dest,value,message",
+    [
+        ("backend", "bogus", "--backend: bad value 'bogus' (not one of synthetic, remote, replay)"),
+        ("method", "vibes", "--method: bad value 'vibes' (not one of dpcs, gcs)"),
+        ("k_cap", "0", "--k-cap: bad value '0' (k_cap must be >= 1, got 0)"),
+    ],
+    ids=["backend", "method", "k_cap"],
+)
+def test_a_flag_value_is_checked_as_its_ini_key(tmp_path, dest, value, message):
+    # Library callers get the check the CLI gets, with or without a file.
+    path = tmp_path / "empty.ini"
+    path.write_text("")
+    for source in (None, path):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_pipeline_config(source, {dest: value})
+
+
+@pytest.mark.parametrize(
+    "key,value,rule",
+    [("max_retries", "-1", ">= 0"), ("timeout", "0", "> 0"), ("max_in_flight", "0", ">= 1")],
+)
+def test_a_bad_remote_setting_names_its_file_and_section(tmp_path, key, value, rule):
+    path = tmp_path / "remote.ini"
+    path.write_text(f"[backend]\n{key} = {value}\n")
+    message = f"{path}: [backend] {key} must be {rule}, got {value}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_pipeline_config(path)

@@ -27,7 +27,7 @@ from lanefuse.backends import (
 from lanefuse.cli import cmd_evaluate, main
 from lanefuse.clustering import DbscanParams
 from lanefuse.confidence import CLEAR_DAY_CONTEXT, DEFAULT_WEIGHTS, WeightProfile
-from lanefuse.config import PipelineConfig, check_k_cap
+from lanefuse.config import PipelineConfig, load_pipeline_config
 from lanefuse.errors import (
     ConfigError,
     InvalidInputError,
@@ -101,10 +101,10 @@ def read_script(tmp_path, field, value):
 
 
 def read_response(tmp_path, field, value):
-    request = ScorerRequest(image="a.jpg", prompt_id="Q2", mode="direct")
+    request = ScorerRequest(image="a.jpg", prompt_id="Q2")
     body = {"mode": "direct", "score": 3, field: value}
     if field == "l_clear":
-        request = ScorerRequest(image="a.jpg", prompt_id=LANE_CLARITY_PROMPT_ID, mode="clarity")
+        request = ScorerRequest(image="a.jpg", prompt_id=LANE_CLARITY_PROMPT_ID)
         body = {"mode": "clarity", "l_clear": value}
     log = tmp_path / "log.jsonl"
     write_replay_log(log, [(request, body)])
@@ -154,11 +154,11 @@ def test_score_replay_nan_score_exits_3_without_a_traceback(tmp_path, capsys):
     area = _write(tmp_path, "area.json", _area_doc({}))
     factors = sorted(CLEAR_DAY_CONTEXT.active_factors, key=lambda f: f.value)
     entries = [
-        (ScorerRequest(image="m0_img", prompt_id=FACTOR_PROMPTS[f], mode="direct"),
+        (ScorerRequest(image="m0_img", prompt_id=FACTOR_PROMPTS[f]),
          {"mode": "direct", "score": math.nan if f is factors[0] else 1})
         for f in factors
     ]
-    entries.append((ScorerRequest(image="m0_img", prompt_id=LANE_CLARITY_PROMPT_ID, mode="clarity"),
+    entries.append((ScorerRequest(image="m0_img", prompt_id=LANE_CLARITY_PROMPT_ID),
                     {"mode": "clarity", "l_clear": 0.0}))
     log = tmp_path / "log.jsonl"
     write_replay_log(log, entries)
@@ -224,8 +224,8 @@ SETTINGS = [
      0.0, False, InvalidInputError),
     ("select_band", "k_cap", lambda v: select_band([("a", 9.0), ("b", 8.9)], k_cap=v) and None,
      1, False, InvalidInputError),
-    ("check_k_cap", "selection.k_cap", lambda v: check_k_cap(v, "selection.k_cap"),
-     1, False, ConfigError),
+    ("load_pipeline_config", "--k-cap",
+     lambda v: load_pipeline_config(None, {"k_cap": json.dumps(v)}).k_cap, 1, False, ConfigError),
     ("run_experiment", "jobs", lambda v: run_experiment([], ["band"], jobs=v) and None,
      1, False, InvalidInputError),
     ("cmd_evaluate", "--jobs", evaluate_jobs, 1, False, ConfigError),
