@@ -3,7 +3,8 @@
 Subcommands: score, select, update, evaluate, simulate. Errors go to stderr
 and map to exit codes (1 config, 2 input data, 3 backend); data lands in
 files only, written atomically, with floats at 6 decimals so runs diff
-cleanly. Identical inputs and seeds give byte-identical outputs.
+cleanly. Identical inputs and seeds give byte-identical outputs. Each
+command imports only the lanefuse modules it runs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import sys
 from pathlib import Path
 
 from . import backends as be
-from . import evaluation as ev
 from .confidence import CONFIDENCE_METHODS, with_confidence
 from .config import BACKEND_KINDS, FLAG_KEYS, PipelineConfig, load_pipeline_config
 from .errors import (
@@ -34,7 +34,6 @@ from .mapmodel import (
     save_local_map,
     write_scores_csv,
 )
-from .pipeline import load_modifications, update
 from .scoring import bounded_number, exact_int, json_number
 
 EXIT_OK = 0
@@ -157,6 +156,8 @@ def cmd_select(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_update(args, cfg: PipelineConfig) -> int:
+    from .pipeline import load_modifications, update
+
     area = load_link_area(args.area_file)
     mods = load_modifications(Path(args.script_file))
     _import_geometry()
@@ -172,6 +173,8 @@ def cmd_update(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_evaluate(args, cfg: PipelineConfig) -> int:
+    from . import evaluation as ev
+
     policies = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not policies:
         raise ConfigError("no policies given")
@@ -191,6 +194,8 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_simulate(args, cfg: PipelineConfig) -> int:
+    from . import evaluation as ev
+
     synth_cfg = ev.load_synth_config(args.synth_config)
     if args.seed is not None and args.seed != synth_cfg.seed:
         try:

@@ -10,9 +10,10 @@ Unknown sections and keys are rejected; values are literal (no ``%``).
 
 ``load_pipeline_config`` is the one place that settles a run's settings: a
 flag's text is read, after the file, as the value of the INI key
-``FLAG_KEYS`` names, so one parser checks a setting however it is given and
-the rule is flag over INI over default. The weight, context and scenario
-names are resolved once into a frozen ``PipelineConfig``.
+``FLAG_KEYS`` names, stripped as configparser strips an INI value, so one
+parser checks a setting however it is given and the rule is flag over INI
+over default. The weight, context and scenario names are resolved once into
+a frozen ``PipelineConfig``; a bad value names its file and section.
 """
 
 from __future__ import annotations
@@ -123,7 +124,8 @@ _KEYS = {
 
 def _read(path, flags) -> dict[str, dict[str, object]]:
     """Parse the INI file at ``path`` (None: no file), then each given flag's
-    text as its key's value; every value typed by ``_KEYS``."""
+    text, stripped as an INI value is, as its key's value; every value typed
+    by ``_KEYS``."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         if path is not None:
@@ -137,7 +139,7 @@ def _read(path, flags) -> dict[str, dict[str, object]]:
     for dest, text in flags.items():
         if text is not None:
             section, key = FLAG_KEYS[dest]
-            parser.read_dict({section: {key: text}})
+            parser.read_dict({section: {key: text.strip()}})
             flag_names[section, key] = "--" + dest.replace("_", "-")
     sections: dict[str, dict[str, object]] = {}
     for section, items in parser.items():
@@ -208,16 +210,18 @@ def load_pipeline_config(path=None, flags=None) -> PipelineConfig:
         backend.update(zip(_REMOTE_KEYS, check_remote_settings(*remote)))
     except ConfigError as exc:
         raise ConfigError(f"{path}: [backend] {exc}")
-    try:
-        return PipelineConfig(
-            weights=_named(weights, pipeline.get("weights", "default"), "weight profile"),
-            context=_named(contexts, pipeline.get("context", "all"), "context profile"),
-            scenario=_named(scenarios, pipeline.get("scenario", "clean"), "scenario"),
-            **{key: pipeline[key] for key in ("method", "backend") if key in pipeline},
-            **backend,
-            icp=IcpParams(**sections.get("icp", {})),
-            dbscan=DbscanParams(**sections.get("dbscan", {})),
-            **sections.get("selection", {}),
-        )
-    except InvalidInputError as exc:
-        raise ConfigError(f"{path}: {exc}")
+    params = {}  # the PipelineConfig fields named as their sections
+    for section, build in (("icp", IcpParams), ("dbscan", DbscanParams)):
+        try:
+            params[section] = build(**sections.get(section, {}))
+        except InvalidInputError as exc:
+            raise ConfigError(f"{path}: [{section}] {exc}")
+    return PipelineConfig(
+        weights=_named(weights, pipeline.get("weights", "default"), "weight profile"),
+        context=_named(contexts, pipeline.get("context", "all"), "context profile"),
+        scenario=_named(scenarios, pipeline.get("scenario", "clean"), "scenario"),
+        **{key: pipeline[key] for key in ("method", "backend") if key in pipeline},
+        **backend,
+        **params,
+        **sections.get("selection", {}),
+    )

@@ -217,9 +217,10 @@ class ImageAssessment:
     confidence: float | None = None
 
     def __post_init__(self):
-        self.factor_scores = {
-            k: _check_score(k.key, v) for k, v in self.factor_scores.items()
-        }
+        unknown = [repr(k) for k in self.factor_scores if not isinstance(k, FactorKind)]
+        if unknown:
+            raise InvalidInputError(f"unexpected factor scores: {', '.join(unknown)}")
+        self.factor_scores = {k: _check_score(k.key, v) for k, v in self.factor_scores.items()}
         if self.lane_visibility is not None:
             self.lane_visibility = _check_score("lane_visibility", self.lane_visibility)
         self.timestamp = finite_number(self.timestamp, "timestamp")

@@ -307,13 +307,27 @@ def test_a_flag_value_is_checked_as_its_ini_key(tmp_path, dest, value, message):
             load_pipeline_config(source, {dest: value})
 
 
+def test_a_flag_text_is_stripped_as_an_ini_value_is(tmp_path):
+    path = tmp_path / "padded.ini"
+    path.write_text("[pipeline]\nmethod =  gcs \n[selection]\nk_cap =  \n")
+    from_flags = load_pipeline_config(None, {"method": " gcs ", "k_cap": " "})
+    assert from_flags == load_pipeline_config(path)
+    assert (from_flags.method, from_flags.k_cap) == ("gcs", None)
+
+
 @pytest.mark.parametrize(
-    "key,value,rule",
-    [("max_retries", "-1", ">= 0"), ("timeout", "0", "> 0"), ("max_in_flight", "0", ">= 1")],
+    "section,key,value,rule",
+    [
+        ("backend", "max_retries", "-1", ">= 0"),
+        ("backend", "timeout", "0", "> 0"),
+        ("backend", "max_in_flight", "0", ">= 1"),
+        ("icp", "max_iterations", "0", ">= 1"),
+        ("dbscan", "epsilon", "0", "> 0"),
+    ],
 )
-def test_a_bad_remote_setting_names_its_file_and_section(tmp_path, key, value, rule):
-    path = tmp_path / "remote.ini"
-    path.write_text(f"[backend]\n{key} = {value}\n")
-    message = f"{path}: [backend] {key} must be {rule}, got {value}"
+def test_a_bad_number_names_its_file_and_section(tmp_path, section, key, value, rule):
+    path = tmp_path / "x.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    message = f"{path}: [{section}] {key} must be {rule}, got {value}"
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         load_pipeline_config(path)

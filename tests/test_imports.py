@@ -1,4 +1,4 @@
-"""Each command loads only the libraries it runs.
+"""Each command loads only the libraries and the lanefuse modules it runs.
 
 scipy serves the geometry stages' k-d trees (ICP, DBSCAN's neighbour pairs,
 the AME search); a process that runs none must not pay for importing it.
@@ -7,6 +7,8 @@ module. The remote scorer speaks HTTP through the standard library, so
 requests and urllib3 are loaded by no command, and only the remote backend
 loads the network stack (http.client, urllib.request, ssl). Every check
 runs in a fresh interpreter, since this one has long loaded them. The
+package root imports no module, and only the commands that run the
+experiment module (evaluation) or the update path (pipeline) load them. The
 package's import layering is checked here too, from the source.
 """
 
@@ -27,14 +29,16 @@ from lanefuse.mapmodel import save_link_area
 SRC = Path(__file__).resolve().parents[1] / "src"
 NETWORK = ("http.client", "urllib.request", "ssl")
 WATCHED = ("scipy", "scipy.spatial", "scipy.sparse.csgraph", "requests", "urllib3", *NETWORK)
+LANEFUSE = tuple(f"lanefuse.{p.stem}" for p in sorted((SRC / "lanefuse").glob("[!_]*.py")))
+STAGES = ("lanefuse.evaluation", "lanefuse.pipeline")
 SMALL = dataclasses.replace(
     standard_config(0), link_areas=1, maps_per_area=3, images_per_map=2, lane_length=20.0
 )
 
 
-def loaded_after(code: str, cwd: Path) -> list[str]:
-    """The WATCHED modules loaded once ``code`` has run in a new interpreter."""
-    probe = f"import sys\n{code}\nprint(' '.join(m for m in {WATCHED!r} if m in sys.modules))\n"
+def loaded_after(code: str, cwd: Path, watched=WATCHED) -> list[str]:
+    """The ``watched`` modules loaded once ``code`` has run in a new interpreter."""
+    probe = f"import sys\n{code}\nprint(' '.join(m for m in {watched!r} if m in sys.modules))\n"
     done = subprocess.run(
         [sys.executable, "-c", probe], cwd=cwd, env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True, text=True, timeout=120,
@@ -64,6 +68,11 @@ def test_simulate_loads_neither(tmp_path):
     assert loaded_after(cli(["simulate", "synth.json", "--output-dir", "out"]), tmp_path) == []
 
 
+def test_import_lanefuse_loads_no_lanefuse_module(tmp_path):
+    assert set(STAGES) < set(LANEFUSE)  # the glob finds the modules
+    assert loaded_after("import lanefuse", tmp_path, LANEFUSE) == []
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -73,7 +82,9 @@ def test_simulate_loads_neither(tmp_path):
     ids=["select", "synthetic-score"],
 )
 def test_commands_without_geometry_or_remote_load_neither(tmp_path, area, args):
-    assert loaded_after(cli([a.format(area=area) for a in args]), tmp_path) == []
+    # Nor the experiment module or the update path.
+    code = cli([a.format(area=area) for a in args])
+    assert loaded_after(code, tmp_path, (*WATCHED, *STAGES)) == []
 
 
 def test_evaluate_loads_scipy(tmp_path, area):
@@ -85,7 +96,9 @@ def test_evaluate_loads_scipy(tmp_path, area):
 def test_update_loads_scipy_but_not_the_network(tmp_path, area):
     (tmp_path / "script.json").write_text("[]")
     args = ["update", area, "script.json", "--output-dir", "out"]
-    assert sorted(loaded_after(cli(args), tmp_path)) == ["scipy", "scipy.spatial"]
+    # The update path, but not the experiment module.
+    loaded = loaded_after(cli(args), tmp_path, (*WATCHED, *STAGES))
+    assert sorted(loaded) == ["lanefuse.pipeline", "scipy", "scipy.spatial"]
 
 
 # Wraps the first stage of update (select_band) and of evaluate
@@ -145,17 +158,15 @@ def lanefuse_imports(path: Path) -> set[str]:
 
 
 def test_layering():
-    """Only the package and the CLI import the experiment module, only the
-    CLI imports the INI reader, and nothing imports the CLI. So the stages
-    and the INI reader never import evaluation: geometry the stages share
-    with the AME lives in registration, and the scenario ladder the INI
-    reader extends lives in backends, with no second copy and no import
-    cycle."""
+    """Only the CLI imports the experiment module and the INI reader, and
+    nothing imports the CLI. So the stages and the INI reader never import
+    evaluation: geometry the stages share with the AME lives in registration,
+    and the scenario ladder the INI reader extends lives in backends, with no
+    second copy and no import cycle."""
     importers = collections.defaultdict(set)
     for path in (SRC / "lanefuse").glob("*.py"):
         for name in lanefuse_imports(path):
             importers[name].add(path.stem)
-    assert "cli" in importers["evaluation"]  # the scan sees relative imports
-    assert importers["evaluation"] <= {"__init__", "cli"}
+    assert importers["evaluation"] == {"cli"}  # the scan sees relative imports
     assert importers["config"] <= {"cli"}
     assert importers["cli"] == set()

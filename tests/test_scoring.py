@@ -205,6 +205,11 @@ def test_assessment_validation():
         ImageAssessment("x", confidence=10.5)
 
 
+def test_assessment_rejects_a_key_that_is_not_a_factor():
+    with pytest.raises(InvalidInputError, match="unexpected factor scores: 'rain'$"):
+        ImageAssessment("i", factor_scores={FactorKind.SNOW: 2, "rain": 3})
+
+
 def test_score_for_counts_an_unscored_factor_as_zero():
     a = ImageAssessment("x", factor_scores={FactorKind.RAIN: 4}, lane_visibility=7)
     assert (a.score_for(FactorKind.RAIN), a.score_for(FactorKind.FOG)) == (4, 0)
