@@ -10,6 +10,8 @@ catalog is a ConfigError when the request is made, whatever the backend.
 The synthetic scorer's ``Scenario`` (a range per factor plus the clarity
 probe's lane visibility range), the standard ladder of them and
 ``scenario_from_mapping`` (for the INI and JSON configs) live here too.
+The remote scorer's record log, which the replay scorer reads, holds one
+JSON line per answer: the request's key and the raw body text.
 """
 
 from __future__ import annotations
@@ -476,37 +478,42 @@ class _Connection:
             self._reader = None
         self._opener.close()
 
-    def request(self, message: bytes) -> tuple[bool, int, dict[bytes, bytes]]:
-        """Send ``message``, opening the connection first if it is closed,
-        and read the reply's head after any 1xx replies: whether it is
-        HTTP/1.0, its status and its header fields (lower-cased names, the
-        first of repeated ones)."""
-        if self._reader is None:
-            self._opener.connect()
-            self._reader = self._opener.sock.makefile("rb")
-        self._opener.sock.sendall(message)
-        status = 100
-        while status < 200:
-            line = self._line("status line")
-            version, _, rest = line.partition(b" ")
-            code = rest[:3]
-            status = int(code) if code.isdigit() and len(code) == 3 else 0
-            if not version.startswith(b"HTTP/1.") or status < 100 or rest[3:4] not in b" \r\n":
-                import http.client
+    def post(self, message: bytes) -> tuple[int, str]:
+        """Send ``message`` in one write, opening the connection first if it
+        is closed, and read the whole reply after any 1xx replies: its status
+        and its body text, in the declared charset, else UTF-8 (undecodable
+        bytes become U+FFFD). The body is framed by chunked coding,
+        Content-Length or the end of the connection, which is closed after a
+        reply that ends it, says ``Connection: close`` or is HTTP/1.0. A
+        kept-alive connection that the server has closed is reopened once, for
+        the send and the head only."""
+        for reused in (self._reader is not None, False):
+            try:
+                if self._reader is None:
+                    self._opener.connect()
+                    self._reader = self._opener.sock.makefile("rb")
+                self._opener.sock.sendall(message)
+                status = 100
+                while status < 200:
+                    line = self._line("status line")
+                    version, _, rest = line.partition(b" ")
+                    code = rest[:3]
+                    status = int(code) if code.isdigit() and len(code) == 3 else 0
+                    if status < 100 or rest[3:4] not in b" \r\n" or version[:7] != b"HTTP/1.":
+                        import http.client
 
-                if not line:
-                    raise http.client.RemoteDisconnected(
-                        "Remote end closed connection without response"
-                    )
-                raise http.client.BadStatusLine(line.decode("latin-1"))
-            fields = self._fields()
-        return version == b"HTTP/1.0", status, fields
-
-    def read_body(self, http_10: bool, status: int, fields: dict[bytes, bytes]) -> bytes:
-        """The reply's body, framed by chunked coding, Content-Length or the
-        end of the connection; the connection is closed after a reply that
-        ends it, says ``Connection: close`` or is HTTP/1.0."""
-        close = http_10 or b"close" in fields.get(b"connection", b"").lower()
+                        if not line:
+                            raise http.client.RemoteDisconnected(
+                                "Remote end closed connection without response"
+                            )
+                        raise http.client.BadStatusLine(line.decode("latin-1"))
+                    fields = self._fields()
+                break
+            except ConnectionError:
+                if not reused:
+                    raise
+                self.close()
+        close = version == b"HTTP/1.0" or b"close" in fields.get(b"connection", b"").lower()
         coding = fields.get(b"transfer-encoding")
         length = fields.get(b"content-length")
         if status in (204, 304):
@@ -523,7 +530,10 @@ class _Connection:
             body, close = self._reader.read(), True
         if close:
             self.close()
-        return body
+        try:
+            return status, body.decode(_charset(fields.get(b"content-type", b"")), errors="replace")
+        except LookupError:
+            return status, body.decode("utf-8", errors="replace")
 
     def _line(self, kind: str) -> bytes:
         line = self._reader.readline(_MAX_LINE + 1)
@@ -623,27 +633,6 @@ class _Route:
         start, end = self._head
         return b"%s%d%s%s" % (start, len(body), end, body)
 
-    def post(self, conn: _Connection, body: bytes) -> tuple[int, str]:
-        """POST ``body`` on ``conn`` in one write and read the whole reply:
-        its status and body text. A kept-alive connection that the server
-        has closed is reopened once, without counting as an attempt."""
-        message = self.message(body)
-        reused = conn.sock is not None
-        try:
-            http_10, status, fields = conn.request(message)
-        except ConnectionError:
-            if not reused:
-                raise
-            conn.close()
-            http_10, status, fields = conn.request(message)
-        raw = conn.read_body(http_10, status, fields)
-        # The body's declared charset, else UTF-8; undecodable bytes become U+FFFD.
-        try:
-            text = raw.decode(_charset(fields.get(b"content-type", b"")), errors="replace")
-        except LookupError:
-            text = raw.decode("utf-8", errors="replace")
-        return status, text
-
 
 def _charset(content_type: bytes) -> str:
     """The ``charset`` parameter of a Content-Type value, else UTF-8."""
@@ -724,11 +713,13 @@ def _resolve_endpoint(endpoint: str) -> _Route:
 class RemoteScorer:
     """HTTP client for an external scoring service.
 
-    POSTs one JSON body per (image, prompt) over keep-alive connections and
-    retries transient failures (connection errors, timeouts, 5xx) with
-    exponential backoff from ``RETRY_BACKOFF``, at most ``max_retries``
-    times. When ``log_path`` is set every successful exchange is appended to
-    a JSONL replay log, raw body included, in request order.
+    POSTs one JSON body per (image, prompt) over keep-alive connections, one
+    ``_Connection.post`` per attempt, and retries transient failures
+    (connection errors, timeouts, 5xx) with exponential backoff from
+    ``RETRY_BACKOFF``, at most ``max_retries`` times. When ``log_path`` is set
+    every successful exchange is appended to a JSONL replay log as
+    ``{"key": ..., "body": ...}``, in request order; a log that cannot be
+    written is a ConfigError.
     """
 
     def __init__(
@@ -761,18 +752,18 @@ class RemoteScorer:
         it, each on its own connection."""
         import http.client
 
-        body = json.dumps({
+        message = self._route.message(json.dumps({
             "image": request.image,
             "prompt_id": request.prompt_id,
             "prompt": _REQUEST_PROMPTS[request.prompt_id],
             "mode": request.mode,
-        }).encode()
+        }).encode())
         last_error: Exception | None = None
         for attempt in range(self.max_retries + 1):
             if attempt:
                 time.sleep(RETRY_BACKOFF * (2 ** (attempt - 1)))
             try:
-                status, text = self._route.post(conn, body)
+                status, text = conn.post(message)
             except (OSError, http.client.HTTPException) as exc:
                 conn.close()  # the next attempt starts on a new connection
                 last_error = exc
@@ -844,18 +835,25 @@ class RemoteScorer:
             for worker in workers:
                 worker.join()
             answered = itertools.takewhile(lambda exchange: exchange is not None, done)
-            self._log((request, text) for request, (_, text) in zip(requests_, answered))
+            exchanges = ((request, text) for request, (_, text) in zip(requests_, answered))
+            self._log(exchanges, failed=bool(errors))
         if errors:
             raise errors[min(errors)]
         return [parsed for parsed, _ in done]
 
-    def _log(self, exchanges: Iterable[tuple[ScorerRequest, str]]) -> None:
+    def _log(self, exchanges: Iterable[tuple[ScorerRequest, str]], failed: bool) -> None:
+        """Append the exchanges' records. A log that cannot be written is a
+        ConfigError, unless a request ``failed``: its error is raised instead."""
         if self.log_path is None:
             return
         lines = [_log_line(request, body_text) for request, body_text in exchanges]
-        if lines:
-            with open(self.log_path, "a", encoding="utf-8") as fh:
-                fh.writelines(lines)
+        try:
+            if lines:
+                with open(self.log_path, "a", encoding="utf-8") as fh:
+                    fh.writelines(lines)
+        except OSError as exc:
+            if not failed:
+                raise ConfigError(f"record log {self.log_path} cannot be written: {exc}")
 
 
 # --- replay scorer ----------------------------------------------------------
@@ -911,17 +909,8 @@ class ReplayScorer:
 
 
 def _log_line(request: ScorerRequest, body_text: str) -> str:
-    """One replay-log record: the request's key and fields plus the raw body."""
-    record = {
-        "key": request.key(),
-        "request": {
-            "image": request.image,
-            "prompt_id": request.prompt_id,
-            "mode": request.mode,
-        },
-        "body": body_text,
-    }
-    return json.dumps(record) + "\n"
+    """One replay-log record: the request's key and the raw body."""
+    return json.dumps({"key": request.key(), "body": body_text}) + "\n"
 
 
 # --- assessment via a backend ----------------------------------------------

@@ -20,6 +20,7 @@ import contextlib
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, TextIO
@@ -56,7 +57,10 @@ class Point3:
 
     def __post_init__(self):
         for name in ("x", "y", "z"):
-            v = _as_float(getattr(self, name))
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise InvalidInputError(f"point component {name} must be a number, got {v!r}")
+            v = _as_float(v)
             if not math.isfinite(v):
                 raise InvalidInputError(f"point component {name}={v!r} not finite")
             object.__setattr__(self, name, v)

@@ -3,6 +3,7 @@ name must fail here rather than break ``perfbench/run.py --trace 1``."""
 
 import collections
 import importlib
+import json
 from pathlib import Path
 
 import lanefuse.cli
@@ -11,6 +12,7 @@ import lanefuse.fusion
 import lanefuse.mapmodel
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ZERO_METRICS = Path(__file__).with_name("zero_metrics.json")
 
 
 def test_tracing_hooks_install_and_uninstall(monkeypatch):
@@ -89,3 +91,33 @@ def test_traced_experiment_counts_each_area_for_every_jobs(monkeypatch):
             uninstall()
         names = [span["name"] for span in tracer.spans]
         assert names.count("evaluation.evaluate_area") == 2
+
+
+def test_every_per_layer_metric_reads_above_zero_unless_listed(monkeypatch, tmp_path):
+    """A metric whose wrapper no caller reaches reads 0 and shows nothing.
+    Tiny traced runs of the gated workloads must read each declared
+    per-layer metric above 0 on at least one of them, or it is listed with
+    its reason in zero_metrics.json; a listed metric that reads above 0
+    fails too, so that the list shrinks as the benchmark is mended.
+    ``trace.overhead_frac`` is a difference of two timings, so its sign is
+    noise."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = importlib.import_module("run")
+    selftest = importlib.import_module("selftest")
+    highest = collections.defaultdict(float)
+    for name in ("experiment", "remote_score"):
+        work = tmp_path / name
+        work.mkdir()
+        w = selftest.tiny(name, work)
+        try:
+            metrics, _, _, problems, _ = run.traced_run(w, f"zero-metrics-{name}")
+        finally:
+            w.close()
+        assert problems == []
+        for metric, value in metrics.items():
+            highest[metric] = max(highest[metric], value)
+    declared = set(run.declared_metrics("per_layer")) - {"trace.overhead_frac"}
+    zero = {metric for metric in declared if not highest[metric] > 0}
+    listed = {entry["metric"] for entry in json.loads(ZERO_METRICS.read_text(encoding="utf-8"))}
+    assert sorted(zero - listed) == [], "these metrics read 0; mend them or list them"
+    assert sorted(listed - zero) == [], "these listed metrics read above 0; unlist them"

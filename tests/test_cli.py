@@ -147,6 +147,22 @@ def test_score_reproduces_table_confidences(tmp_path):
     assert confs == pytest.approx([1.8, 6.0, 9.6], abs=1e-9)
 
 
+def test_score_replays_a_log_whose_records_carry_the_request(tmp_path):
+    # Logs once held a "request" object beside the key; they replay the same.
+    area_path, config = table_fixture(tmp_path)
+    new, old = tmp_path / "key_and_body", tmp_path / "with_request"
+    assert run(["score", area_path, "--config", config, "--output-dir", new]) == 0
+    log = tmp_path / "table_log.jsonl"
+    lines = []
+    for record in map(json.loads, log.read_text().splitlines()):
+        image, prompt_id, mode = record["key"].split("|")
+        request = {"image": image, "prompt_id": prompt_id, "mode": mode}
+        lines.append(json.dumps({"key": record["key"], "request": request, "body": record["body"]}))
+    log.write_text("".join(f"{line}\n" for line in lines))
+    assert run(["score", area_path, "--config", config, "--output-dir", old]) == 0
+    assert (old / "table_scores.csv").read_bytes() == (new / "table_scores.csv").read_bytes()
+
+
 def test_score_gcs_method_flags_formula_value(tmp_path):
     area_path, config = table_fixture(tmp_path)
     out = tmp_path / "out_gcs"
@@ -354,6 +370,52 @@ def test_score_unwritable_record_log_exits_1_before_any_request(
                 "--output-dir", out]) == 1
     assert "record log" in capsys.readouterr().err
     assert handler.calls == []
+    assert not out.exists()
+
+
+def _remote_config(tmp_path, url, handler, log):
+    """An INI file for a remote ``score`` that records to ``log``, with the
+    stub answering every prompt as the synthetic backend would."""
+    answer = _synthetic_answer("murky")
+    for prompt_id in [*FACTOR_PROMPTS.values(), LANE_CLARITY_PROMPT_ID]:
+        handler.behaviors[prompt_id] = answer
+    config = tmp_path / "remote.ini"
+    config.write_text(f"[backend]\nendpoint = {url}\nmax_retries = 0\nrecord_log = {log}\n")
+    return config
+
+
+def test_score_remote_records_only_the_key_and_the_body(tmp_path, stub_server):
+    url, handler = stub_server
+    areas = simulate(tmp_path, maps_per_area=2)
+    log = tmp_path / "replay.jsonl"
+    config = _remote_config(tmp_path, url, handler, log)
+    assert run(["score", areas[0], "--config", config, "--backend", "remote",
+                "--output-dir", tmp_path / "out"]) == 0
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len(records) == len(handler.calls) > 0
+    assert all(list(record) == ["key", "body"] for record in records)
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs the /dev/full device")
+@pytest.mark.parametrize(
+    "failing_prompt, code", [(None, 1), (LANE_CLARITY_PROMPT_ID, 3)], ids=["log", "log-and-request"]
+)
+def test_score_record_log_that_cannot_be_written_exits_without_a_traceback(
+    tmp_path, stub_server, capsys, failing_prompt, code
+):
+    # Writing to /dev/full fails with ENOSPC. A request that fails as well
+    # keeps its own error, after the records of the requests before it.
+    url, handler = stub_server
+    areas = simulate(tmp_path, maps_per_area=2)
+    config = _remote_config(tmp_path, url, handler, "/dev/full")
+    if failing_prompt is not None:
+        handler.behaviors[failing_prompt] = lambda body: (500, {"error": "down"})
+    out = tmp_path / "out"
+    assert run(["score", areas[0], "--config", config, "--backend", "remote",
+                "--output-dir", out]) == code
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert ("record log /dev/full cannot be written" in err) == (code == 1)
     assert not out.exists()
 
 

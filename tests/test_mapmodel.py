@@ -65,6 +65,15 @@ def area(link_id="link0"):
 def test_point_rejects_non_finite():
     with pytest.raises(InvalidInputError):
         Point3(float("nan"), 0.0, 0.0)
+    # The number rule of the area reader: a bool or a non-number is no number.
+    for value in (True, "1.5", None):
+        with pytest.raises(InvalidInputError) as point:
+            Point3(value, 0.0)
+        assert str(point.value) == f"point component x must be a number, got {value!r}"
+    for value, shown in ((float("inf"), "inf"), (float("-inf"), "-inf"), (10**400, "inf")):
+        with pytest.raises(InvalidInputError) as point:
+            Point3(value, 0.0)
+        assert str(point.value) == f"point component x={shown} not finite"
 
 
 @pytest.mark.parametrize("big, shown", [(10**400, "inf"), (-(10**400), "-inf")])
