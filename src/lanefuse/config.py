@@ -5,7 +5,7 @@ Sections: ``[pipeline]`` picks profiles/backend/method, ``[icp]``,
 ``[backend]`` configures the scorer client, ``[weights.NAME]`` /
 ``[context.NAME]`` define profiles, and ``[scenario.NAME]`` declares
 synthetic-scorer scenarios (``lane_visibility`` and factor ranges as
-``lo:hi`` plus ``sigma``). A context names degradation factors only.
+``lo:hi``). A context names degradation factors only.
 Unknown sections and keys are rejected; values are literal (no ``%``).
 
 ``load_pipeline_config`` is the one place that settles a run's settings: a
@@ -116,9 +116,7 @@ _KEYS = {
     "selection": {"k_cap": _band_cap},
     "weights.": {"lane_weight": json_number, **{f.key: json_number for f in DEGRADATION_FACTORS}},
     "context.": {"factors": _factor_set},
-    "scenario.": {
-        "sigma": json_number, **dict.fromkeys(["lane_visibility", *FACTOR_BY_KEY], _range)
-    },
+    "scenario.": dict.fromkeys(["lane_visibility", *FACTOR_BY_KEY], _range),
 }
 
 
@@ -182,8 +180,7 @@ def _profiles(sections, path):
             factors = values.get("factors", frozenset(DEGRADATION_FACTORS))
             contexts[name] = ContextProfile(active_factors=factors)
         elif kind == "scenario":
-            sigma = values.pop("sigma", 0.0)
-            scenarios[name] = scenario_from_mapping(name, values, sigma, f"{path}: [{section}]")
+            scenarios[name] = scenario_from_mapping(name, values, 0.0, f"{path}: [{section}]")
     return weights, contexts, scenarios
 
 

@@ -22,9 +22,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-# Re-exported for whoever still imports them from here: SCENARIOS_BY_NAME for
-# perfbench/stub.py and tests/test_cli.py, fuse_maps and prior_map for
-# perfbench/tracing.py (which wraps them) and the tests.
+# Re-exported for the benchmark: SCENARIOS_BY_NAME for perfbench/stub.py, and
+# fuse_maps and prior_map for perfbench/tracing.py, which wraps them here.
 from .backends import SCENARIOS_BY_NAME, STANDARD_SCENARIOS, Scenario  # noqa: F401
 from .backends import SyntheticScorer, collect_assessment, scenario_from_mapping
 from .clustering import DbscanParams

@@ -9,9 +9,9 @@ threads can share a lane's points. ``Point3`` is input sugar: a lane may be
 built from a list of them. The JSON writer keeps full float precision so
 save/load round-trips are bit-exact.
 
-The JSON readers check a document's shape and say where a fault is; the
-records they build (``LaneLine``, ``ImageAssessment``) check the values. A
-lane coordinate follows the number rule of every number in an area file.
+The JSON readers check only a document's shape and say where a fault is;
+the records they build (``LaneLine``, ``ImageAssessment``) are the one check
+of the values, so a lane coordinate is any real number but a bool.
 """
 
 from __future__ import annotations
@@ -38,9 +38,11 @@ from .errors import (
 from .scoring import DEGRADATION_FACTORS, FACTOR_BY_KEY, FactorKind, ImageAssessment
 
 
-def _as_float(value) -> float:
-    """``float(value)``, reading an int beyond the float range as an infinity
-    of its sign, so that it fails as a non-finite component."""
+def _component(value, name: str, at: str = "") -> float:
+    """A real number but a bool as a float, an int beyond the float range as an
+    infinity of its sign; else an InvalidInputError prefixed by ``at``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{at}point component {name} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
@@ -57,38 +59,52 @@ class Point3:
 
     def __post_init__(self):
         for name in ("x", "y", "z"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise InvalidInputError(f"point component {name} must be a number, got {v!r}")
-            v = _as_float(v)
+            v = _component(getattr(self, name), name)
             if not math.isfinite(v):
                 raise InvalidInputError(f"point component {name}={v!r} not finite")
             object.__setattr__(self, name, v)
 
-    def __array__(self, dtype=None, copy=None):
-        return np.array([self.x, self.y, self.z], dtype=dtype)
+
+def _points_array(lane_id: str, points) -> np.ndarray:
+    """``points`` as a float array: a numeric array or the int and float lists
+    json.load gives whole, else row by row, each a Point3 or three numbers."""
+    if isinstance(points, np.ndarray) and points.dtype.kind in "fiu":
+        return np.array(points, dtype=float)
+    if type(points) is list:  # a fault here is named by the row reader below
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            if {type(v) for row in points for v in row} <= {int, float}:
+                return np.array(points, dtype=float)
+    if not isinstance(points, (list, tuple, np.ndarray)):
+        raise InvalidInputError(f"lane {lane_id!r} points must be rows of [x, y, z]")
+    rows = []
+    for i, row in enumerate(points):
+        at = f"point {i} of lane {lane_id!r}"
+        if isinstance(row, Point3):
+            row = (row.x, row.y, row.z)
+        elif not (isinstance(row, (list, tuple)) and len(row) == 3
+                  or isinstance(row, np.ndarray) and row.shape == (3,)):
+            raise InvalidInputError(f"{at} must be [x, y, z], got {row!r}")
+        rows.append([_component(v, name, f"{at}: ") for name, v in zip("xyz", row)])
+    return np.array(rows, dtype=float).reshape(-1, 3)
 
 
 @dataclass
 class LaneLine:
     """An ordered 3D polyline with a stable identifier.
 
-    ``points`` is a read-only (n, 3) float64 copy of the caller's array, rows
-    of three numbers, or Point3 objects. Building a lane is the one check of
-    lane geometry. It raises, in this order: InvalidInputError for the first
-    non-finite component in row-major order, naming the point, then
-    MapValidationError for fewer than two points or for two identical
-    consecutive points.
+    ``points`` is a read-only (n, 3) float64 copy of the caller's numeric
+    array, rows of three real numbers (not bools), or Point3 objects. Building
+    a lane is the one check of lane geometry. It raises, in this order:
+    InvalidInputError for the first point that is not three numbers, then for
+    the first non-finite component in row-major order, naming the point; then
+    MapValidationError for fewer than two points or two identical neighbours.
     """
 
     lane_id: str
     points: np.ndarray
 
     def __post_init__(self):
-        try:
-            pts = np.array(self.points, dtype=float)
-        except OverflowError:
-            pts = np.array([[_as_float(v) for v in row] for row in self.points])
+        pts = _points_array(self.lane_id, self.points)
         if pts.size and (pts.ndim != 2 or pts.shape[1] != 3):
             raise InvalidInputError(f"lane {self.lane_id!r} points have shape {pts.shape}")
         pts = pts.reshape(-1, 3)
@@ -215,8 +231,6 @@ def area_to_dict(area: LinkArea) -> dict:
 # <root>", "at map[ID]" or "at ground_truth". Malformed structure raises
 # MapParseError; contents that break a data invariant, MapValidationError.
 
-_JSON_NUMBERS = {int, float}  # the types json.load gives a number
-
 
 def _of_kind(where: str, value, key: str, kind: type):
     if not isinstance(value, kind):
@@ -246,28 +260,16 @@ def _build(where: str, record: type, **values):
 
 
 def _lane_from_dict(where: str, data: dict) -> LaneLine:
-    """A lane from its JSON object, whose ``points`` are [x, y, z] rows of
-    JSON numbers. Of several faults in one lane, the first row that is not
-    three numbers is reported: MapParseError for a row that is not a list of
-    three, MapValidationError for a part that is not a number. Only a lane
-    without such a row is built, and LaneLine's faults follow in its order,
-    as MapValidationError."""
+    """A lane from its JSON object. A ``points`` row that is not a list of
+    three is a MapParseError; LaneLine's faults follow as MapValidationError."""
     lane_id = _need(where, data, "lane_id", str)
     _reject_unknown(data, LaneLine, f"{where}: lane {lane_id!r}")
     rows = _need(where, data, "points")
     if not isinstance(rows, list):
         raise MapParseError(f"{where}: 'points' must be a list")
-    shaped = all(type(row) is list and len(row) == 3 for row in rows)
-    if not shaped or not {type(v) for row in rows for v in row} <= _JSON_NUMBERS:
-        for i, row in enumerate(rows):
-            at = f"{where}: point {i} of lane {lane_id!r}"
-            if type(row) is not list or len(row) != 3:
-                raise MapParseError(f"{at} must be [x, y, z]")
-            for name, value in zip("xyz", row):
-                if type(value) not in _JSON_NUMBERS:
-                    raise MapValidationError(
-                        f"{at}: point component {name} must be a number, got {value!r}"
-                    )
+    for i, row in enumerate(rows):
+        if type(row) is not list or len(row) != 3:
+            raise MapParseError(f"{where}: point {i} of lane {lane_id!r} must be [x, y, z]")
     return _build(where, LaneLine, lane_id=lane_id, points=rows)
 
 

@@ -2,8 +2,8 @@
 
 A modification script is a JSON list of ``shift``, ``delete`` and ``add``
 operations, carried out by ``modify_shift``, ``modify_delete`` and
-``modify_add``. ``load_modifications`` parses one, ``apply_modifications``
-applies it to a map, and ``prior_map`` builds the prior map an update edits.
+``modify_add``. ``load_modifications`` parses one into ``Modification``s,
+``apply_modifications`` applies it, and ``prior_map`` builds the prior map.
 ``update`` is the one update step behind both callers. It applies a script
 to the prior map and to the maps it fuses, then fuses the first k maps of
 one pooling order onto the modified prior for each count k: the ``update``
@@ -21,7 +21,6 @@ import numpy as np
 
 from .clustering import DbscanParams
 from .errors import (
-    ConfigError,
     DegenerateGeometryError,
     EmptyInputError,
     InvalidInputError,
@@ -124,29 +123,43 @@ def modify_add(
     return replace(local_map, lane_lines=local_map.lane_lines + [new_lane])
 
 
+# Each operation's function and its fields (its parameters) with their kinds.
+_OPS = {
+    "shift": (modify_shift, {"lane_id": str, "dx": float, "dy": float}),
+    "delete": (modify_delete, {"lane_id": str}),
+    "add": (modify_add, {"lane_a": str, "lane_b": str, "offset": float}),
+}
+
+
 @dataclass(frozen=True)
 class Modification:
+    """One operation, the one check of its values: the op, then that op's
+    fields, each lane id a string (None, the default, is a fault) and each
+    number finite; a fault is an InvalidInputError naming the field."""
+
     op: str
-    lane_id: str = ""
-    lane_a: str = ""
-    lane_b: str = ""
+    lane_id: str | None = None
+    lane_a: str | None = None
+    lane_b: str | None = None
     dx: float = 0.0
     dy: float = 0.0
     offset: float = 0.0
 
-
-# Each operation's function and its fields (the function's parameters), in
-# the order they are read, with an optional field's default (None: required).
-_OPS = {
-    "shift": (modify_shift, {"lane_id": None, "dx": 0.0, "dy": 0.0}),
-    "delete": (modify_delete, {"lane_id": None}),
-    "add": (modify_add, {"lane_a": None, "lane_b": None, "offset": 0.0}),
-}
+    def __post_init__(self):
+        if not isinstance(self.op, str) or self.op not in _OPS:
+            raise InvalidInputError(f"unknown op {self.op!r}")
+        for name, kind in _OPS[self.op][1].items():
+            value = getattr(self, name)
+            if kind is float:
+                object.__setattr__(self, name, finite_number(value, name))
+            elif not isinstance(value, str):
+                raise InvalidInputError(f"{name} must be a string, got {value!r}")
 
 
 def load_modifications(path: Path) -> list[Modification]:
-    """Parse a modification script; any fault raises LanefuseError naming the
-    operation's index and, for a bad or unknown key, the key."""
+    """Parse a modification script: a list of objects, each a known op and
+    that op's keys, whose values Modification checks. Any fault raises
+    LanefuseError naming the operation's index and the key."""
     raw = load_json(path, LanefuseError)
     if not isinstance(raw, list):
         raise LanefuseError(f"{path}: script must be a JSON list of operations")
@@ -158,25 +171,16 @@ def load_modifications(path: Path) -> list[Modification]:
         op = entry.get("op")
         if not isinstance(op, str) or op not in _OPS:
             raise LanefuseError(f"{where}: unknown op {op!r}")
-        fields = _OPS[op][1]
-        reject_unknown_keys(entry, ("op", *fields), where, LanefuseError)
-        values = {}
-        for name, default in fields.items():
-            value = entry.get(name, default)
-            if default is None and not isinstance(value, str):
-                raise LanefuseError(f"{where}: {name} must be a string, got {value!r}")
-            try:
-                values[name] = value if default is None else finite_number(value, name)
-            except InvalidInputError as exc:
-                raise LanefuseError(f"{where}: {exc}")
-        mods.append(Modification(op=op, **values))
+        reject_unknown_keys(entry, ("op", *_OPS[op][1]), where, LanefuseError)
+        try:
+            mods.append(Modification(**entry))
+        except InvalidInputError as exc:
+            raise LanefuseError(f"{where}: {exc}")
     return mods
 
 
 def apply_modifications(local_map: LocalMap, mods: Sequence[Modification]) -> LocalMap:
     for mod in mods:
-        if mod.op not in _OPS:
-            raise ConfigError(f"unknown modification op {mod.op!r}")
         modify, fields = _OPS[mod.op]
         local_map = modify(local_map, **{name: getattr(mod, name) for name in fields})
     return local_map

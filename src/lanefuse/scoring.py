@@ -251,9 +251,9 @@ def assess_image(
     """Build an ImageAssessment from raw backend outputs.
 
     Each active factor must appear in ``backend_outputs`` either as a direct
-    integer score (taken as-is) or an 11-logit vector (softmax, expectation
-    under the visibility weight, then ceil). Lane clarity always comes from
-    ``l_clear``.
+    integer score (taken as-is, and checked by ImageAssessment) or an 11-logit
+    vector (softmax, expectation under the visibility weight, then ceil).
+    Lane clarity always comes from ``l_clear``.
     """
     c_l = lane_confidence(l_clear)
     w = vacw_weight(c_l)
@@ -265,10 +265,8 @@ def assess_image(
             )
         out = backend_outputs[factor]
         if isinstance(out, LogitVector):
-            dist = softmax_distribution(out)
-            scores[factor] = finalize_score(expected_factor_score(dist, w))
-        else:
-            scores[factor] = _check_score(factor.key, out)
+            out = finalize_score(expected_factor_score(softmax_distribution(out), w))
+        scores[factor] = out
     return ImageAssessment(
         image_id=image_id,
         timestamp=timestamp,

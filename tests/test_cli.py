@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from lanefuse.backends import (
     FACTOR_PROMPTS,
     LANE_CLARITY_PROMPT_ID,
+    SCENARIOS_BY_NAME,
     RemoteScorer,
     ScorerRequest,
     synthetic_score,
@@ -24,7 +25,6 @@ from lanefuse.backends import (
 from lanefuse.cli import COMMANDS, main
 from lanefuse.confidence import gcs
 from lanefuse.evaluation import (
-    SCENARIOS_BY_NAME,
     ame,
     standard_config,
     synth_config_to_dict,

@@ -12,9 +12,7 @@ from lanefuse.errors import InvalidInputError
 from lanefuse.evaluation import (
     SynthConfig,
     ame,
-    apply_modifications,
     evaluate_area,
-    prior_map,
     run_experiment,
     scripted_modifications,
     standard_config,
@@ -22,6 +20,7 @@ from lanefuse.evaluation import (
 )
 from lanefuse.fusion import align, fuse_maps, rank_maps
 from lanefuse.mapmodel import LocalMap
+from lanefuse.pipeline import apply_modifications, prior_map
 from oracles import brute_force_dbscan, canonical_labels, dense_neighbor_pairs, scan_dbscan
 
 

@@ -81,7 +81,6 @@ factors = all
 [scenario.dusty]
 lane_visibility = 5:7
 sandstorm = 4:8
-sigma = 0.3
 """
     )
     cfg = load_pipeline_config(path)
@@ -99,7 +98,7 @@ sigma = 0.3
     assert cfg.k_cap == 3
     dusty = cfg.scenario
     assert dusty.name == "dusty"
-    assert dusty.noise_sigma == 0.3
+    assert dusty.noise_sigma == 0.0
     assert dusty.range_for(FactorKind.SANDSTORM) == (4, 8)
     assert dusty.visibility == (5, 7)
     path.write_text(path.read_text().replace("context = storm", "context = everything"))

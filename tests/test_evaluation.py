@@ -19,10 +19,8 @@ from lanefuse.evaluation import (
     AmeResult,
     SynthConfig,
     ame,
-    apply_modifications,
     evaluate_area,
     load_synth_config,
-    prior_map,
     run_experiment,
     scripted_modifications,
     standard_config,
@@ -31,6 +29,7 @@ from lanefuse.evaluation import (
 )
 from lanefuse.fusion import BAND_FRACTION
 from lanefuse.mapmodel import LaneLine, LinkArea, LocalMap, Point3, average_confidence
+from lanefuse.pipeline import apply_modifications, prior_map
 from lanefuse.scoring import FactorKind
 from oracles import dense_point_errors
 

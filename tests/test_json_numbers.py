@@ -2,9 +2,10 @@
 
 Each reader of a JSON document (area files, the synth config, modification
 scripts, scorer responses) passes its numbers through ``scoring.exact_int`` or
-``scoring.finite_number``; the area reader checks lane coordinates a lane at a
-time by the same rule. A bool, a numeral string, NaN or an infinity is
-rejected with the reader's own error class, and the message names the field.
+``scoring.finite_number``, most of them in the record it builds: a script's
+numbers in ``Modification``, and a lane's coordinates, by the same rule, in
+``LaneLine``. A bool, a numeral string, NaN or an infinity is rejected with
+the reader's own error class, and the message names the field.
 Each parameter object and setting check reads its numbers through
 ``scoring.bounded_number``, which adds the setting's lower bound.
 """
@@ -39,7 +40,7 @@ from lanefuse.errors import (
 from lanefuse.evaluation import SynthConfig, load_synth_config, run_experiment
 from lanefuse.fusion import select_band
 from lanefuse.mapmodel import load_link_area
-from lanefuse.pipeline import load_modifications
+from lanefuse.pipeline import Modification, load_modifications
 from lanefuse.registration import IcpParams
 from lanefuse.scoring import FactorKind
 
@@ -100,6 +101,13 @@ def read_script(tmp_path, field, value):
     load_modifications(_write(tmp_path, "script.json", [op]))
 
 
+def build_modification(tmp_path, field, value):
+    if field == "offset":
+        Modification("add", lane_a="l0", lane_b="l1", offset=value)
+    else:
+        Modification("shift", lane_id="l0", **{field: value})
+
+
 def read_response(tmp_path, field, value):
     request = ScorerRequest(image="a.jpg", prompt_id="Q2")
     body = {"mode": "direct", "score": 3, field: value}
@@ -120,6 +128,7 @@ FIELDS = [
       for field in ("seed", "link_areas", "maps_per_area", "lanes_per_area", "images_per_map",
                     "lane_spacing", "lane_length", "point_spacing", "sigma", "rain")],
     *[(read_script, field, LanefuseError) for field in ("dx", "dy", "offset")],
+    *[(build_modification, field, InvalidInputError) for field in ("dx", "dy", "offset")],
     *[(read_response, field, ProtocolError)
       for field in ("score", "l_clear", "latency_ms")],
 ]

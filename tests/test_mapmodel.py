@@ -147,6 +147,38 @@ def test_lane_rejects_points_not_in_rows_of_three():
         LaneLine("l", [[0.0, 0.0], [1.0, 0.0]])
 
 
+@pytest.mark.parametrize(
+    "points,message",
+    [
+        ([["1.5", 0, 0], [2, 0, 0]],
+         "point 0 of lane 'l': point component x must be a number, got '1.5'"),
+        ([[True, 0, 0], [1, 0, 0]],
+         "point 0 of lane 'l': point component x must be a number, got True"),
+        ([[None, 0, 0], [1, 0, 0]],
+         "point 0 of lane 'l': point component x must be a number, got None"),
+        ([[0, 0], [1, 0, 0]], "point 0 of lane 'l' must be [x, y, z], got [0, 0]"),
+        ([[0, 0, 0], [1, 0, "x"]],
+         "point 1 of lane 'l': point component z must be a number, got 'x'"),
+        ([(0.0, 0.0, 0.0), "abc"], "point 1 of lane 'l' must be [x, y, z], got 'abc'"),
+        ([np.zeros(3), np.array(1.0)], "point 1 of lane 'l' must be [x, y, z], got array(1.)"),
+        ([Point3(0.0, 0.0), [1.0, 0.5, False]],
+         "point 1 of lane 'l': point component z must be a number, got False"),
+        (np.array([["0", "0", "0"], ["1", "0", "0"]]),
+         "point 0 of lane 'l': point component x must be a number, got np.str_('0')"),
+        (np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]) > 0.5,
+         "point 0 of lane 'l': point component x must be a number, got np.False_"),
+        # A non-number is reported before a non-finite component in an earlier row.
+        ([[float("nan"), 0.0, 0.0], [1.0, "0", 0.0]],
+         "point 1 of lane 'l': point component y must be a number, got '0'"),
+        (None, "lane 'l' points must be rows of [x, y, z]"),
+    ],
+)
+def test_lane_takes_only_rows_of_three_real_numbers(points, message):
+    with pytest.raises(InvalidInputError) as info:
+        LaneLine("l", points)
+    assert str(info.value) == message
+
+
 def test_duplicate_ids_rejected():
     with pytest.raises(MapValidationError):
         LocalMap("m", "a", lane_lines=[lane("x"), lane("x", 1.0)])
@@ -308,6 +340,12 @@ NAN = float("nan")
             "at map[m0]: point 0 of lane 'l0': point component y=-inf not finite",
         ),
         ({"x": [0.0, 0.0, 0.0]}, MapParseError, "at map[m0]: 'points' must be a list"),
+        # The reader checks every row's shape before the lane checks a value.
+        (
+            [["a", 0.0, 0.0], [1.0, 0.0]],
+            MapParseError,
+            "at map[m0]: point 1 of lane 'l0' must be [x, y, z]",
+        ),
     ],
 )
 def test_load_errors_name_the_point(tmp_path, points, error, message):

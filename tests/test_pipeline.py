@@ -24,7 +24,7 @@ from lanefuse.evaluation import (
 )
 from lanefuse.fusion import fuse_maps, rank_maps, select_band
 from lanefuse.mapmodel import LinkArea, LocalMap, load_local_map, save_link_area
-from lanefuse.pipeline import load_modifications, update
+from lanefuse.pipeline import Modification, load_modifications, update
 
 # The scripted modifications of a standard area, as a script file holds them.
 SCRIPT = [
@@ -128,6 +128,31 @@ def test_update_fuses_each_selection_and_gives_none_for_an_empty_one(monkeypatch
     for name in ("icp_align", "neighbor_pairs"):
         monkeypatch.setattr(lanefuse.fusion, name, lambda *args, name=name: pytest.fail(name))
     assert update(area, mods, ranked, [0, 0]) == [None, None]
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"op": "shift", "lane_id": "l0", "dx": True}, "dx must be a number, got True"),
+        ({"op": "shift", "lane_id": "l0", "dx": "0.5"}, "dx must be a number, got '0.5'"),
+        ({"op": "delete", "lane_id": 7}, "lane_id must be a string, got 7"),
+        ({"op": "bogus", "lane_id": "l0"}, "unknown op 'bogus'"),
+        ({"op": ["shift"], "lane_id": "l0"}, "unknown op ['shift']"),
+        ({"op": "shift", "dx": 0.5}, "lane_id must be a string, got None"),
+        ({"op": "add", "lane_a": "l0"}, "lane_b must be a string, got None"),
+        ({"op": "add", "lane_a": "l0", "lane_b": "l1", "offset": float("nan")},
+         "offset must be finite, got nan"),
+    ],
+)
+def test_modification_checks_its_op_and_that_ops_fields(fields, message):
+    with pytest.raises(InvalidInputError) as info:
+        Modification(**fields)
+    assert str(info.value) == message
+
+
+def test_modification_keeps_its_fields_as_plain_numbers():
+    mod = Modification("shift", lane_id="l0", dx=1, dy=np.float64(0.5))
+    assert (type(mod.dx), type(mod.dy)) == (float, float) and (mod.dx, mod.dy) == (1.0, 0.5)
 
 
 @pytest.mark.parametrize("bad", ["unknown", "repeated"])

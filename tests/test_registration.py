@@ -6,8 +6,9 @@ import scipy.spatial
 
 import lanefuse.fusion
 from lanefuse.errors import DegenerateGeometryError, InvalidInputError
-from lanefuse.evaluation import SynthConfig, evaluate_area, prior_map, standard_config, synth_generate
+from lanefuse.evaluation import SynthConfig, evaluate_area, standard_config, synth_generate
 from lanefuse.mapmodel import LaneLine, LocalMap, Point3
+from lanefuse.pipeline import prior_map
 from lanefuse.registration import (
     IcpParams,
     RigidTransform,
